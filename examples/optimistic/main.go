@@ -72,7 +72,7 @@ func drive(kind asynctp.EngineKind) (time.Duration, string, error) {
 	var detail string
 	switch kind {
 	case asynctp.EngineOptimistic:
-		st := runner.ODCStats()
+		st := runner.RDCStats()
 		detail = fmt.Sprintf("validation aborts=%d absorbed=%d", st.Aborts, st.Absorbed)
 	case asynctp.EngineTimestamp:
 		st := runner.TDCStats()

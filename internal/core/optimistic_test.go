@@ -12,7 +12,7 @@ import (
 func TestOptimisticBaselineSRIsSerializable(t *testing.T) {
 	fx := newBankFixture(0, 0)
 	cfg := mixedConfig(fx, BaselineSRCC, 20, 10, true)
-	cfg.Optimistic = true
+	cfg.Engine = EngineOptimistic
 	r, err := NewRunner(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -30,7 +30,7 @@ func TestOptimisticBaselineSRIsSerializable(t *testing.T) {
 	if got := fx.store.Sum([]storage.Key{"X", "Y"}); got != fx.total {
 		t.Errorf("final total = %d, want %d", got, fx.total)
 	}
-	st := r.ODCStats()
+	st := r.RDCStats()
 	if st.Commits == 0 {
 		t.Error("optimistic engine did not run")
 	}
@@ -43,7 +43,7 @@ func TestOptimisticESRDCBoundedDeviation(t *testing.T) {
 	const importLimit = 600
 	fx := newBankFixture(importLimit, 10000)
 	cfg := mixedConfig(fx, BaselineESRDC, 30, 15, false)
-	cfg.Optimistic = true
+	cfg.Engine = EngineOptimistic
 	r, err := NewRunner(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -67,7 +67,7 @@ func TestOptimisticMethod3(t *testing.T) {
 	const budget = 3000
 	fx := newBankFixture(budget, budget)
 	cfg := mixedConfig(fx, Method3ESRChopDC, 10, 5, false)
-	cfg.Optimistic = true
+	cfg.Engine = EngineOptimistic
 	r, err := NewRunner(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -91,7 +91,7 @@ func TestOptimisticRollback(t *testing.T) {
 	)
 	r, err := NewRunner(Config{
 		Method: SRChopCC, Store: store,
-		Programs: []*txn.Program{withdraw}, Optimistic: true,
+		Programs: []*txn.Program{withdraw}, Engine: EngineOptimistic,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -111,7 +111,7 @@ func TestOptimisticRollback(t *testing.T) {
 func TestOptimisticLockStatsStayZero(t *testing.T) {
 	fx := newBankFixture(0, 0)
 	cfg := mixedConfig(fx, BaselineSRCC, 5, 2, false)
-	cfg.Optimistic = true
+	cfg.Engine = EngineOptimistic
 	r, err := NewRunner(cfg)
 	if err != nil {
 		t.Fatal(err)

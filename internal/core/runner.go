@@ -14,7 +14,6 @@ import (
 	"asynctp/internal/lock"
 	"asynctp/internal/metric"
 	"asynctp/internal/obs"
-	"asynctp/internal/odc"
 	"asynctp/internal/rdc"
 	"asynctp/internal/storage"
 	"asynctp/internal/tdc"
@@ -49,15 +48,11 @@ type Config struct {
 	// OpDelay simulates per-operation work while locks are held (see
 	// txn.Exec.SetOpDelay); zero disables it.
 	OpDelay time.Duration
-	// Optimistic swaps the on-line engine from two-phase locking to the
-	// validation-based one (package odc): plain OCC for CC methods,
-	// optimistic divergence control for DC methods. Shorthand for
-	// Engine: EngineOptimistic.
-	Optimistic bool
-	// Engine selects the on-line engine family explicitly: locking
-	// (default), optimistic (odc), timestamp ordering (tdc) — the three
-	// DC families of the paper's reference [12] — or transaction repair
-	// (rdc, with or without ε-skip), the provenance-based fourth family.
+	// Engine selects the on-line engine family: locking (default),
+	// optimistic (rdc's abort policy: plain OCC for CC methods, ε
+	// absorption for DC methods), timestamp ordering (tdc) — the three DC
+	// families of the paper's reference [12] — or transaction repair
+	// (rdc's repair policies, with or without ε-skip).
 	Engine EngineKind
 	// StepHook, when non-nil, gates every engine scheduling point (lock
 	// request, operation effect, commit). The conformance explorer uses
@@ -86,8 +81,8 @@ type Config struct {
 	// with StepHook/WaitObserver/Record, so the conformance explorer can
 	// trace its own runs. Nil keeps every engine fast path nil.
 	Obs *obs.Plane
-	// VerifyRepairs is a TEST-ONLY knob for the repair engines: every
-	// non-skip install re-executes the whole program from scratch and
+	// VerifyRepairs is a TEST-ONLY knob for the rdc engines: every install
+	// that absorbed nothing re-executes the whole program from scratch and
 	// must match the provenance-repaired result exactly (see
 	// rdc.Engine.SetVerify and Runner.RepairVerifyFailure). It must
 	// never be set in production paths — the check serializes work the
@@ -108,7 +103,8 @@ type EngineKind int
 const (
 	// EngineLocking is two-phase locking (+ lock-arbiter DC). Default.
 	EngineLocking EngineKind = iota
-	// EngineOptimistic is backward-validation OCC (+ ε absorption).
+	// EngineOptimistic is backward-validation OCC (+ ε absorption):
+	// rdc with the abort policy, a validation failure retries the piece.
 	EngineOptimistic
 	// EngineTimestamp is timestamp ordering (+ ε absorption).
 	EngineTimestamp
@@ -140,11 +136,20 @@ func (k EngineKind) String() string {
 	}
 }
 
-// altEngine is the shared surface of the non-locking engines.
-type altEngine interface {
+// rdcPolicies maps the engine kinds rdc serves to its policies.
+var rdcPolicies = map[EngineKind]rdc.Policy{
+	EngineOptimistic: rdc.Abort,
+	EngineRepair:     rdc.Repair,
+	EngineRepairSkip: rdc.RepairSkip,
+}
+
+// engine is the seam to the non-locking engines.
+type engine interface {
 	Run(ctx context.Context, owner lock.Owner, p *txn.Program,
 		spec metric.Spec, class txn.Class) (*txn.Outcome, metric.Fuzz, error)
 	SetOpDelay(d time.Duration)
+	SetStepHook(h txn.StepHook)
+	Retryable(err error) bool
 }
 
 // InstanceResult describes one submitted transaction instance.
@@ -184,10 +189,7 @@ type Runner struct {
 	dcSpecs []metric.Spec   // per-type spec used by DC (Method 3 shrinks it)
 	locks   *lock.Manager
 	ctl     *dc.Controller
-	engine  altEngine   // non-nil for optimistic/timestamp/repair engines
-	odcEng  *odc.Engine // concrete handle for stats
-	tdcEng  *tdc.Engine // concrete handle for stats
-	rdcEng  *rdc.Engine // concrete handle for stats
+	engine  engine // nil for the locking engine
 	exec    *txn.Exec
 	rec     *history.Recorder
 	gen     txn.IDGen
@@ -269,9 +271,6 @@ func NewRunner(cfg Config) (*Runner, error) {
 		r.numPieces[ti] = len(parents)
 	}
 
-	if cfg.Engine == EngineLocking && cfg.Optimistic {
-		cfg.Engine = EngineOptimistic
-	}
 	var lockOpts []lock.Option
 	if wo := obs.TeeWaitObserver(cfg.WaitObserver, cfg.Obs.WaitObserver()); wo != nil {
 		lockOpts = append(lockOpts, lock.WithWaitObserver(wo))
@@ -340,43 +339,27 @@ func NewRunner(cfg Config) (*Runner, error) {
 			r.ctl.SetObserver(dcObs)
 		}
 	}
-	switch cfg.Engine {
-	case EngineOptimistic:
-		r.odcEng = odc.NewEngine(cfg.Store, txnObs)
-		r.engine = r.odcEng
-	case EngineTimestamp:
-		r.tdcEng = tdc.NewEngine(cfg.Store, txnObs)
-		r.engine = r.tdcEng
-	case EngineRepair, EngineRepairSkip:
-		r.rdcEng = rdc.NewEngine(cfg.Store, txnObs)
-		r.rdcEng.SetSkip(cfg.Engine == EngineRepairSkip)
-		r.rdcEng.SetVerify(cfg.VerifyRepairs)
-		// ε-skips are charged like DC absorptions: through the plane's
-		// DC-event observer into the ledger and metrics.
-		r.rdcEng.SetDCObserver(cfg.Obs.DCObserver())
+	if policy, ok := rdcPolicies[cfg.Engine]; ok {
+		eng := rdc.NewEngine(cfg.Store, txnObs, policy)
+		eng.SetVerify(cfg.VerifyRepairs)
+		// Absorbed conflicts are charged like DC absorptions: through the
+		// plane's DC-event observer into the ledger and metrics.
+		eng.SetDCObserver(cfg.Obs.DCObserver())
 		if cfg.Obs.SpansOn() {
-			r.rdcEng.SetRepairObserver(func(owner lock.Owner, d time.Duration) {
+			eng.SetRepairObserver(func(owner lock.Owner, d time.Duration) {
 				cfg.Obs.SpanRepair(int64(owner), d)
 			})
 		}
-		r.engine = r.rdcEng
-	}
-	if r.engine != nil {
-		r.engine.SetOpDelay(cfg.OpDelay)
+		r.engine = eng
+	} else if cfg.Engine == EngineTimestamp {
+		r.engine = tdc.NewEngine(cfg.Store, txnObs)
 	}
 	r.exec = txn.NewExec(cfg.Store, r.locks, txnObs)
 	r.exec.SetOpDelay(cfg.OpDelay)
-	if cfg.StepHook != nil {
-		r.exec.SetStepHook(cfg.StepHook)
-		if r.odcEng != nil {
-			r.odcEng.SetStepHook(cfg.StepHook)
-		}
-		if r.tdcEng != nil {
-			r.tdcEng.SetStepHook(cfg.StepHook)
-		}
-		if r.rdcEng != nil {
-			r.rdcEng.SetStepHook(cfg.StepHook)
-		}
+	r.exec.SetStepHook(cfg.StepHook)
+	if r.engine != nil {
+		r.engine.SetOpDelay(cfg.OpDelay)
+		r.engine.SetStepHook(cfg.StepHook)
 	}
 	return r, nil
 }
@@ -386,38 +369,31 @@ func scaleSpec(s metric.Spec, n int) metric.Spec {
 	return metric.Spec{Import: s.Import.Mul(n), Export: s.Export.Mul(n)}
 }
 
-// ODCStats returns the optimistic engine counters (zero otherwise).
-func (r *Runner) ODCStats() odc.Stats {
-	if r.odcEng == nil {
-		return odc.Stats{}
-	}
-	return r.odcEng.Stats()
-}
-
 // TDCStats returns the timestamp engine counters (zero otherwise).
 func (r *Runner) TDCStats() tdc.Stats {
-	if r.tdcEng == nil {
-		return tdc.Stats{}
+	if e, ok := r.engine.(*tdc.Engine); ok {
+		return e.Stats()
 	}
-	return r.tdcEng.Stats()
+	return tdc.Stats{}
 }
 
-// RDCStats returns the repair engine counters (zero otherwise).
+// RDCStats returns the optimistic and repair engines' counters (zero
+// otherwise).
 func (r *Runner) RDCStats() rdc.Stats {
-	if r.rdcEng == nil {
-		return rdc.Stats{}
+	if e, ok := r.engine.(*rdc.Engine); ok {
+		return e.Stats()
 	}
-	return r.rdcEng.Stats()
+	return rdc.Stats{}
 }
 
-// RepairVerifyFailure returns the repair engine's first self-check
-// mismatch ("" when clean or not a repair engine); see
+// RepairVerifyFailure returns the rdc engine's first self-check
+// mismatch ("" when clean or not an rdc engine); see
 // Config.VerifyRepairs.
 func (r *Runner) RepairVerifyFailure() string {
-	if r.rdcEng == nil {
-		return ""
+	if e, ok := r.engine.(*rdc.Engine); ok {
+		return e.VerifyFailure()
 	}
-	return r.rdcEng.VerifyFailure()
+	return ""
 }
 
 // Set returns the prepared chopping (one instance per program type).
@@ -673,7 +649,7 @@ func (inst *instance) runPiece(ctx context.Context, pi int, budget metric.Spec) 
 			imported, exported metric.Fuzz
 		)
 		if r.engine != nil {
-			// Optimistic engine: CC methods validate with a strict spec
+			// Non-locking engine: CC methods validate with a strict spec
 			// (plain OCC); DC methods absorb within the piece's budget.
 			engineSpec := metric.Strict
 			if useDC {
@@ -717,7 +693,11 @@ func (inst *instance) runPiece(ctx context.Context, pi int, budget metric.Spec) 
 			}
 			return out, leftover, nil
 		}
-		if (!txn.Retryable(err) && !odc.Retryable(err) && !tdc.Retryable(err) && !rdc.Retryable(err)) || ctx.Err() != nil {
+		retryable := txn.Retryable(err)
+		if r.engine != nil {
+			retryable = r.engine.Retryable(err)
+		}
+		if !retryable || ctx.Err() != nil {
 			return out, budget, err
 		}
 		inst.mu.Lock()

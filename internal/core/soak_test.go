@@ -26,8 +26,8 @@ func TestSoakAllMethodsConserveMoney(t *testing.T) {
 		amount   = 250
 	)
 	for _, method := range Methods() {
-		for _, optimistic := range []bool{false, true} {
-			name := fmt.Sprintf("%s/optimistic=%v", method, optimistic)
+		for _, engine := range []EngineKind{EngineLocking, EngineOptimistic} {
+			name := fmt.Sprintf("%s/%s", method, engine)
 			t.Run(name, func(t *testing.T) {
 				t.Parallel()
 				init := make(map[storage.Key]metric.Value, accounts)
@@ -49,12 +49,12 @@ func TestSoakAllMethodsConserveMoney(t *testing.T) {
 				}
 				store := storage.NewFrom(init)
 				r, err := NewRunner(Config{
-					Method:     method,
-					Store:      store,
-					Programs:   programs,
-					Counts:     []int{xferN, xferN, xferN, auditN},
-					Optimistic: optimistic,
-					OpDelay:    20 * time.Microsecond,
+					Method:   method,
+					Store:    store,
+					Programs: programs,
+					Counts:   []int{xferN, xferN, xferN, auditN},
+					Engine:   engine,
+					OpDelay:  20 * time.Microsecond,
 				})
 				if err != nil {
 					t.Fatal(err)

@@ -169,12 +169,12 @@ func Conformance(cfg ConformanceConfig) (*Report, error) {
 	cleanUncovered := 0
 	for _, st := range stacks {
 		sc := explore.BankScenario(st.method, st.engine, core.Static, conformanceEps)
-		// The ε-provenance ledger rides the locking stacks and the repair
-		// stacks: the lock arbiter and the rdc ε-skip both debit through
-		// the plane's DC observer. The odc/tdc engines absorb inside
-		// their own validation layer, which the ledger does not see.
-		sc.Ledger = st.engine == core.EngineLocking ||
-			st.engine == core.EngineRepair || st.engine == core.EngineRepairSkip
+		// The ε-provenance ledger rides the locking stacks and the rdc
+		// stacks (optimistic, repair, repair-skip): the lock arbiter and
+		// rdc's charge routine both debit through the plane's DC observer.
+		// The tdc engine absorbs inside its own validation layer, which
+		// the ledger does not see.
+		sc.Ledger = st.engine != core.EngineTimestamp
 		row, err := sweepScenario(sc, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("E8 %s: %w", sc.Name, err)
@@ -207,7 +207,7 @@ func Conformance(cfg ConformanceConfig) (*Report, error) {
 		}
 	}
 	rep.Notes = append(rep.Notes, check(cleanUncovered == 0,
-		"ε-ledger: charged fuzz covers the oracle's measured divergence on every conforming locking- and repair-stack query"))
+		"ε-ledger: charged fuzz covers the oracle's measured divergence on every conforming locking-, optimistic- and repair-stack query"))
 
 	// Determinism: the first scenario re-swept must reproduce its
 	// fingerprint exactly — one seed, one interleaving, one verdict.

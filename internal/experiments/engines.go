@@ -43,8 +43,8 @@ func interestWorkload() (*workload.Workload, error) {
 // EngineComparison runs E5, an ablation beyond the paper's prototype:
 // the same workloads under the three divergence-control families its
 // reference [12] describes — lock-based (package dc), optimistic
-// (package odc), and timestamp ordering (package tdc) — plus the
-// repair family (package rdc, with and without ε-skip). Locking blocks
+// (package rdc's abort policy), and timestamp ordering (package tdc) —
+// plus rdc's repair policies (with and without ε-skip). Locking blocks
 // at conflict time and never redoes work; optimistic and timestamp
 // never block readers but pay aborts (validation failures /
 // timestamp-order violations) under non-commuting write contention;
@@ -108,16 +108,14 @@ func EngineComparison(seed int64) (*Report, error) {
 			}
 			var absorbed uint64
 			switch kind {
-			case core.EngineOptimistic:
-				absorbed = r.ODCStats().Absorbed
+			case core.EngineLocking:
+				absorbed = r.DCStats().Absorbed
 			case core.EngineTimestamp:
 				absorbed = r.TDCStats().Absorbed
-			case core.EngineRepair, core.EngineRepairSkip:
-				// The repair engines' counterpart to absorption is the
-				// ε-skip: staleness charged to the budget instead of fixed.
-				absorbed = r.RDCStats().Skips
 			default:
-				absorbed = r.DCStats().Absorbed
+				// rdc, any policy: stale reads charged to the budget instead
+				// of aborted or repaired.
+				absorbed = r.RDCStats().Absorbed
 			}
 			rep.Table.AddRow(
 				wc.name, engine,

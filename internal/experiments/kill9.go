@@ -321,41 +321,36 @@ func RunKill9(cfg Kill9Config) (*Report, error) {
 		return nil, err
 	}
 	defer c.Close()
-	var maxDev metric.Fuzz
-	var audits int
-	auditStop := make(chan struct{})
-	var auditWG sync.WaitGroup
-	auditWG.Add(1)
-	go func() {
-		defer auditWG.Done()
-		for {
-			select {
-			case <-auditStop:
-				return
-			case <-time.After(10 * time.Millisecond):
-			}
-			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-			res, err := c.Submit(ctx, 1)
-			cancel()
-			if err != nil || res == nil || !res.Committed {
-				continue
-			}
-			audits++
-			if dev := metric.Distance(res.SumReads(), chaosTotal); dev > maxDev {
-				maxDev = dev
-			}
-		}
-	}()
 	// RegisterPrograms re-stages the successors of every recovered
 	// origin commit; redelivered queue traffic drains alongside.
 	if err := c.RegisterPrograms(chaosPrograms(cfg.Amount)); err != nil {
 		return nil, err
 	}
-	quiesceErr := kill9Quiesce(c, 30*time.Second)
-	close(auditStop)
-	auditWG.Wait()
-	if quiesceErr != nil {
-		return nil, quiesceErr
+	// Audits alternate with quiescence probes on this goroutine. An audit
+	// is itself queue traffic: a concurrent stream of them leaves a
+	// drained cluster no idle stretch as long as the one kill9Quiesce
+	// wants, unless a slow fsync happens to stall one of them.
+	var maxDev metric.Fuzz
+	var audits int
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		res, err := c.Submit(ctx, 1)
+		cancel()
+		if err == nil && res != nil && res.Committed {
+			audits++
+			if dev := metric.Distance(res.SumReads(), chaosTotal); dev > maxDev {
+				maxDev = dev
+			}
+		}
+		// Twice the stretch of idle polls quiescence takes.
+		err = kill9Quiesce(c, 50*time.Millisecond)
+		if err == nil {
+			break
+		}
+		if time.Now().After(deadline) {
+			return nil, fmt.Errorf("experiments: final incarnation still draining after 30s: %w", err)
+		}
 	}
 
 	// The verification reads only durable state: balances and markers.

@@ -45,7 +45,7 @@ func randomRepairProgram(rng *rand.Rand, name string) *txn.Program {
 	return txn.MustProgram(name, ops...)
 }
 
-// randomRepairScenario builds a workload for the repair engines only:
+// randomRepairScenario builds a workload for rdc's three policies only:
 // DC baseline methods (no chopping), a per-run ε-ledger, and programs
 // heavy on AbortIf and increment chains.
 func randomRepairScenario(rng *rand.Rand, name string) Scenario {
@@ -74,10 +74,9 @@ func randomRepairScenario(rng *rand.Rand, name string) Scenario {
 	if rng.Intn(2) == 0 {
 		method = core.BaselineESRDC
 	}
-	engine := core.EngineRepair
-	if rng.Intn(2) == 0 {
-		engine = core.EngineRepairSkip
-	}
+	engine := []core.EngineKind{
+		core.EngineOptimistic, core.EngineRepair, core.EngineRepairSkip,
+	}[rng.Intn(3)]
 	return Scenario{
 		Name:        name,
 		Initial:     initial,
@@ -90,12 +89,13 @@ func randomRepairScenario(rng *rand.Rand, name string) Scenario {
 }
 
 // FuzzRepair drives random programs through random deterministic
-// interleavings on the repair engines and holds them to three oaths:
-// the self-check (every repaired outcome byte-identical to a fresh full
-// re-execution — core.Config.VerifyRepairs, wired by explore.Run), the
-// serial-replay ε-oracle (no divergence beyond budget; zero under SR
-// specs), and ledger reconciliation (charged ≥ measured for every
-// explainable query, so ε-skips are honestly priced).
+// interleavings on the rdc engine under each of its policies and holds
+// them to three oaths: the self-check (every install that absorbed
+// nothing byte-identical to a fresh full re-execution —
+// core.Config.VerifyRepairs, wired by explore.Run), the serial-replay
+// ε-oracle (no divergence beyond budget; zero under SR specs), and
+// ledger reconciliation (charged ≥ measured for every explainable
+// query, so absorptions are honestly priced).
 func FuzzRepair(f *testing.F) {
 	for _, seed := range []int64{1, 2, 3, 7, 42, 1995, 65599} {
 		f.Add(seed)

@@ -2,7 +2,7 @@
 // conformance harness: an independent, after-the-fact check that an
 // execution kept every query within its declared ε-spec.
 //
-// The on-line engines (dc, odc, tdc) *account* fuzziness with declared
+// The on-line engines (dc, rdc, tdc) *account* fuzziness with declared
 // write bounds — a worst-case price. The oracle instead *measures* it:
 // given the recorded history of a run, the owner→group mapping (chopped
 // pieces back to their original transactions), and the original

@@ -1,10 +1,11 @@
-// Package rdc implements repair-based divergence control — the fourth
-// on-line engine family, after the lock-arbiter (dc), backward-
-// validation OCC (odc), and timestamp ordering (tdc). It follows the
-// transaction-repair idea (Veldhuizen, "Transaction Repair: Full
-// Serializability Without Locks"): instead of aborting on a validation
-// failure and redoing the whole piece, re-execute only the operations
-// whose inputs changed.
+// Package rdc is the optimistic (validation-based) divergence-control
+// engine: one read/validate/install core whose Policy decides what a
+// validation failure costs. It covers the optimistic family of the
+// paper's reference [12] (Wu, Yu, Pu) and the transaction-repair idea
+// (Veldhuizen, "Transaction Repair: Full Serializability Without
+// Locks"): instead of aborting on a validation failure and redoing the
+// whole piece, re-execute only the operations whose inputs changed.
+// Abort-retry is the degenerate repair — a zero budget.
 //
 // Execution is optimistic with fine-grained provenance:
 //
@@ -15,33 +16,47 @@
 //     local workspace). Writes are buffered; reads never block.
 //   - Validation (critical section): an op is stale when its committed
 //     input's version moved, and dirtiness propagates down the local
-//     dependency chain. No stale ops → install as-is. A short dirty
-//     suffix is *repaired* inside the critical section: only the dirty
-//     ops re-execute against the now-frozen committed state, rollback
-//     predicates are re-evaluated on the fresh inputs (a flipped
-//     decision surfaces as txn.ErrRollback, exactly as a fresh run
-//     would decide), and the result is installed — full
+//     dependency chain. No stale ops → install as-is. A pure commutative
+//     increment nobody consumed is never stale: the install re-applies
+//     it against the current value, so concurrent adds compose. A short
+//     dirty suffix is *repaired* inside the critical section: only the
+//     dirty ops re-execute against the now-frozen committed state,
+//     rollback predicates are re-evaluated on the fresh inputs (a
+//     flipped decision surfaces as txn.ErrRollback, exactly as a fresh
+//     run would decide), and the result is installed — full
 //     serializability, no work thrown away. A long dirty suffix is
 //     re-executed outside the lock and re-validated, a bounded number
 //     of rounds, before falling back to a retryable abort.
-//   - ε-skip (the ESR twist, queries only): when every stale op is a
-//     plain read, the repair's value delta — the exact distance between
-//     the stale value and the committed one — can be priced against the
-//     query's remaining import budget. If it fits (and the last
-//     writer's export account can carry it), the repair is skipped: the
-//     stale values commit as-is and the delta is charged through the
-//     DC-event observer into the ε-provenance ledger.
+//   - ε absorption (the ESR twist, queries only): when every stale op
+//     is a plain read, committing the stale values as-is can be priced
+//     against the query's import budget and each writer's export
+//     account. If it fits, nothing is repaired or aborted and the
+//     charges go through the DC-event observer into the ε-provenance
+//     ledger.
 //
-// Observer events (reads, writes) are emitted inside the install
-// critical section with the final post-repair values, so the recorded
-// history — and hence the serial-replay oracle — judges what actually
-// committed, not the read-phase snapshots.
+// The three policies:
+//
+//   - Abort: zero repair budget, so any stale op that is not absorbed
+//     is a retryable abort — classic backward validation. The snapshot
+//     point is the begin sequence (a key committed to since begin is
+//     stale even if the read came later), a query's stale read is
+//     priced at every such writer's declared bound, and reads are
+//     reported to the observer as they happen, because they are final.
+//   - Repair: the repair budget above, no absorption.
+//   - RepairSkip: Repair, plus absorption priced by the exact distance
+//     between the stale value and the committed one (the "ε-skip").
+//
+// Under the repair policies observer events (reads, writes) are emitted
+// inside the install critical section with the final post-repair
+// values, so the recorded history — and hence the serial-replay oracle
+// — judges what actually committed, not the read-phase snapshots.
 package rdc
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"sort"
 	"sync"
 	"time"
 
@@ -52,14 +67,32 @@ import (
 	"asynctp/internal/txn"
 )
 
-// ErrValidation is the retryable abort returned when a repair exceeds
-// its round budget; the caller re-runs the piece from scratch.
-var ErrValidation = errors.New("rdc: repair fallback")
+// ErrValidation is the retryable abort returned when stale inputs can
+// be neither absorbed nor repaired within the policy's budget; the
+// caller re-runs the piece from scratch.
+var ErrValidation = errors.New("rdc: validation failed")
 
-// Default repair bounds: at most defaultInline dirty ops re-execute
-// inside the critical section (each paying the simulated op cost while
-// every other commit waits); larger repairs run outside the lock for at
-// most defaultRounds rounds before falling back to a full re-run.
+// Policy selects what validation does with a stale input; it is fixed
+// at construction.
+type Policy int
+
+// Policies, in order of how much they salvage from a stale execution.
+const (
+	// Abort retries the piece, unless a query can absorb the conflicts
+	// at the writers' declared bounds.
+	Abort Policy = iota
+	// Repair re-executes only the stale ops.
+	Repair
+	// RepairSkip is Repair, except that a query whose stale reads fit its
+	// remaining ε budget by exact distance commits them unrepaired.
+	RepairSkip
+)
+
+// Repair bounds of the repair policies: at most repairInline dirty ops
+// re-execute inside the critical section (each paying the simulated op
+// cost while every other commit waits); larger repairs run outside the
+// lock for at most repairRounds rounds before falling back to a full
+// re-run. The abort policy is the same mechanism with both at zero.
 //
 // "Short" is a wall-clock judgment, not just an op count:
 // inlineWorkBudget caps the simulated work a repair may perform while
@@ -67,8 +100,8 @@ var ErrValidation = errors.New("rdc: repair fallback")
 // would convoy every other committer behind the lock, so such repairs
 // take the out-of-lock rounds path instead.
 const (
-	defaultInline    = 4
-	defaultRounds    = 3
+	repairInline     = 4
+	repairRounds     = 3
 	inlineWorkBudget = 100 * time.Microsecond
 )
 
@@ -89,13 +122,30 @@ type opRec struct {
 }
 
 // commitRec is one committed transaction's validation-window record; the
-// per-key index points into it for ε-skip export accounting.
+// per-key index points into it for export accounting.
 type commitRec struct {
 	seq         int64
 	owner       lock.Owner
-	keys        []storage.Key
+	writes      []written
 	exported    metric.Fuzz
 	exportLimit metric.Limit
+}
+
+// written is one key a committed transaction wrote, with the bound it
+// declared for the key (on its last write to it).
+type written struct {
+	key   storage.Key
+	bound metric.Limit
+}
+
+// boundOf returns the bound c declared for key, which it wrote.
+func (c *commitRec) boundOf(key storage.Key) metric.Limit {
+	for _, w := range c.writes {
+		if w.key == key {
+			return w.bound
+		}
+	}
+	panic("rdc: version chain names a writer that did not write the key")
 }
 
 // verEntry is one committed write in a key's version chain.
@@ -107,7 +157,7 @@ type verEntry struct {
 // Stats counts engine events.
 type Stats struct {
 	Commits uint64
-	// Aborts counts repair fallbacks returned as retryable aborts.
+	// Aborts counts validation failures returned as retryable aborts.
 	Aborts uint64
 	// Repairs counts commits that re-executed at least one op instead of
 	// aborting; RepairedOps counts the ops re-executed.
@@ -116,14 +166,16 @@ type Stats struct {
 	// RepairRounds counts out-of-lock repair rounds (dirty suffix too
 	// long for the critical section).
 	RepairRounds uint64
-	// Skips counts ε-skip commits (stale reads committed and charged);
-	// SkippedFuzz is the total fuzziness those skips imported.
+	// Absorbed counts conflicts charged to ε accounts instead of aborted
+	// or repaired (one per stale read and charged writer); Skips counts
+	// the commits that kept stale reads that way and SkippedFuzz the
+	// total fuzziness they imported.
+	Absorbed    uint64
 	Skips       uint64
 	SkippedFuzz metric.Fuzz
 	// ReApplied counts stale commutative increments refreshed at install
-	// instead of repaired (the odc engine's re-application, kept for
-	// engine parity: a pure unobserved increment's effect is independent
-	// of its input, so staleness needs no repair round).
+	// instead of repaired: a pure unobserved increment's effect is
+	// independent of its input, so staleness needs no repair round.
 	ReApplied uint64
 	// VerifyFailures counts self-check mismatches (verify mode only):
 	// repaired outcomes that differ from a fresh full re-execution.
@@ -132,15 +184,15 @@ type Stats struct {
 	GCRetained int
 }
 
-// Engine is the repair-based divergence-control executor for one store.
+// Engine is the optimistic divergence-control executor for one store.
 type Engine struct {
 	store   *storage.Store
 	obs     txn.Observer
+	policy  Policy
 	opDelay time.Duration
 	step    txn.StepHook
 	dcObs   func(dc.Event)
 	repObs  func(owner lock.Owner, d time.Duration)
-	skip    bool
 	verify  bool
 	inline  int
 	rounds  int
@@ -161,16 +213,19 @@ type Engine struct {
 	verifyMsg string
 }
 
-// NewEngine builds an engine over store; obs may be nil.
-func NewEngine(store *storage.Store, obs txn.Observer) *Engine {
-	return &Engine{
+// NewEngine builds an engine over store under policy; obs may be nil.
+func NewEngine(store *storage.Store, obs txn.Observer, policy Policy) *Engine {
+	e := &Engine{
 		store:  store,
 		obs:    obs,
-		inline: defaultInline,
-		rounds: defaultRounds,
+		policy: policy,
 		index:  make(map[storage.Key][]verEntry),
 		active: make(map[lock.Owner]int64),
 	}
+	if policy != Abort {
+		e.inline, e.rounds = repairInline, repairRounds
+	}
+	return e
 }
 
 // SetOpDelay makes every operation take d of simulated work — during
@@ -182,13 +237,9 @@ func (e *Engine) SetOpDelay(d time.Duration) { e.opDelay = d }
 // operation and before the validate-and-install critical section.
 func (e *Engine) SetStepHook(h txn.StepHook) { e.step = h }
 
-// SetSkip enables ε-skip: repairs whose value delta fits the query's
-// remaining import budget are charged to the ledger instead of executed.
-func (e *Engine) SetSkip(enabled bool) { e.skip = enabled }
-
-// SetDCObserver installs the divergence-control event observer; ε-skips
-// emit one absorbed dc.Event per skipped read so the obs plane's ledger
-// and metrics see the charge.
+// SetDCObserver installs the divergence-control event observer: every
+// absorbed conflict emits one dc.Event so the obs plane's ledger and
+// metrics see the charge.
 func (e *Engine) SetDCObserver(f func(dc.Event)) { e.dcObs = f }
 
 // SetRepairObserver installs a callback timing each repair pass (both
@@ -196,25 +247,12 @@ func (e *Engine) SetDCObserver(f func(dc.Event)) { e.dcObs = f }
 // repair spans on the owning transaction's critical path.
 func (e *Engine) SetRepairObserver(f func(owner lock.Owner, d time.Duration)) { e.repObs = f }
 
-// SetVerify enables the repair self-check (TEST-ONLY): before every
-// non-skip install, the whole program is re-executed from scratch
-// against the current committed state and the result must match the
-// provenance-repaired records exactly. Mismatches count in
+// SetVerify enables the install self-check (TEST-ONLY): before every
+// install that absorbed nothing, the whole program is re-executed from
+// scratch against the current committed state and the result must match
+// the provenance records exactly. Mismatches count in
 // Stats.VerifyFailures and the first is kept for VerifyFailure.
 func (e *Engine) SetVerify(enabled bool) { e.verify = enabled }
-
-// SetRepairLimits overrides the repair bounds: inline is the largest
-// dirty-op count repaired inside the critical section, rounds the
-// number of out-of-lock repair rounds before the fallback abort.
-// Values < 0 leave the corresponding bound unchanged.
-func (e *Engine) SetRepairLimits(inline, rounds int) {
-	if inline >= 0 {
-		e.inline = inline
-	}
-	if rounds >= 0 {
-		e.rounds = rounds
-	}
-}
 
 // VerifyFailure returns the first self-check mismatch ("" when clean).
 func (e *Engine) VerifyFailure() string {
@@ -241,9 +279,10 @@ func (e *Engine) verOf(k storage.Key) int64 {
 }
 
 // Run executes p once under the given ε-spec and class, returning the
-// outcome plus the fuzziness imported (ε-skips only; repaired commits
-// are fully serializable and import nothing). ErrValidation aborts are
-// retryable; rollback statements return txn.ErrRollback.
+// outcome plus the fuzziness imported (absorbed conflicts only;
+// repaired commits are fully serializable and import nothing).
+// ErrValidation aborts are retryable; rollback statements return
+// txn.ErrRollback.
 func (e *Engine) Run(
 	ctx context.Context,
 	owner lock.Owner,
@@ -260,9 +299,16 @@ func (e *Engine) Run(
 	if e.obs != nil {
 		e.obs.Begin(owner, p.Name, class)
 	}
-	e.begin(owner)
+	start := e.begin(owner)
 	defer e.end(owner)
 
+	// The abort policy never repairs, so a read is final the moment it
+	// is made and is reported there: the recorded history then places the
+	// transaction at its snapshot, where an absorbed stale read is exact.
+	var readObs txn.Observer
+	if e.policy == Abort {
+		readObs = e.obs
+	}
 	out := &txn.Outcome{Owner: owner}
 	recs := make([]opRec, len(p.Ops))
 	// producer maps keys to the op index that last buffered a write, so
@@ -296,6 +342,8 @@ func (e *Engine) Run(
 		if op.Kind == txn.OpWrite {
 			rec.out = op.Update(rec.in)
 			producer[op.Key] = i
+		} else if readObs != nil {
+			readObs.Read(owner, op.Key, rec.in)
 		}
 		recs[i] = rec
 	}
@@ -303,7 +351,7 @@ func (e *Engine) Run(
 	if e.step != nil {
 		e.step.OnStep(txn.Step{Owner: owner, Program: p.Name, Op: -1, Kind: txn.StepCommit})
 	}
-	imported, err := e.commit(owner, spec, class, recs, out)
+	imported, err := e.commit(owner, spec, class, start, recs, out)
 	if err != nil {
 		if e.obs != nil {
 			e.obs.Abort(owner, err)
@@ -317,11 +365,13 @@ func (e *Engine) Run(
 	return out, imported, nil
 }
 
-// begin registers an active transaction for window GC.
-func (e *Engine) begin(owner lock.Owner) {
+// begin registers an active transaction for window GC and returns its
+// start sequence (the abort policy's snapshot point).
+func (e *Engine) begin(owner lock.Owner) int64 {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.active[owner] = e.seq
+	return e.seq
 }
 
 // end unregisters and garbage-collects the validation window: committed
@@ -349,7 +399,8 @@ func (e *Engine) end(owner lock.Owner) {
 			keep = append(keep, c)
 			continue
 		}
-		for _, k := range c.keys {
+		for _, w := range c.writes {
+			k := w.key
 			ent := e.index[k]
 			n := 0
 			for n < len(ent) && ent[n].seq <= min {
@@ -366,11 +417,13 @@ func (e *Engine) end(owner lock.Owner) {
 	e.window = keep
 }
 
-// commit validates, repairs or ε-skips as needed, and installs.
+// commit validates, absorbs or repairs as the policy allows, and
+// installs.
 func (e *Engine) commit(
 	owner lock.Owner,
 	spec metric.Spec,
 	class txn.Class,
+	start int64,
 	recs []opRec,
 	out *txn.Outcome,
 ) (metric.Fuzz, error) {
@@ -386,7 +439,13 @@ func (e *Engine) commit(
 				// the local workspace inherit its dirtiness.
 				dirty[i] = dirty[rec.local]
 			} else {
-				dirty[i] = e.verOf(rec.op.Key) != rec.ver && !reappliable(recs, i)
+				moved := e.verOf(rec.op.Key) != rec.ver
+				if e.policy == Abort {
+					// Snapshot at begin: a commit since then conflicts even
+					// if this op happened to read after it.
+					moved = e.verOf(rec.op.Key) > start
+				}
+				dirty[i] = moved && !reappliable(recs, i)
 			}
 			if dirty[i] {
 				nDirty++
@@ -397,9 +456,9 @@ func (e *Engine) commit(
 			e.mu.Unlock()
 			return 0, err
 		}
-		if e.skip && class == txn.Query {
-			if imported, ok := e.trySkipLocked(owner, spec, recs, dirty); ok {
-				// Commit the stale values as-is; the delta is charged.
+		if e.policy != Repair && class == txn.Query {
+			if imported, ok := e.absorbLocked(owner, spec, start, recs, dirty); ok {
+				// Commit the stale values as-is; the conflicts are charged.
 				err := e.installLocked(owner, spec, recs, out, repairedOps, true)
 				e.mu.Unlock()
 				return imported, err
@@ -423,7 +482,7 @@ func (e *Engine) commit(
 			e.stats.RepairedOps += repairedOps
 			e.stats.Aborts++
 			e.mu.Unlock()
-			return 0, fmt.Errorf("rdc: %d-op repair exceeded %d rounds: %w", nDirty, e.rounds, ErrValidation)
+			return 0, fmt.Errorf("rdc: %d stale ops after %d repair rounds: %w", nDirty, e.rounds, ErrValidation)
 		}
 		e.stats.RepairRounds++
 		e.mu.Unlock()
@@ -444,8 +503,8 @@ func (e *Engine) commit(
 // re-application instead of repair: a committed-input commutative write
 // with no rollback predicate whose workspace value no later op consumes.
 // Its effect (the increment) is independent of its input, so the install
-// refreshes it against the current value — the odc engine's commutative
-// re-application, costing no repair round and no simulated work.
+// refreshes it against the current value, costing no repair round and no
+// simulated work.
 func reappliable(recs []opRec, i int) bool {
 	rec := &recs[i]
 	if rec.local >= 0 || rec.op.Kind != txn.OpWrite || !rec.op.Commutative || rec.op.AbortIf != nil {
@@ -459,12 +518,6 @@ func reappliable(recs []opRec, i int) bool {
 	return true
 }
 
-// repairPass re-executes every dirty op in program order: committed
-// inputs are re-read (version before value, as in the read phase),
-// local inputs come from the already-repaired producer, and rollback
-// predicates are re-evaluated on the fresh input — a flipped decision
-// returns txn.ErrRollback. Each re-executed op pays the simulated op
-// cost. Returns the number of ops repaired.
 // timedRepairPass wraps repairPass with the repair observer so the
 // tracing plane can attribute repair work to the owning transaction.
 // The timer is only armed when an observer is installed, keeping the
@@ -479,6 +532,12 @@ func (e *Engine) timedRepairPass(owner lock.Owner, recs []opRec, dirty []bool) (
 	return n, err
 }
 
+// repairPass re-executes every dirty op in program order: committed
+// inputs are re-read (version before value, as in the read phase),
+// local inputs come from the already-repaired producer, and rollback
+// predicates are re-evaluated on the fresh input — a flipped decision
+// returns txn.ErrRollback. Each re-executed op pays the simulated op
+// cost. Returns the number of ops repaired.
 func (e *Engine) repairPass(recs []opRec, dirty []bool) (uint64, error) {
 	var n uint64
 	for i := range recs {
@@ -507,27 +566,60 @@ func (e *Engine) repairPass(recs []opRec, dirty []bool) (uint64, error) {
 	return n, nil
 }
 
-// trySkipLocked prices committing the stale values as-is. Skippable
-// only when every dirty op is a plain committed read (no write derives
-// from a stale input, no rollback predicate decided on one): then the
-// exact per-read delta is charged against the query's import budget and
-// the last writer's export account. Caller holds e.mu.
-func (e *Engine) trySkipLocked(
+// charge is one priced conflict: committing a stale read of key as-is
+// makes writer export cost to the reading query.
+type charge struct {
+	key    storage.Key
+	writer *commitRec
+	cost   metric.Fuzz
+}
+
+// priceLocked appends what committing rec's stale read as-is costs, or
+// reports that no price exists. The abort policy charges every writer
+// since the snapshot its declared bound (an unbounded write cannot be
+// priced), once per key however many ops read it; the skip policy charges the last writer the exact distance
+// between the committed value and the stale one (a writer that outran
+// the window cannot be charged). Caller holds e.mu.
+func (e *Engine) priceLocked(rec *opRec, start int64, charges []charge) ([]charge, bool) {
+	key := rec.op.Key
+	ent := e.index[key]
+	if e.policy == Abort {
+		for _, ch := range charges {
+			if ch.key == key {
+				return charges, true // priced by an earlier read of this key
+			}
+		}
+		first := sort.Search(len(ent), func(i int) bool { return ent[i].seq > start })
+		for _, w := range ent[first:] {
+			bound := w.rec.boundOf(key)
+			if bound.IsInfinite() {
+				return nil, false
+			}
+			charges = append(charges, charge{key: key, writer: w.rec, cost: bound.Bound()})
+		}
+		return charges, true
+	}
+	if len(ent) == 0 {
+		return nil, false
+	}
+	cost := metric.Distance(e.store.Get(key), rec.in)
+	return append(charges, charge{key: key, writer: ent[len(ent)-1].rec, cost: cost}), true
+}
+
+// absorbLocked is the one ε charge routine: it prices committing the
+// stale values as-is without mutating any account, checks the query's
+// import limit and each charged writer's export limit, and only then
+// commits the charges and emits their dc.Events. Absorbable only when
+// every dirty op is a plain committed read (no write derives from a
+// stale input, no rollback predicate decided on one). Caller holds e.mu.
+func (e *Engine) absorbLocked(
 	owner lock.Owner,
 	spec metric.Spec,
+	start int64,
 	recs []opRec,
 	dirty []bool,
 ) (metric.Fuzz, bool) {
-	type skipCharge struct {
-		key    storage.Key
-		writer *commitRec
-		cost   metric.Fuzz
-	}
-	var (
-		charges []skipCharge
-		total   metric.Fuzz
-	)
-	tentative := make(map[*commitRec]metric.Fuzz)
+	var charges []charge
 	for i := range recs {
 		if !dirty[i] {
 			continue
@@ -536,31 +628,28 @@ func (e *Engine) trySkipLocked(
 		if rec.op.Kind != txn.OpRead || rec.op.AbortIf != nil || rec.local >= 0 {
 			return 0, false
 		}
-		entries := e.index[rec.op.Key]
-		if len(entries) == 0 {
-			// The writer outran the window — cannot attribute the export.
+		var ok bool
+		if charges, ok = e.priceLocked(rec, start, charges); !ok {
 			return 0, false
 		}
-		w := entries[len(entries)-1].rec
-		cost := metric.Distance(e.store.Get(rec.op.Key), rec.in)
-		next := tentative[w].Add(cost)
-		if !w.exportLimit.Allows(w.exported.Add(next)) {
-			return 0, false
-		}
-		tentative[w] = next
-		total = total.Add(cost)
-		charges = append(charges, skipCharge{key: rec.op.Key, writer: w, cost: cost})
+	}
+	var total metric.Fuzz
+	pending := make(map[*commitRec]metric.Fuzz, len(charges))
+	for _, ch := range charges {
+		total = total.Add(ch.cost)
+		pending[ch.writer] = pending[ch.writer].Add(ch.cost)
 	}
 	if !spec.Import.Allows(total) {
 		return 0, false
 	}
+	for w, cost := range pending {
+		if !w.exportLimit.Allows(w.exported.Add(cost)) {
+			return 0, false
+		}
+	}
 	for _, ch := range charges {
 		ch.writer.exported = ch.writer.exported.Add(ch.cost)
-	}
-	e.stats.Skips++
-	e.stats.SkippedFuzz = e.stats.SkippedFuzz.Add(total)
-	if e.dcObs != nil {
-		for _, ch := range charges {
+		if e.dcObs != nil {
 			e.dcObs(dc.Event{
 				Key:       ch.key,
 				Requester: owner,
@@ -570,6 +659,9 @@ func (e *Engine) trySkipLocked(
 			})
 		}
 	}
+	e.stats.Absorbed += uint64(len(charges))
+	e.stats.Skips++
+	e.stats.SkippedFuzz = e.stats.SkippedFuzz.Add(total)
 	return total, true
 }
 
@@ -582,10 +674,14 @@ func (e *Engine) installLocked(
 	recs []opRec,
 	out *txn.Outcome,
 	repairedOps uint64,
-	skipped bool,
+	absorbed bool,
 ) error {
+	writes := 0
 	for i := range recs {
 		rec := &recs[i]
+		if rec.op.Kind == txn.OpWrite {
+			writes++
+		}
 		if e.verOf(rec.op.Key) != rec.ver && reappliable(recs, i) {
 			rec.ver = e.verOf(rec.op.Key)
 			rec.in = e.store.Get(rec.op.Key)
@@ -593,7 +689,7 @@ func (e *Engine) installLocked(
 			e.stats.ReApplied++
 		}
 	}
-	if e.verify && !skipped {
+	if e.verify && !absorbed {
 		if msg := e.verifyLocked(recs); msg != "" {
 			e.stats.VerifyFailures++
 			if e.verifyMsg == "" {
@@ -601,44 +697,48 @@ func (e *Engine) installLocked(
 			}
 		}
 	}
-	finals := make(map[storage.Key]metric.Value)
-	var keys []storage.Key
+	// pos maps each written key to its slot in batch and in wrote, which
+	// hold the key's final write and the bound that write declared.
+	pos := make(map[storage.Key]int, writes)
+	batch := make([]storage.Write, 0, writes)
+	wrote := make([]written, 0, writes)
 	for i := range recs {
 		rec := &recs[i]
 		switch rec.op.Kind {
 		case txn.OpRead:
 			out.Reads = append(out.Reads, txn.ReadRec{Key: rec.op.Key, Value: rec.out})
-			if e.obs != nil {
+			if e.obs != nil && e.policy != Abort {
 				e.obs.Read(owner, rec.op.Key, rec.out)
 			}
 		case txn.OpWrite:
-			if _, ok := finals[rec.op.Key]; !ok {
-				keys = append(keys, rec.op.Key)
-			}
-			finals[rec.op.Key] = rec.out
 			if e.obs != nil {
 				// No write has been installed yet, so Get still returns
 				// the pre-transaction committed value.
 				e.obs.Write(owner, rec.op.Key, e.store.Get(rec.op.Key), rec.out, rec.op.Commutative)
 			}
+			if j, ok := pos[rec.op.Key]; ok {
+				batch[j].Value, wrote[j].bound = rec.out, rec.op.Bound
+			} else {
+				pos[rec.op.Key] = len(batch)
+				batch = append(batch, storage.Write{Key: rec.op.Key, Value: rec.out})
+				wrote = append(wrote, written{key: rec.op.Key, bound: rec.op.Bound})
+			}
 		}
 	}
-	batch := make([]storage.Write, 0, len(keys))
-	for _, k := range keys {
-		batch = append(batch, storage.Write{Key: k, Value: finals[k]})
-		e.store.Set(k, finals[k])
+	for _, w := range batch {
+		e.store.Set(w.Key, w.Value)
 	}
 	if err := e.store.Apply(batch); err != nil {
 		return err
 	}
 	out.Writes = batch
 	e.seq++
-	if len(keys) > 0 {
-		rec := &commitRec{seq: e.seq, owner: owner, keys: keys, exportLimit: spec.Export}
-		for _, k := range keys {
+	if len(batch) > 0 {
+		rec := &commitRec{seq: e.seq, owner: owner, writes: wrote, exportLimit: spec.Export}
+		for _, w := range wrote {
 			// Value first (Set above), version second: see vers.
-			e.vers.Store(k, e.seq)
-			e.index[k] = append(e.index[k], verEntry{seq: e.seq, rec: rec})
+			e.vers.Store(w.key, e.seq)
+			e.index[w.key] = append(e.index[w.key], verEntry{seq: e.seq, rec: rec})
 		}
 		e.window = append(e.window, rec)
 	}
@@ -683,5 +783,5 @@ func (e *Engine) verifyLocked(recs []opRec) string {
 	return ""
 }
 
-// Retryable reports whether err is a repair fallback worth retrying.
-func Retryable(err error) bool { return errors.Is(err, ErrValidation) }
+// Retryable reports whether err is a validation abort worth retrying.
+func (e *Engine) Retryable(err error) bool { return errors.Is(err, ErrValidation) }

@@ -15,102 +15,474 @@ import (
 	"asynctp/internal/txn"
 )
 
-func newEngineT(init map[storage.Key]metric.Value) *Engine {
-	return NewEngine(storage.NewFrom(init), nil)
+func newEngineT(init map[storage.Key]metric.Value, policy Policy) *Engine {
+	return NewEngine(storage.NewFrom(init), nil, policy)
 }
 
-// pauseRead builds a read op on key that parks once at read time until
-// release closes. Safe under repair: the started signal fires exactly
-// once and a closed release never blocks re-evaluation.
-func pauseRead(key storage.Key, started, release chan struct{}) txn.Op {
+// policies names every policy, for table tests and sub-benchmarks.
+var policies = []struct {
+	name   string
+	policy Policy
+}{{"abort", Abort}, {"repair", Repair}, {"repair-skip", RepairSkip}}
+
+// forEachPolicy runs f once per policy: the behaviours it covers are
+// the engine's, whatever a validation failure would cost.
+func forEachPolicy(t *testing.T, f func(t *testing.T, policy Policy)) {
+	for _, tc := range policies {
+		t.Run(tc.name, func(t *testing.T) { f(t, tc.policy) })
+	}
+}
+
+// pause is a read op that parks once at read time until release closes.
+// Safe under repair: the started signal fires exactly once and a closed
+// release never blocks re-evaluation. Park on a key nobody writes, so
+// the pause itself is never a stale input.
+type pause struct {
+	op               txn.Op
+	started, release chan struct{}
+}
+
+func newPause(key storage.Key) pause {
+	p := pause{started: make(chan struct{}), release: make(chan struct{})}
 	var once sync.Once
-	return txn.Op{Kind: txn.OpRead, Key: key, AbortIf: func(metric.Value) bool {
-		once.Do(func() { close(started) })
-		<-release
-		return false
-	}}
+	p.op = txn.Op{Kind: txn.OpRead, Key: key, AbortIf: p.parkThen(&once, func(metric.Value) bool { return false })}
+	return p
+}
+
+// parkThen wraps a rollback predicate so that its first evaluation
+// signals started and every evaluation waits for release.
+func (p pause) parkThen(once *sync.Once, pred func(metric.Value) bool) func(metric.Value) bool {
+	return func(v metric.Value) bool {
+		once.Do(func() { close(p.started) })
+		<-p.release
+		return pred(v)
+	}
+}
+
+// result is what one Engine.Run returned.
+type result struct {
+	out      *txn.Outcome
+	imported metric.Fuzz
+	err      error
+}
+
+// interleave runs slow (whose program contains at's op) on its own
+// goroutine, calls during once it has parked, then releases it and
+// returns what it returned.
+func interleave(e *Engine, owner lock.Owner, slow *txn.Program, spec metric.Spec, class txn.Class, at pause, during func()) result {
+	ch := make(chan result, 1)
+	go func() {
+		out, imported, err := e.Run(context.Background(), owner, slow, spec, class)
+		ch <- result{out, imported, err}
+	}()
+	<-at.started
+	during()
+	close(at.release)
+	return <-ch
+}
+
+// commitUpdate runs an update that must commit on its first attempt.
+func commitUpdate(t *testing.T, e *Engine, owner lock.Owner, p *txn.Program, spec metric.Spec) {
+	t.Helper()
+	if _, _, err := e.Run(context.Background(), owner, p, spec, txn.Update); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestCommitSimpleTransfer(t *testing.T) {
-	e := newEngineT(map[storage.Key]metric.Value{"x": 1000, "y": 0})
-	p := txn.MustProgram("xfer", txn.AddOp("x", -100), txn.AddOp("y", 100))
-	out, imported, err := e.Run(context.Background(), 1, p, metric.Strict, txn.Update)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !out.Committed || imported != 0 {
-		t.Errorf("out=%+v imported=%d", out, imported)
-	}
-	if e.store.Get("x") != 900 || e.store.Get("y") != 100 {
-		t.Errorf("state: x=%d y=%d", e.store.Get("x"), e.store.Get("y"))
-	}
-	if st := e.Stats(); st.Commits != 1 || st.Aborts != 0 || st.Repairs != 0 {
-		t.Errorf("stats = %+v", st)
-	}
+	forEachPolicy(t, func(t *testing.T, policy Policy) {
+		e := newEngineT(map[storage.Key]metric.Value{"x": 1000, "y": 0}, policy)
+		p := txn.MustProgram("xfer", txn.AddOp("x", -100), txn.AddOp("y", 100))
+		out, imported, err := e.Run(context.Background(), 1, p, metric.Strict, txn.Update)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !out.Committed || imported != 0 {
+			t.Errorf("out=%+v imported=%d", out, imported)
+		}
+		if e.store.Get("x") != 900 || e.store.Get("y") != 100 {
+			t.Errorf("state: x=%d y=%d", e.store.Get("x"), e.store.Get("y"))
+		}
+		if st := e.Stats(); st.Commits != 1 || st.Aborts != 0 || st.Repairs != 0 {
+			t.Errorf("stats = %+v", st)
+		}
+	})
 }
 
 func TestReadsOwnWrites(t *testing.T) {
-	e := newEngineT(map[storage.Key]metric.Value{"x": 10})
-	p := txn.MustProgram("t", txn.AddOp("x", 5), txn.ReadOp("x"))
-	out, _, err := e.Run(context.Background(), 1, p, metric.Strict, txn.Update)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v, ok := out.ReadValue("x"); !ok || v != 15 {
-		t.Errorf("read own write = %d", v)
-	}
+	forEachPolicy(t, func(t *testing.T, policy Policy) {
+		e := newEngineT(map[storage.Key]metric.Value{"x": 10}, policy)
+		p := txn.MustProgram("t", txn.AddOp("x", 5), txn.ReadOp("x"))
+		out, _, err := e.Run(context.Background(), 1, p, metric.Strict, txn.Update)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v, ok := out.ReadValue("x"); !ok || v != 15 {
+			t.Errorf("read own write = %d", v)
+		}
+	})
 }
 
 func TestRollbackLeavesNoEffect(t *testing.T) {
-	e := newEngineT(map[storage.Key]metric.Value{"x": 50})
-	p := txn.MustProgram("w",
-		txn.AddOp("staging", 1),
-		txn.WithAbortIf(txn.AddOp("x", -100), func(v metric.Value) bool { return v < 100 }),
-	)
-	_, _, err := e.Run(context.Background(), 1, p, metric.Strict, txn.Update)
-	if !errors.Is(err, txn.ErrRollback) {
-		t.Fatalf("err = %v", err)
-	}
-	if e.store.Has("staging") {
-		t.Error("buffered write leaked to store")
+	forEachPolicy(t, func(t *testing.T, policy Policy) {
+		e := newEngineT(map[storage.Key]metric.Value{"x": 50}, policy)
+		p := txn.MustProgram("w",
+			txn.AddOp("staging", 1),
+			txn.WithAbortIf(txn.AddOp("x", -100), func(v metric.Value) bool { return v < 100 }),
+		)
+		_, _, err := e.Run(context.Background(), 1, p, metric.Strict, txn.Update)
+		if !errors.Is(err, txn.ErrRollback) {
+			t.Fatalf("err = %v", err)
+		}
+		if e.store.Has("staging") {
+			t.Error("buffered write leaked to store")
+		}
+	})
+}
+
+func TestValidationWindowGC(t *testing.T) {
+	forEachPolicy(t, func(t *testing.T, policy Policy) {
+		e := newEngineT(map[storage.Key]metric.Value{"x": 0}, policy)
+		p := txn.MustProgram("inc", txn.AddOp("x", 1))
+		for i := 0; i < 100; i++ {
+			if _, _, err := e.Run(context.Background(), lock.Owner(i+1), p, metric.Strict, txn.Update); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// With no active transactions, the window must be empty.
+		if got := e.Stats().GCRetained; got != 0 {
+			t.Errorf("validation window = %d entries after quiescence", got)
+		}
+		e.mu.Lock()
+		idx := len(e.index)
+		e.mu.Unlock()
+		if idx != 0 {
+			t.Errorf("version index holds %d keys after quiescence", idx)
+		}
+		// Versions survive GC: a fresh read still validates against them.
+		if e.verOf("x") == 0 {
+			t.Error("version counter pruned with the window")
+		}
+	})
+}
+
+func TestContextCancellation(t *testing.T) {
+	forEachPolicy(t, func(t *testing.T, policy Policy) {
+		e := newEngineT(nil, policy)
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		p := txn.MustProgram("t", txn.ReadOp("x"))
+		if _, _, err := e.Run(ctx, 1, p, metric.Strict, txn.Query); !errors.Is(err, context.Canceled) {
+			t.Errorf("err = %v, want context.Canceled", err)
+		}
+	})
+}
+
+func TestInvalidProgramRejected(t *testing.T) {
+	forEachPolicy(t, func(t *testing.T, policy Policy) {
+		e := newEngineT(nil, policy)
+		if _, _, err := e.Run(context.Background(), 1, &txn.Program{Name: "bad"}, metric.Strict, txn.Query); err == nil {
+			t.Error("invalid program accepted")
+		}
+	})
+}
+
+func TestStressMixedWorkloadConservedAndVerified(t *testing.T) {
+	forEachPolicy(t, func(t *testing.T, policy Policy) {
+		e := newEngineT(map[storage.Key]metric.Value{"x": 100000, "y": 100000}, policy)
+		e.SetVerify(true)
+		xfer := txn.MustProgram("xfer", txn.AddOp("x", -100), txn.AddOp("y", 100))
+		audit := txn.MustProgram("audit", txn.ReadOp("x"), txn.ReadOp("y"))
+		spec := metric.SpecOf(10000)
+		var wg sync.WaitGroup
+		deadline := time.Now().Add(2 * time.Second)
+		for i := 0; i < 8; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				owner := lock.Owner(i * 100000)
+				for n := 0; n < 200 && time.Now().Before(deadline); n++ {
+					owner++
+					p, class := xfer, txn.Update
+					if i%2 == 0 {
+						p, class = audit, txn.Query
+					}
+					for {
+						out, imported, err := e.Run(context.Background(), owner, p, spec, class)
+						if err == nil {
+							if class == txn.Query {
+								dev := metric.Distance(out.SumReads(), 200000)
+								if dev > 10000 {
+									t.Errorf("deviation %d > ε", dev)
+								}
+								if dev > imported {
+									t.Errorf("deviation %d > imported %d", dev, imported)
+								}
+							}
+							break
+						}
+						if !e.Retryable(err) {
+							t.Errorf("run: %v", err)
+							return
+						}
+						owner++
+					}
+				}
+			}(i)
+		}
+		wg.Wait()
+		if got := e.store.Get("x") + e.store.Get("y"); got != 200000 {
+			t.Errorf("total = %d, want 200000", got)
+		}
+		if msg := e.VerifyFailure(); msg != "" {
+			t.Errorf("verify: %s", msg)
+		}
+	})
+}
+
+// ---- abort policy: backward validation with ε absorption ----
+
+func TestQueryAbsorbsCommittedWriterWithinBudget(t *testing.T) {
+	// The audit reads x and y, a transfer commits while it is mid-flight,
+	// then the audit validates. The transfer writes both with bound 100
+	// each, so the conflict costs 200 — also when the audit reads x twice:
+	// the stale read set is priced per key, not per read op.
+	for name, reads := range map[string][]txn.Op{
+		"each key once": {txn.ReadOp("x"), txn.ReadOp("y")},
+		"x twice":       {txn.ReadOp("x"), txn.ReadOp("x"), txn.ReadOp("y")},
+	} {
+		t.Run(name, func(t *testing.T) {
+			e := newEngineT(map[storage.Key]metric.Value{"x": 1000, "y": 0}, Abort)
+			xfer := txn.MustProgram("xfer", txn.AddOp("x", -100), txn.AddOp("y", 100))
+			at := newPause("z")
+			slowAudit := txn.MustProgram("slowaudit", append(reads, at.op)...)
+			r := interleave(e, 10, slowAudit, metric.Spec{Import: metric.LimitOf(200), Export: metric.Zero}, txn.Query, at,
+				func() { commitUpdate(t, e, 11, xfer, metric.SpecOf(1000)) })
+			if r.err != nil {
+				t.Fatalf("audit: %v", r.err)
+			}
+			if r.imported != 200 {
+				t.Errorf("imported = %d, want 200 (x and y conflicts absorbed)", r.imported)
+			}
+			if got := e.Stats().Absorbed; got != 2 {
+				t.Errorf("Absorbed = %d, want 2", got)
+			}
+		})
 	}
 }
 
-// TestRepairInsteadOfAbort is the core repair scenario: a write-write
-// conflict that would abort the odc engine is repaired in place — the
-// stale op re-executes against the committed value and the transaction
-// commits on its first attempt. The stale write is non-commutative
-// (a transform), so it genuinely needs re-execution rather than the
-// install-time re-application commutative increments get.
-func TestRepairInsteadOfAbort(t *testing.T) {
-	e := newEngineT(map[storage.Key]metric.Value{"x": 10})
-	e.SetVerify(true)
-	started := make(chan struct{})
-	release := make(chan struct{})
-	slow := txn.MustProgram("slow",
-		txn.TransformOp("x", func(v metric.Value) metric.Value { return v + 3 }, metric.LimitOf(3)),
-		pauseRead("y", started, release),
-	)
-
-	type res struct {
-		out *txn.Outcome
-		err error
+func TestQueryAbortsBeyondImportBudget(t *testing.T) {
+	e := newEngineT(map[storage.Key]metric.Value{"x": 1000, "y": 0}, Abort)
+	xfer := txn.MustProgram("xfer", txn.AddOp("x", -100), txn.AddOp("y", 100))
+	at := newPause("z")
+	slowAudit := txn.MustProgram("slowaudit", txn.ReadOp("x"), txn.ReadOp("y"), at.op)
+	r := interleave(e, 10, slowAudit, metric.Spec{Import: metric.LimitOf(50), Export: metric.Zero}, txn.Query, at,
+		func() { commitUpdate(t, e, 11, xfer, metric.SpecOf(1000)) })
+	if !e.Retryable(r.err) {
+		t.Fatalf("audit err = %v, want validation abort", r.err)
 	}
-	ch := make(chan res, 1)
-	go func() {
-		out, _, err := e.Run(context.Background(), 1, slow, metric.Strict, txn.Update)
-		ch <- res{out, err}
-	}()
-	<-started
-	// A concurrent increment moves x from 10 to 15 while slow holds a
-	// buffered x=13 computed over the stale base.
-	if _, _, err := e.Run(context.Background(), 2,
-		txn.MustProgram("fast", txn.AddOp("x", 5)), metric.Strict, txn.Update); err != nil {
+}
+
+func TestWriterExportBudgetEnforced(t *testing.T) {
+	// The committed writer's export limit caps how many queries may
+	// absorb against it.
+	e := newEngineT(map[storage.Key]metric.Value{"x": 1000}, Abort)
+	xfer := txn.MustProgram("upd", txn.AddOp("x", -100))
+
+	// Two slow queries start, writer (export limit 100 = one absorption)
+	// commits, then both validate: one absorbs, one aborts.
+	const queries = 2
+	var at [queries]pause
+	errs := make(chan error, queries)
+	for i := range at {
+		at[i] = newPause("z")
+		slow := txn.MustProgram("q", txn.ReadOp("x"), at[i].op)
+		go func() {
+			_, _, err := e.Run(context.Background(), lock.Owner(20+i), slow,
+				metric.Spec{Import: metric.LimitOf(1000), Export: metric.Zero}, txn.Query)
+			errs <- err
+		}()
+	}
+	for i := range at {
+		<-at[i].started
+	}
+	commitUpdate(t, e, 30, xfer, metric.Spec{Import: metric.Zero, Export: metric.LimitOf(100)})
+	for i := range at {
+		close(at[i].release)
+	}
+	var ok, aborted int
+	for i := 0; i < queries; i++ {
+		if err := <-errs; err == nil {
+			ok++
+		} else if e.Retryable(err) {
+			aborted++
+		} else {
+			t.Fatalf("unexpected: %v", err)
+		}
+	}
+	if ok != 1 || aborted != 1 {
+		t.Errorf("ok=%d aborted=%d, want 1/1 (export exhausted)", ok, aborted)
+	}
+}
+
+// incrementStorm runs 16 goroutines × 50 single-increment transactions
+// on x, retrying validation aborts, and checks no increment was lost.
+func incrementStorm(t *testing.T, e *Engine) {
+	t.Helper()
+	p := txn.MustProgram("inc", txn.AddOp("x", 1))
+	var wg sync.WaitGroup
+	for i := 0; i < 16; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			for j := 0; j < 50; j++ {
+				owner := lock.Owner(i*1000 + j)
+				for {
+					_, _, err := e.Run(context.Background(), owner, p, metric.Strict, txn.Update)
+					if err == nil {
+						break
+					}
+					if !e.Retryable(err) {
+						t.Errorf("inc: %v", err)
+						return
+					}
+				}
+			}
+		}(i)
+	}
+	wg.Wait()
+	if got := e.store.Get("x"); got != 800 {
+		t.Errorf("x = %d, want 800 (no lost increments)", got)
+	}
+}
+
+func TestConcurrentCommutativeAddsAllApply(t *testing.T) {
+	incrementStorm(t, newEngineT(map[storage.Key]metric.Value{"x": 0}, Abort))
+}
+
+func TestNonCommutativeWriteConflictAborts(t *testing.T) {
+	e := newEngineT(map[storage.Key]metric.Value{"x": 1}, Abort)
+	doubleX := txn.TransformOp("x", func(v metric.Value) metric.Value { return v * 2 }, metric.Infinite)
+	at := newPause("z")
+	r := interleave(e, 1, txn.MustProgram("slowdouble", doubleX, at.op), metric.Strict, txn.Update, at,
+		func() { commitUpdate(t, e, 2, txn.MustProgram("double", doubleX), metric.Strict) })
+	if !e.Retryable(r.err) {
+		t.Fatalf("err = %v, want validation abort", r.err)
+	}
+	// x was doubled exactly once (the slow one aborted).
+	if got := e.store.Get("x"); got != 2 {
+		t.Errorf("x = %d, want 2", got)
+	}
+}
+
+// TestReadOfOwnAddObservesBase is the regression test for a hole the
+// end-to-end fuzzer found (explore.FuzzRuns): a read served from the
+// local workspace returns base+δ, where base is the committed snapshot
+// the buffered increment was computed over — so the read depends on
+// that base (the increment has a consumer and is not re-appliable) even
+// though the store is never touched. Without this, two concurrent
+// "add x; read x" updates both read snapshot+δ, both validate (their
+// writes commute), and the history is not serializable: one of them
+// must observe the other's increment in any serial order.
+func TestReadOfOwnAddObservesBase(t *testing.T) {
+	e := newEngineT(map[storage.Key]metric.Value{"x": 10}, Abort)
+	at := newPause("z")
+	slow := txn.MustProgram("slow", txn.AddOp("x", 3), txn.ReadOp("x"), at.op)
+	fast := txn.MustProgram("fast", txn.AddOp("x", 3), txn.ReadOp("x"))
+	// fast commits x=13 while slow is paused after its add and read.
+	r := interleave(e, 1, slow, metric.SpecOf(1000), txn.Update, at, func() {
+		fastOut, _, err := e.Run(context.Background(), 2, fast, metric.SpecOf(1000), txn.Update)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v, _ := fastOut.ReadValue("x"); v != 13 {
+			t.Errorf("fast read %d, want 13", v)
+		}
+	})
+	// slow read its own workspace value 13 = stale base 10 + own 3; it
+	// must fail validation (update-class r/w conflict), not commit a
+	// read value no serial order can produce.
+	if !e.Retryable(r.err) {
+		t.Fatalf("slow: err = %v, want retryable validation abort", r.err)
+	}
+	// The retry observes fast's committed increment.
+	out, _, err := e.Run(context.Background(), 3, fast, metric.SpecOf(1000), txn.Update)
+	if err != nil {
 		t.Fatal(err)
 	}
-	close(release)
-	r := <-ch
-	if r.err != nil {
+	if v, _ := out.ReadValue("x"); v != 16 {
+		t.Errorf("retry read %d, want 16", v)
+	}
+	if got := e.store.Get("x"); got != 16 {
+		t.Errorf("x = %d, want 16", got)
+	}
+}
+
+// staleTransform runs the scenario the abort and repair policies
+// disagree on: slow buffers a non-commutative x+3 over base 10, a
+// concurrent increment moves x to 15, then slow validates. The stale
+// write is a transform, so it genuinely needs re-execution rather than
+// the install-time re-application commutative increments get.
+func staleTransform(t *testing.T, e *Engine) result {
+	t.Helper()
+	at := newPause("y")
+	slow := txn.MustProgram("slow",
+		txn.TransformOp("x", func(v metric.Value) metric.Value { return v + 3 }, metric.LimitOf(3)), at.op)
+	return interleave(e, 1, slow, metric.Strict, txn.Update, at,
+		func() { commitUpdate(t, e, 2, txn.MustProgram("fast", txn.AddOp("x", 5)), metric.Strict) })
+}
+
+// TestAbortIsRepairWithZeroBudget pins the fold: under the abort policy
+// the staleness a repair policy would fix exceeds the (zero) budget and
+// surfaces as a retryable validation abort.
+func TestAbortIsRepairWithZeroBudget(t *testing.T) {
+	e := newEngineT(map[storage.Key]metric.Value{"x": 10}, Abort)
+	if r := staleTransform(t, e); !e.Retryable(r.err) {
+		t.Fatalf("err = %v, want retryable fallback", r.err)
+	}
+	if st := e.Stats(); st.Aborts != 1 {
+		t.Errorf("Aborts = %d, want 1", st.Aborts)
+	}
+	// The retry succeeds cleanly.
+	commitUpdate(t, e, 3, txn.MustProgram("slow", txn.AddOp("x", 3), txn.ReadOp("y")), metric.Strict)
+	if got := e.store.Get("x"); got != 18 {
+		t.Errorf("x = %d, want 18", got)
+	}
+}
+
+// TestIncrementChainAbortsUnderZeroBudget pins the rule the abort policy
+// shares with the repair policies: in `add x; add x` the first increment
+// feeds the second through the workspace, so it is not re-appliable.
+// Repair re-executes the chain (TestRepairedCommutativeIncrementChain);
+// with a zero budget it aborts with no effect and the retry applies both.
+func TestIncrementChainAbortsUnderZeroBudget(t *testing.T) {
+	e := newEngineT(map[storage.Key]metric.Value{"x": 100}, Abort)
+	at := newPause("y")
+	chain := []txn.Op{txn.AddOp("x", 1), txn.AddOp("x", 2)}
+	r := interleave(e, 1, txn.MustProgram("chain", append(chain, at.op)...), metric.Strict, txn.Update, at,
+		func() { commitUpdate(t, e, 2, txn.MustProgram("bump", txn.AddOp("x", 1000)), metric.Strict) })
+	if !e.Retryable(r.err) {
+		t.Fatalf("err = %v, want retryable validation abort", r.err)
+	}
+	if got := e.store.Get("x"); got != 1100 {
+		t.Errorf("x = %d after the abort, want 1100 (the bump only)", got)
+	}
+	commitUpdate(t, e, 3, txn.MustProgram("chain", chain...), metric.Strict)
+	if got := e.store.Get("x"); got != 1103 {
+		t.Errorf("x = %d, want 1103 (100+1000+1+2)", got)
+	}
+}
+
+// ---- repair policies ----
+
+// TestRepairInsteadOfAbort is the core repair scenario: the conflict
+// that aborts under the abort policy is repaired in place — the stale op
+// re-executes against the committed value and the transaction commits
+// on its first attempt.
+func TestRepairInsteadOfAbort(t *testing.T) {
+	e := newEngineT(map[storage.Key]metric.Value{"x": 10}, Repair)
+	e.SetVerify(true)
+	if r := staleTransform(t, e); r.err != nil {
 		t.Fatalf("slow: %v (want repaired commit, not abort)", r.err)
 	}
 	if got := e.store.Get("x"); got != 18 {
@@ -128,42 +500,32 @@ func TestRepairInsteadOfAbort(t *testing.T) {
 	}
 }
 
-// TestRepairFlipsRollbackDecision repairs a read feeding an AbortIf
-// predicate: the predicate was false on the stale input but the fresh
-// committed value makes it true, so the repaired transaction must roll
-// back — committing on the stale decision would overdraw the account.
-func TestRepairFlipsRollbackDecision(t *testing.T) {
-	e := newEngineT(map[storage.Key]metric.Value{"x": 150})
-	started := make(chan struct{})
-	release := make(chan struct{})
+// guardedWithdraw runs a one-op withdrawal of 100 from x that rolls back
+// below 100, parks inside its predicate, and has drain subtracted from
+// x by a concurrent commit before it validates.
+func guardedWithdraw(t *testing.T, e *Engine, drain metric.Value) result {
+	t.Helper()
+	at := newPause("x")
 	var once sync.Once
-	slow := txn.MustProgram("withdraw",
-		txn.Op{
-			Kind: txn.OpWrite, Key: "x",
-			Update: func(v metric.Value) metric.Value { return v - 100 },
-			Bound:  metric.LimitOf(100),
-			AbortIf: func(v metric.Value) bool {
-				once.Do(func() { close(started) })
-				<-release
-				return v < 100
-			},
-		},
-	)
-	errCh := make(chan error, 1)
-	go func() {
-		_, _, err := e.Run(context.Background(), 1, slow, metric.Strict, txn.Update)
-		errCh <- err
-	}()
-	<-started
-	// Drain the account below the predicate threshold while slow is
-	// parked: its read-time decision (150 ≥ 100, proceed) must flip.
-	if _, _, err := e.Run(context.Background(), 2,
-		txn.MustProgram("drain", txn.AddOp("x", -100)), metric.Strict, txn.Update); err != nil {
-		t.Fatal(err)
-	}
-	close(release)
-	if err := <-errCh; !errors.Is(err, txn.ErrRollback) {
-		t.Fatalf("err = %v, want rollback (fresh value 50 < 100)", err)
+	slow := txn.MustProgram("withdraw", txn.Op{
+		Kind: txn.OpWrite, Key: "x",
+		Update:  func(v metric.Value) metric.Value { return v - 100 },
+		Bound:   metric.LimitOf(100),
+		AbortIf: at.parkThen(&once, func(v metric.Value) bool { return v < 100 }),
+	})
+	return interleave(e, 1, slow, metric.Strict, txn.Update, at,
+		func() { commitUpdate(t, e, 2, txn.MustProgram("drain", txn.AddOp("x", -drain)), metric.Strict) })
+}
+
+// TestRepairFlipsRollbackDecision repairs a read feeding an AbortIf
+// predicate: the predicate was false on the stale input (150 ≥ 100,
+// proceed) but the fresh committed value makes it true, so the repaired
+// transaction must roll back — committing on the stale decision would
+// overdraw the account.
+func TestRepairFlipsRollbackDecision(t *testing.T) {
+	e := newEngineT(map[storage.Key]metric.Value{"x": 150}, Repair)
+	if r := guardedWithdraw(t, e, 100); !errors.Is(r.err, txn.ErrRollback) {
+		t.Fatalf("err = %v, want rollback (fresh value 50 < 100)", r.err)
 	}
 	if got := e.store.Get("x"); got != 50 {
 		t.Errorf("x = %d, want 50 (only the drain applied)", got)
@@ -177,35 +539,9 @@ func TestRepairFlipsRollbackDecision(t *testing.T) {
 // the guarded input changes but the predicate still passes, so the
 // repair recomputes the write on the fresh value and commits.
 func TestRepairKeepsCommitWhenDecisionHolds(t *testing.T) {
-	e := newEngineT(map[storage.Key]metric.Value{"x": 500})
-	started := make(chan struct{})
-	release := make(chan struct{})
-	var once sync.Once
-	slow := txn.MustProgram("withdraw",
-		txn.Op{
-			Kind: txn.OpWrite, Key: "x",
-			Update: func(v metric.Value) metric.Value { return v - 100 },
-			Bound:  metric.LimitOf(100),
-			AbortIf: func(v metric.Value) bool {
-				once.Do(func() { close(started) })
-				<-release
-				return v < 100
-			},
-		},
-	)
-	errCh := make(chan error, 1)
-	go func() {
-		_, _, err := e.Run(context.Background(), 1, slow, metric.Strict, txn.Update)
-		errCh <- err
-	}()
-	<-started
-	if _, _, err := e.Run(context.Background(), 2,
-		txn.MustProgram("drain", txn.AddOp("x", -200)), metric.Strict, txn.Update); err != nil {
-		t.Fatal(err)
-	}
-	close(release)
-	if err := <-errCh; err != nil {
-		t.Fatalf("err = %v, want repaired commit (300 ≥ 100)", err)
+	e := newEngineT(map[storage.Key]metric.Value{"x": 500}, Repair)
+	if r := guardedWithdraw(t, e, 200); r.err != nil {
+		t.Fatalf("err = %v, want repaired commit (300 ≥ 100)", r.err)
 	}
 	if got := e.store.Get("x"); got != 200 {
 		t.Errorf("x = %d, want 200 (500 - 200 - 100)", got)
@@ -217,32 +553,12 @@ func TestRepairKeepsCommitWhenDecisionHolds(t *testing.T) {
 // must re-execute the whole local dependency chain, not just the first
 // stale op, so no increment is lost and the read observes the fresh base.
 func TestRepairedCommutativeIncrementChain(t *testing.T) {
-	e := newEngineT(map[storage.Key]metric.Value{"x": 100})
+	e := newEngineT(map[storage.Key]metric.Value{"x": 100}, Repair)
 	e.SetVerify(true)
-	started := make(chan struct{})
-	release := make(chan struct{})
-	slow := txn.MustProgram("chain",
-		txn.AddOp("x", 1),
-		txn.AddOp("x", 2),
-		txn.ReadOp("x"),
-		pauseRead("y", started, release),
-	)
-	type res struct {
-		out *txn.Outcome
-		err error
-	}
-	ch := make(chan res, 1)
-	go func() {
-		out, _, err := e.Run(context.Background(), 1, slow, metric.Strict, txn.Update)
-		ch <- res{out, err}
-	}()
-	<-started
-	if _, _, err := e.Run(context.Background(), 2,
-		txn.MustProgram("bump", txn.AddOp("x", 1000)), metric.Strict, txn.Update); err != nil {
-		t.Fatal(err)
-	}
-	close(release)
-	r := <-ch
+	at := newPause("y")
+	slow := txn.MustProgram("chain", txn.AddOp("x", 1), txn.AddOp("x", 2), txn.ReadOp("x"), at.op)
+	r := interleave(e, 1, slow, metric.Strict, txn.Update, at,
+		func() { commitUpdate(t, e, 2, txn.MustProgram("bump", txn.AddOp("x", 1000)), metric.Strict) })
 	if r.err != nil {
 		t.Fatal(r.err)
 	}
@@ -258,33 +574,14 @@ func TestRepairedCommutativeIncrementChain(t *testing.T) {
 	}
 }
 
-// TestConcurrentIncrementsNeverAbort is the repair answer to odc's
-// commutative-write absorption: under a pure increment storm the engine
-// repairs every conflict and no transaction ever retries.
+// TestConcurrentIncrementsNeverAbort is the repair answer to the abort
+// policy's commutative-write retries: under a pure increment storm the
+// engine repairs every conflict and no transaction ever retries.
 func TestConcurrentIncrementsNeverAbort(t *testing.T) {
-	e := newEngineT(map[storage.Key]metric.Value{"x": 0})
+	e := newEngineT(map[storage.Key]metric.Value{"x": 0}, Repair)
 	e.SetVerify(true)
-	p := txn.MustProgram("inc", txn.AddOp("x", 1))
-	var wg sync.WaitGroup
-	for i := 0; i < 16; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			for j := 0; j < 50; j++ {
-				owner := lock.Owner(i*1000 + j)
-				if _, _, err := e.Run(context.Background(), owner, p, metric.Strict, txn.Update); err != nil {
-					t.Errorf("inc: %v", err)
-					return
-				}
-			}
-		}(i)
-	}
-	wg.Wait()
-	if got := e.store.Get("x"); got != 800 {
-		t.Errorf("x = %d, want 800 (no lost increments)", got)
-	}
-	st := e.Stats()
-	if st.Aborts != 0 {
+	incrementStorm(t, e)
+	if st := e.Stats(); st.Aborts != 0 {
 		t.Errorf("Aborts = %d, want 0 (every conflict repaired)", st.Aborts)
 	}
 	if msg := e.VerifyFailure(); msg != "" {
@@ -294,30 +591,15 @@ func TestConcurrentIncrementsNeverAbort(t *testing.T) {
 
 // TestStaleIncrementReappliedNotRepaired pins the commutative fast
 // path: a pure unconsumed increment whose base moved underneath it is
-// refreshed at install (the odc engine's re-application) — no repair
-// round, no abort, and no lost update.
+// refreshed at install — no repair round, no abort, and no lost update.
 func TestStaleIncrementReappliedNotRepaired(t *testing.T) {
-	e := newEngineT(map[storage.Key]metric.Value{"x": 10})
+	e := newEngineT(map[storage.Key]metric.Value{"x": 10}, Repair)
 	e.SetVerify(true)
-	started := make(chan struct{})
-	release := make(chan struct{})
-	slow := txn.MustProgram("slow",
-		txn.AddOp("x", 3),
-		pauseRead("y", started, release),
-	)
-	errCh := make(chan error, 1)
-	go func() {
-		_, _, err := e.Run(context.Background(), 1, slow, metric.Strict, txn.Update)
-		errCh <- err
-	}()
-	<-started
-	if _, _, err := e.Run(context.Background(), 2,
-		txn.MustProgram("fast", txn.AddOp("x", 5)), metric.Strict, txn.Update); err != nil {
-		t.Fatal(err)
-	}
-	close(release)
-	if err := <-errCh; err != nil {
-		t.Fatalf("slow: %v (want re-applied commit)", err)
+	at := newPause("y")
+	r := interleave(e, 1, txn.MustProgram("slow", txn.AddOp("x", 3), at.op), metric.Strict, txn.Update, at,
+		func() { commitUpdate(t, e, 2, txn.MustProgram("fast", txn.AddOp("x", 5)), metric.Strict) })
+	if r.err != nil {
+		t.Fatalf("slow: %v (want re-applied commit)", r.err)
 	}
 	if got := e.store.Get("x"); got != 18 {
 		t.Errorf("x = %d, want 18 (both increments)", got)
@@ -331,85 +613,27 @@ func TestStaleIncrementReappliedNotRepaired(t *testing.T) {
 	}
 }
 
-// TestFallbackAfterRoundBudget forces the retry-then-fallback path:
-// with both repair bounds at zero, any staleness exceeds the budget and
-// surfaces as a retryable validation abort.
-func TestFallbackAfterRoundBudget(t *testing.T) {
-	e := newEngineT(map[storage.Key]metric.Value{"x": 10})
-	e.SetRepairLimits(0, 0)
-	started := make(chan struct{})
-	release := make(chan struct{})
-	slow := txn.MustProgram("slow",
-		txn.TransformOp("x", func(v metric.Value) metric.Value { return v + 3 }, metric.LimitOf(3)),
-		pauseRead("y", started, release),
-	)
-	errCh := make(chan error, 1)
-	go func() {
-		_, _, err := e.Run(context.Background(), 1, slow, metric.Strict, txn.Update)
-		errCh <- err
-	}()
-	<-started
-	if _, _, err := e.Run(context.Background(), 2,
-		txn.MustProgram("fast", txn.AddOp("x", 5)), metric.Strict, txn.Update); err != nil {
-		t.Fatal(err)
-	}
-	close(release)
-	err := <-errCh
-	if !Retryable(err) {
-		t.Fatalf("err = %v, want retryable fallback", err)
-	}
-	if st := e.Stats(); st.Aborts != 1 {
-		t.Errorf("Aborts = %d, want 1", st.Aborts)
-	}
-	// The retry succeeds cleanly.
-	if _, _, err := e.Run(context.Background(), 3,
-		txn.MustProgram("slow", txn.AddOp("x", 3), txn.ReadOp("y")), metric.Strict, txn.Update); err != nil {
-		t.Fatal(err)
-	}
-	if got := e.store.Get("x"); got != 18 {
-		t.Errorf("x = %d, want 18", got)
-	}
+// staleAudit runs an audit of x (owner 10, the given import limit) that
+// parks while an update (owner 11, the given export limit) moves x by
+// delta, then validates.
+func staleAudit(t *testing.T, e *Engine, importL, exportL metric.Limit, delta metric.Value) result {
+	t.Helper()
+	at := newPause("y")
+	audit := txn.MustProgram("audit", txn.ReadOp("x"), at.op)
+	return interleave(e, 10, audit, metric.Spec{Import: importL, Export: metric.Zero}, txn.Query, at, func() {
+		commitUpdate(t, e, 11, txn.MustProgram("upd", txn.AddOp("x", delta)),
+			metric.Spec{Import: metric.Zero, Export: exportL})
+	})
 }
 
 // TestEpsilonSkipCommitsStaleRead: a query whose only stale op is a
 // plain read commits the stale value as-is, imports exactly the value
 // delta, and emits one absorbed dc.Event charging the writer.
 func TestEpsilonSkipCommitsStaleRead(t *testing.T) {
-	e := newEngineT(map[storage.Key]metric.Value{"x": 1000})
-	e.SetSkip(true)
+	e := newEngineT(map[storage.Key]metric.Value{"x": 1000}, RepairSkip)
 	var events []dc.Event
-	var evMu sync.Mutex
-	e.SetDCObserver(func(ev dc.Event) {
-		evMu.Lock()
-		events = append(events, ev)
-		evMu.Unlock()
-	})
-
-	started := make(chan struct{})
-	release := make(chan struct{})
-	audit := txn.MustProgram("audit",
-		txn.ReadOp("x"),
-		pauseRead("y", started, release),
-	)
-	type res struct {
-		out      *txn.Outcome
-		imported metric.Fuzz
-		err      error
-	}
-	ch := make(chan res, 1)
-	go func() {
-		out, imported, err := e.Run(context.Background(), 10, audit,
-			metric.Spec{Import: metric.LimitOf(200), Export: metric.Zero}, txn.Query)
-		ch <- res{out, imported, err}
-	}()
-	<-started
-	if _, _, err := e.Run(context.Background(), 11,
-		txn.MustProgram("upd", txn.AddOp("x", -100)),
-		metric.Spec{Import: metric.Zero, Export: metric.LimitOf(1000)}, txn.Update); err != nil {
-		t.Fatal(err)
-	}
-	close(release)
-	r := <-ch
+	e.SetDCObserver(func(ev dc.Event) { events = append(events, ev) }) // called under e.mu
+	r := staleAudit(t, e, metric.LimitOf(200), metric.LimitOf(1000), -100)
 	if r.err != nil {
 		t.Fatal(r.err)
 	}
@@ -422,11 +646,9 @@ func TestEpsilonSkipCommitsStaleRead(t *testing.T) {
 		t.Errorf("read = %d, want stale 1000", v)
 	}
 	st := e.Stats()
-	if st.Skips != 1 || st.SkippedFuzz != 100 {
+	if st.Skips != 1 || st.SkippedFuzz != 100 || st.Absorbed != 1 {
 		t.Errorf("stats = %+v, want one skip of fuzz 100", st)
 	}
-	evMu.Lock()
-	defer evMu.Unlock()
 	if len(events) != 1 {
 		t.Fatalf("events = %d, want 1", len(events))
 	}
@@ -449,32 +671,8 @@ func TestEpsilonSkipRespectsBudgets(t *testing.T) {
 		{"export exhausted", metric.LimitOf(200), metric.Zero},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			e := newEngineT(map[storage.Key]metric.Value{"x": 1000})
-			e.SetSkip(true)
-			started := make(chan struct{})
-			release := make(chan struct{})
-			audit := txn.MustProgram("audit",
-				txn.ReadOp("x"),
-				pauseRead("y", started, release),
-			)
-			type res struct {
-				out *txn.Outcome
-				err error
-			}
-			ch := make(chan res, 1)
-			go func() {
-				out, _, err := e.Run(context.Background(), 10, audit,
-					metric.Spec{Import: tc.importL, Export: metric.Zero}, txn.Query)
-				ch <- res{out, err}
-			}()
-			<-started
-			if _, _, err := e.Run(context.Background(), 11,
-				txn.MustProgram("upd", txn.AddOp("x", -100)),
-				metric.Spec{Import: metric.Zero, Export: tc.exportL}, txn.Update); err != nil {
-				t.Fatal(err)
-			}
-			close(release)
-			r := <-ch
+			e := newEngineT(map[storage.Key]metric.Value{"x": 1000}, RepairSkip)
+			r := staleAudit(t, e, tc.importL, tc.exportL, -100)
 			if r.err != nil {
 				t.Fatal(r.err)
 			}
@@ -492,200 +690,90 @@ func TestEpsilonSkipRespectsBudgets(t *testing.T) {
 // TestEpsilonSkipNeverForUpdates: an update-class transaction with a
 // stale read is always repaired, never skipped, regardless of budgets.
 func TestEpsilonSkipNeverForUpdates(t *testing.T) {
-	e := newEngineT(map[storage.Key]metric.Value{"x": 1000})
-	e.SetSkip(true)
-	started := make(chan struct{})
-	release := make(chan struct{})
-	p := txn.MustProgram("upd",
-		txn.ReadOp("x"),
-		pauseRead("y", started, release),
-		txn.AddOp("z", 1),
-	)
-	errCh := make(chan error, 1)
-	go func() {
-		_, _, err := e.Run(context.Background(), 10, p,
-			metric.Spec{Import: metric.LimitOf(10000), Export: metric.LimitOf(10000)}, txn.Update)
-		errCh <- err
-	}()
-	<-started
-	if _, _, err := e.Run(context.Background(), 11,
-		txn.MustProgram("w", txn.AddOp("x", -100)),
-		metric.SpecOf(10000), txn.Update); err != nil {
-		t.Fatal(err)
-	}
-	close(release)
-	if err := <-errCh; err != nil {
-		t.Fatal(err)
+	e := newEngineT(map[storage.Key]metric.Value{"x": 1000}, RepairSkip)
+	at := newPause("y")
+	p := txn.MustProgram("upd", txn.ReadOp("x"), at.op, txn.AddOp("z", 1))
+	r := interleave(e, 10, p, metric.SpecOf(10000), txn.Update, at,
+		func() { commitUpdate(t, e, 11, txn.MustProgram("w", txn.AddOp("x", -100)), metric.SpecOf(10000)) })
+	if r.err != nil {
+		t.Fatal(r.err)
 	}
 	if st := e.Stats(); st.Skips != 0 {
 		t.Errorf("Skips = %d, want 0 for update class", st.Skips)
 	}
 }
 
-// TestEpsilonSkipChargedOnceInLedger drives the engine through the obs
-// plane the way core.Runner does and asserts the retry discipline: a
-// first attempt that falls back (debits voided), then a successful
-// ε-skip — the ledger must end up charged exactly once.
-func TestEpsilonSkipChargedOnceInLedger(t *testing.T) {
-	plane := obs.NewPlane(nil, obs.NewLedger(), nil)
-	e := NewEngine(storage.NewFrom(map[storage.Key]metric.Value{"x": 1000}),
-		plane.ExecObserver())
-	e.SetSkip(true)
-	e.SetDCObserver(plane.DCObserver())
-
-	const auditOwner, auditGroup = 10, 100
-	plane.Ledger.BindGroup(auditGroup, "audit", "query", "rdc", metric.LimitOf(200))
-
-	runAudit := func(attempt int, rounds int) (metric.Fuzz, error) {
-		e.SetRepairLimits(0, rounds) // rounds=0 forces the fallback path
-		owner := int64(auditOwner + attempt)
-		plane.PieceBegin(owner, auditGroup, 0, "local", "audit", txn.Query, 0, 0, "")
-		started := make(chan struct{})
-		release := make(chan struct{})
-		audit := txn.MustProgram("audit",
-			txn.ReadOp("x"),
-			pauseRead("y", started, release),
-		)
-		type res struct {
-			imported metric.Fuzz
-			err      error
+// TestAbsorptionChargedOnceInLedger drives both absorbing policies
+// through the obs plane the way core.Runner does and asserts the retry
+// discipline: a first attempt that fails validation (import limit too
+// small, no repair budget), then a successful absorption — exactly one
+// dc.Event whose cost is the returned import, and a ledger charged
+// exactly once. The writer moves x by its declared bound, so both
+// pricings (declared bound, exact distance) arrive at 50.
+func TestAbsorptionChargedOnceInLedger(t *testing.T) {
+	for _, tc := range policies {
+		if tc.policy == Repair {
+			continue // never absorbs
 		}
-		ch := make(chan res, 1)
-		go func() {
-			_, imported, err := e.Run(context.Background(), lock.Owner(owner), audit,
-				metric.Spec{Import: metric.LimitOf(200), Export: metric.Zero}, txn.Query)
-			ch <- res{imported, err}
-		}()
-		<-started
-		if _, _, err := e.Run(context.Background(), lock.Owner(owner)+1000,
-			txn.MustProgram("upd", txn.AddOp("x", -50)),
-			metric.Spec{Import: metric.Zero, Export: metric.LimitOf(1000)}, txn.Update); err != nil {
-			t.Fatal(err)
-		}
-		close(release)
-		r := <-ch
-		if r.err == nil {
-			plane.PieceSettle(owner, r.imported, 0)
-		}
-		return r.imported, r.err
-	}
+		t.Run(tc.name, func(t *testing.T) {
+			plane := obs.NewPlane(nil, obs.NewLedger(), nil)
+			e := NewEngine(storage.NewFrom(map[storage.Key]metric.Value{"x": 1000}),
+				plane.ExecObserver(), tc.policy)
+			var events []dc.Event
+			ledgerObs := plane.DCObserver()
+			e.SetDCObserver(func(ev dc.Event) { // called under e.mu
+				events = append(events, ev)
+				ledgerObs(ev)
+			})
 
-	// Attempt 1: with skip disabled and a zero repair budget the stale
-	// read falls back to a retryable abort; any pending debits are
-	// voided by the exec observer.
-	e.SetSkip(false)
-	if _, err := runAudit(0, 0); !Retryable(err) {
-		t.Fatalf("attempt 1: err = %v, want fallback", err)
-	}
-	e.SetSkip(true)
-	imported, err := runAudit(1, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if imported != 50 {
-		t.Fatalf("imported = %d, want 50", imported)
-	}
+			const auditOwner, auditGroup = 10, 100
+			plane.Ledger.BindGroup(auditGroup, "audit", "query", "rdc", metric.LimitOf(200))
 
-	for _, acct := range plane.Ledger.Accounts() {
-		if acct.Group != auditGroup {
-			continue
-		}
-		if acct.Charged != 50 {
-			t.Errorf("ledger charged = %d, want exactly 50 (no double charge)", acct.Charged)
-		}
-		return
-	}
-	t.Fatal("audit group missing from ledger")
-}
-
-func TestValidationWindowGC(t *testing.T) {
-	e := newEngineT(map[storage.Key]metric.Value{"x": 0})
-	p := txn.MustProgram("inc", txn.AddOp("x", 1))
-	for i := 0; i < 100; i++ {
-		if _, _, err := e.Run(context.Background(), lock.Owner(i+1), p, metric.Strict, txn.Update); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := e.Stats().GCRetained; got != 0 {
-		t.Errorf("validation window = %d entries after quiescence", got)
-	}
-	e.mu.Lock()
-	idx := len(e.index)
-	e.mu.Unlock()
-	if idx != 0 {
-		t.Errorf("version index holds %d keys after quiescence", idx)
-	}
-	// Versions survive GC: a fresh read still validates against them.
-	if e.verOf("x") == 0 {
-		t.Error("version counter pruned with the window")
-	}
-}
-
-func TestContextCancellation(t *testing.T) {
-	e := newEngineT(nil)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	p := txn.MustProgram("t", txn.ReadOp("x"))
-	if _, _, err := e.Run(ctx, 1, p, metric.Strict, txn.Query); !errors.Is(err, context.Canceled) {
-		t.Errorf("err = %v, want context.Canceled", err)
-	}
-}
-
-func TestInvalidProgramRejected(t *testing.T) {
-	e := newEngineT(nil)
-	if _, _, err := e.Run(context.Background(), 1, &txn.Program{Name: "bad"}, metric.Strict, txn.Query); err == nil {
-		t.Error("invalid program accepted")
-	}
-}
-
-func TestStressMixedWorkloadConservedAndVerified(t *testing.T) {
-	e := newEngineT(map[storage.Key]metric.Value{"x": 100000, "y": 100000})
-	e.SetVerify(true)
-	e.SetSkip(true)
-	xfer := txn.MustProgram("xfer", txn.AddOp("x", -100), txn.AddOp("y", 100))
-	audit := txn.MustProgram("audit", txn.ReadOp("x"), txn.ReadOp("y"))
-	spec := metric.SpecOf(10000)
-	var wg sync.WaitGroup
-	deadline := time.Now().Add(2 * time.Second)
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			owner := lock.Owner(i * 100000)
-			for n := 0; n < 200 && time.Now().Before(deadline); n++ {
-				owner++
-				p, class := xfer, txn.Update
-				if i%2 == 0 {
-					p, class = audit, txn.Query
+			runAudit := func(attempt int, importL metric.Limit) result {
+				owner := int64(auditOwner + attempt)
+				plane.PieceBegin(owner, auditGroup, 0, "local", "audit", txn.Query, 0, 0, "")
+				at := newPause("y")
+				audit := txn.MustProgram("audit", txn.ReadOp("x"), at.op)
+				r := interleave(e, lock.Owner(owner), audit, metric.Spec{Import: importL, Export: metric.Zero}, txn.Query, at, func() {
+					commitUpdate(t, e, lock.Owner(owner)+1000, txn.MustProgram("upd", txn.AddOp("x", -50)),
+						metric.Spec{Import: metric.Zero, Export: metric.LimitOf(1000)})
+				})
+				if r.err == nil {
+					plane.PieceSettle(owner, r.imported, 0)
 				}
-				for {
-					out, imported, err := e.Run(context.Background(), owner, p, spec, class)
-					if err == nil {
-						if class == txn.Query {
-							dev := metric.Distance(out.SumReads(), 200000)
-							if dev > 10000 {
-								t.Errorf("deviation %d > ε", dev)
-							}
-							if dev > imported {
-								t.Errorf("deviation %d > imported %d", dev, imported)
-							}
-						}
-						break
-					}
-					if !Retryable(err) {
-						t.Errorf("run: %v", err)
-						return
-					}
-					owner++
-				}
+				return r
 			}
-		}(i)
-	}
-	wg.Wait()
-	if got := e.store.Get("x") + e.store.Get("y"); got != 200000 {
-		t.Errorf("total = %d, want 200000", got)
-	}
-	if msg := e.VerifyFailure(); msg != "" {
-		t.Errorf("verify: %s", msg)
+
+			// Attempt 1: the stale read is too dear to absorb and there is no
+			// repair budget, so it falls back to a retryable abort; the exec
+			// observer voids whatever the attempt had pending.
+			inline, rounds := e.inline, e.rounds
+			e.inline, e.rounds = 0, 0
+			if r := runAudit(0, metric.LimitOf(10)); !e.Retryable(r.err) {
+				t.Fatalf("attempt 1: err = %v, want fallback", r.err)
+			}
+			e.inline, e.rounds = inline, rounds
+			r := runAudit(1, metric.LimitOf(200))
+			if r.err != nil {
+				t.Fatal(r.err)
+			}
+			if r.imported != 50 {
+				t.Fatalf("imported = %d, want 50", r.imported)
+			}
+			if len(events) != 1 || !events[0].Absorbed || events[0].Cost != r.imported {
+				t.Errorf("events = %+v, want one absorbed event of cost %d", events, r.imported)
+			}
+
+			for _, acct := range plane.Ledger.Accounts() {
+				if acct.Group != auditGroup {
+					continue
+				}
+				if acct.Charged != 50 {
+					t.Errorf("ledger charged = %d, want exactly 50 (no double charge)", acct.Charged)
+				}
+				return
+			}
+			t.Fatal("audit group missing from ledger")
+		})
 	}
 }

@@ -163,22 +163,7 @@ func TestDiskProcessRestartResumesFromImage(t *testing.T) {
 	if err := c2.RegisterPrograms([]*txn.Program{chainProgram(100)}); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		idle := true
-		for _, id := range []simnet.SiteID{"NY", "LA", "CHI"} {
-			if !c2.Site(id).QueuesIdle() {
-				idle = false
-			}
-		}
-		if idle {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("restarted cluster never quiesced")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	waitIdle(t, c2)
 	if got := c2.Site("NY").Store.Get("ny:A"); got != 10000-3*100 {
 		t.Errorf("ny:A after restart = %d, want %d", got, 10000-3*100)
 	}
@@ -198,5 +183,124 @@ func TestDiskProcessRestartResumesFromImage(t *testing.T) {
 	}
 	if got := c2.Site("CHI").Store.Get("chi:C"); got != 10000+4*100 {
 		t.Errorf("chi:C after restart+submit = %d, want %d", got, 10000+4*100)
+	}
+}
+
+func TestDiskRecoveredActivationWaitsForRegistration(t *testing.T) {
+	// NewCluster starts the piece workers over the queue image restored
+	// from storage, before the caller can register programs. An
+	// activation recovered from that image must wait for the program
+	// table, not index into an empty one, and then settle exactly once.
+	dir := pendingLAActivation(t)
+	c2 := diskCluster(t, dir, 1_000_000)
+	defer c2.Close()
+	// Registration is delayed: long enough for a worker that does not
+	// wait to have consumed the recovered activation.
+	time.Sleep(50 * time.Millisecond)
+	if got := c2.Site("LA").queues.Depth(pieceQueue); got != 1 {
+		t.Fatalf("LA piece queue depth = %d before registration, want the 1 recovered activation", got)
+	}
+	if err := c2.RegisterPrograms([]*txn.Program{chainProgram(100)}); err != nil {
+		t.Fatal(err)
+	}
+	waitIdle(t, c2)
+	for key, want := range map[storage.Key]metric.Value{
+		"ny:A": 10000 - 100, "la:B": 10000, "chi:C": 10000 + 100,
+	} {
+		if got := c2.Site(c2.placement(key)).Store.Get(key); got != want {
+			t.Errorf("%s = %d, want %d (the recovered chain settles exactly once)", key, got, want)
+		}
+	}
+}
+
+// pendingLAActivation runs one chain on a fresh disk cluster with LA's
+// workers stopped and closes it: the returned directory holds a durable
+// queue image in which the chain's second activation is delivered to LA
+// and never consumed.
+func pendingLAActivation(t *testing.T) string {
+	t.Helper()
+	dir := t.TempDir()
+	c := diskCluster(t, dir, 0)
+	if err := c.RegisterPrograms([]*txn.Program{chainProgram(100)}); err != nil {
+		t.Fatal(err)
+	}
+	c.Site("LA").stopWorkersAndWait()
+	ctx, cancel := context.WithCancel(context.Background())
+	submitted := make(chan struct{})
+	go func() {
+		defer close(submitted)
+		_, _ = c.Submit(ctx, 0) // cannot settle; cancelled below
+	}()
+	waitFor(t, "LA to hold the pending activation", func() bool {
+		return c.Site("LA").queues.Depth(pieceQueue) == 1
+	})
+	cancel()
+	<-submitted
+	c.Close()
+	return dir
+}
+
+func TestDiskUnknownProgramTypeIsNacked(t *testing.T) {
+	// A process restarted with a shorter program table than the one its
+	// queue image was written under: the recovered activation names a
+	// type the table does not hold. It must go back unacked and unapplied
+	// (no index panic), and run once workers restart over the full table.
+	dir := pendingLAActivation(t)
+	c2 := diskCluster(t, dir, 1_000_000)
+	defer c2.Close()
+	if err := c2.RegisterPrograms(nil); err != nil {
+		t.Fatal(err)
+	}
+	la := c2.Site("LA")
+	// Long enough for every LA worker to have taken the delivery, nacked
+	// it and stopped; stopping them makes the depth below final.
+	time.Sleep(50 * time.Millisecond)
+	la.stopWorkersAndWait()
+	if got := la.queues.Depth(pieceQueue); got != 1 {
+		t.Fatalf("LA piece queue depth = %d, want the 1 nacked activation", got)
+	}
+	applied := func() (n int) {
+		for _, k := range la.Store.Keys() {
+			if strings.HasPrefix(string(k), "__applied/") {
+				n++
+			}
+		}
+		return n
+	}
+	if got := applied(); got != 0 {
+		t.Fatalf("LA applied %d pieces with the chain's type unknown", got)
+	}
+	if err := c2.RegisterPrograms([]*txn.Program{chainProgram(100)}); err != nil {
+		t.Fatal(err)
+	}
+	la.startWorkers()
+	waitIdle(t, c2)
+	if got, bal := applied(), la.Store.Get("la:B"); got != 1 || bal != 10000 {
+		t.Errorf("LA applied %d pieces, la:B = %d; want the recovered piece applied once and la:B 10000", got, bal)
+	}
+}
+
+// waitIdle waits until every site's queue endpoint has drained.
+func waitIdle(t *testing.T, c *Cluster) {
+	t.Helper()
+	waitFor(t, "the cluster to quiesce", func() bool {
+		for _, s := range c.sites {
+			if !s.QueuesIdle() {
+				return false
+			}
+		}
+		return true
+	})
+}
+
+// waitFor polls cond until it holds, failing the test after 10 s.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(2 * time.Millisecond)
 	}
 }

@@ -191,6 +191,16 @@ type distState struct {
 	mu       sync.Mutex
 	programs []*distProgram
 	trackers map[uint64]*tracker
+	// registered is closed by the first successful RegisterPrograms,
+	// after its whole table is appended. Piece workers wait for it:
+	// NewCluster starts them over the queue image restored from storage,
+	// and an activation recovered from that image (or retransmitted by a
+	// peer's) names a program type the table must hold before the piece
+	// can run. A registration that returns an error leaves it open, so
+	// the workers stay idle and the queue image untouched until a later
+	// registration succeeds.
+	registered   chan struct{}
+	registerOnce sync.Once
 }
 
 // RegisterPrograms declares the distributed job stream. For the
@@ -282,6 +292,7 @@ func (c *Cluster) RegisterPrograms(programs []*txn.Program) error {
 		c.dist.programs = append(c.dist.programs, dp)
 		c.dist.mu.Unlock()
 	}
+	c.dist.registerOnce.Do(func() { close(c.dist.registered) })
 	// A process restarted against a durable disk image may hold origin
 	// markers from its previous incarnation; now that the program table
 	// exists, re-stage their successors (no-op on fresh stores).
@@ -933,6 +944,11 @@ const (
 // per-consume durable queue snapshot.
 func (s *Site) workerLoop(stop <-chan struct{}) {
 	defer s.workerWG.Done()
+	select {
+	case <-s.cluster.dist.registered:
+	case <-stop:
+		return
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	go func() {
@@ -1009,8 +1025,18 @@ func (s *Site) workerLoop(stop <-chan struct{}) {
 // batch by flushReports).
 func (s *Site) processActivation(ctx context.Context, act activation, reports map[simnet.SiteID][]pieceDone) actStatus {
 	s.cluster.dist.mu.Lock()
-	dp := s.cluster.dist.programs[act.TxType]
+	var dp *distProgram
+	if act.TxType >= 0 && act.TxType < len(s.cluster.dist.programs) {
+		dp = s.cluster.dist.programs[act.TxType]
+	}
 	s.cluster.dist.mu.Unlock()
+	if dp == nil {
+		// A type the table does not hold, e.g. a process restarted with
+		// a shorter table than the one its queue image was written under.
+		// The delivery goes back unacked and this worker stops: nothing is
+		// dropped or applied, and a restart with the full table runs it.
+		return actFailed
+	}
 	// A durably recorded rollback decision from a previous delivery:
 	// re-stage the compensations and report without re-running the
 	// piece (compensation itself may have flipped its predicate).

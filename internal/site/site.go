@@ -314,7 +314,7 @@ func NewCluster(cfg Config, opts ...Option) (*Cluster, error) {
 		sites:      make(map[simnet.SiteID]*Site, len(cfg.Initial)),
 	}
 	c.ctx, c.cancel = context.WithCancel(context.Background())
-	c.dist = &distState{trackers: make(map[uint64]*tracker)}
+	c.dist = &distState{trackers: make(map[uint64]*tracker), registered: make(chan struct{})}
 	c.groupOf = make(map[lock.Owner]history.Group)
 	c.instSeq = cfg.InstanceBase
 	if cfg.Record {

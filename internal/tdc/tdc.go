@@ -1,6 +1,6 @@
 // Package tdc implements timestamp-ordering divergence control — the
 // third DC family described in the paper's reference [12] (Wu, Yu, Pu),
-// alongside the lock-based (package dc) and optimistic (package odc)
+// alongside the lock-based (package dc) and optimistic (package rdc)
 // engines.
 //
 // Classic timestamp ordering assigns every transaction a start timestamp
@@ -42,7 +42,7 @@ import (
 var ErrTimestamp = errors.New("tdc: timestamp order violated")
 
 // Retryable reports whether err is a timestamp abort worth retrying.
-func Retryable(err error) bool { return errors.Is(err, ErrTimestamp) }
+func (e *Engine) Retryable(err error) bool { return errors.Is(err, ErrTimestamp) }
 
 // recentWrite records one committed update write for pricing stale reads.
 type recentWrite struct {

@@ -25,7 +25,7 @@ func mustRun(t *testing.T, e *Engine, base lock.Owner, p *txn.Program, spec metr
 		if err == nil {
 			return out
 		}
-		if !Retryable(err) {
+		if !e.Retryable(err) {
 			t.Fatalf("run %s: %v", p.Name, err)
 		}
 		owner++
@@ -138,7 +138,7 @@ func TestQueryAbortsBeyondImportBudget(t *testing.T) {
 	upd := txn.MustProgram("upd", txn.AddOp("x", -100))
 	mustRun(t, e, 20, upd, metric.SpecOf(1000), txn.Update)
 	close(release)
-	if err := <-errCh; !Retryable(err) {
+	if err := <-errCh; !e.Retryable(err) {
 		t.Fatalf("err = %v, want timestamp abort", err)
 	}
 }
@@ -192,7 +192,7 @@ func TestWriteUnderQueryReadExports(t *testing.T) {
 	<-started2
 	mustRun(t, e, 40, q, metric.SpecOf(1000), txn.Query)
 	close(release2)
-	if err := <-errCh2; !Retryable(err) {
+	if err := <-errCh2; !e.Retryable(err) {
 		t.Fatalf("err = %v, want timestamp abort (no export budget)", err)
 	}
 }
@@ -218,7 +218,7 @@ func TestLateUpdateReadAborts(t *testing.T) {
 	// A newer update writes x first.
 	mustRun(t, e, 20, txn.MustProgram("w", txn.SetOp("x", 9)), metric.Strict, txn.Update)
 	close(release)
-	if err := <-errCh; !Retryable(err) {
+	if err := <-errCh; !e.Retryable(err) {
 		t.Fatalf("late read err = %v, want timestamp abort", err)
 	}
 }
@@ -238,7 +238,7 @@ func TestConcurrentAddsAllApply(t *testing.T) {
 					if err == nil {
 						break
 					}
-					if !Retryable(err) {
+					if !e.Retryable(err) {
 						t.Errorf("inc: %v", err)
 						return
 					}
@@ -307,7 +307,7 @@ func TestMixedWorkloadConservesMoney(t *testing.T) {
 						}
 						break
 					}
-					if !Retryable(err) {
+					if !e.Retryable(err) {
 						t.Errorf("run: %v", err)
 						return
 					}
