@@ -23,6 +23,9 @@
 // destination (size- and delay-bounded) into a single queue.enq.batch
 // frame; receivers acknowledge a whole frame with one cumulative
 // queue.ack.batch and piggyback pending acks on outgoing data frames.
+// A receiver with a durable image (WithPersist) admits every frame it
+// was handed together, persists one image and only then stages their
+// acks (HandleAll).
 // Unacknowledged messages are retransmitted per-message on a deadline
 // with exponential backoff (batched by destination when due), instead
 // of re-sending the entire outbox every tick. WithLegacyWire restores
@@ -91,18 +94,14 @@ const (
 // IsQueueKind reports whether a message kind belongs to the queue layer
 // (site dispatch loops route these to Manager.Handle).
 func IsQueueKind(kind string) bool {
-	switch kind {
-	case KindEnqueue, KindAck, KindEnqueueBatch, KindAckBatch:
-		return true
-	}
-	return false
+	return kind == KindEnqueue || kind == KindAck || IsBatchKind(kind)
 }
 
-// IsEnqueueKind reports whether the kind carries queue messages (as
-// opposed to pure acknowledgements); sites persist their durable queue
-// image after handling one.
-func IsEnqueueKind(kind string) bool {
-	return kind == KindEnqueue || kind == KindEnqueueBatch
+// IsBatchKind reports whether the kind is of the batched dialect, whose
+// frames a dispatch loop may hand to Manager.HandleAll together. Legacy
+// frames are handled one at a time.
+func IsBatchKind(kind string) bool {
+	return kind == KindEnqueueBatch || kind == KindAckBatch
 }
 
 // BatchFrame is the wire payload of one batched transfer: every
@@ -320,6 +319,12 @@ type Manager struct {
 	// pendingAcks is the per-destination cumulative-ack buffer.
 	pendingAcks map[simnet.SiteID][]string
 	flushArmed  bool
+	// version numbers the snapshots taken (State.Version). dirtyAt is
+	// its value when a message was last admitted or the state restored,
+	// durable the newest version persist has returned nil for: while
+	// durable > dirtyAt every admitted message is in a durable image,
+	// and a frame of duplicates may be re-acked without a new one.
+	version, dirtyAt, durable uint64
 
 	stop chan struct{}
 	done chan struct{}
@@ -632,6 +637,7 @@ func (m *Manager) admitLocked(qm Msg) {
 		return
 	}
 	ss.add(seq)
+	m.dirtyAt = m.version
 	qm.ArrivedAt = time.Now().UnixNano()
 	m.queues[qm.Queue] = append(m.queues[qm.Queue], qm)
 	if m.obs != nil {
@@ -640,98 +646,113 @@ func (m *Manager) admitLocked(qm Msg) {
 	m.wakeLocked(qm.Queue)
 }
 
-// Handle processes a network message addressed to this site; the site's
-// dispatch loop routes Kind == queue.* here (see IsQueueKind). Unknown
-// kinds are ignored.
+// Handle processes one network message addressed to this site: the
+// one-frame case of HandleAll.
 func (m *Manager) Handle(msg simnet.Message) {
-	switch msg.Kind {
-	case KindEnqueue:
-		qm, ok := msg.Payload.(Msg)
-		if !ok {
-			return
-		}
-		m.mu.Lock()
-		m.admitLocked(qm)
-		var snap State
-		if m.persist != nil {
-			snap = m.snapshotLocked()
-		}
-		m.mu.Unlock()
-		if m.persist != nil {
-			if err := m.persist(snap); err != nil {
-				// Not durable: withhold the ack so the sender retransmits.
-				return
+	m.HandleAll([]simnet.Message{msg})
+}
+
+// HandleAll processes queue-layer messages that arrived together (the
+// site's dispatch loop routes Kind == queue.* here, see IsQueueKind;
+// other kinds are ignored). Every frame's messages are admitted and its
+// piggybacked acks applied under one lock; then ONE snapshot is
+// persisted (WithPersist), and only after persist returns nil are the
+// frames' acknowledgements staged, frame by frame, so each sender's
+// acks keep their order. The senders delete their outbox copies on ack,
+// so the admitted messages must be in the durable image first: on a
+// persist error no frame of the group is acknowledged, the senders
+// retransmit, and the watermark dedup absorbs the redelivery.
+func (m *Manager) HandleAll(msgs []simnet.Message) {
+	// acked lists, per enqueue frame in arrival order, the IDs to
+	// acknowledge — duplicates included, since the previous ack may
+	// have been lost.
+	type frameAck struct {
+		to     simnet.SiteID
+		ids    []string
+		legacy bool
+	}
+	var acked []frameAck
+	m.mu.Lock()
+	for _, msg := range msgs {
+		switch msg.Kind {
+		case KindEnqueue:
+			if qm, ok := msg.Payload.(Msg); ok {
+				m.admitLocked(qm)
+				acked = append(acked, frameAck{to: msg.From, ids: []string{qm.ID}, legacy: true})
 			}
-		}
-		// Legacy dialect: always ack immediately and individually, even
-		// duplicates — the first ack may have been lost.
-		_ = m.net.Send(simnet.Message{
-			From: m.site, To: msg.From, Kind: KindAck, Payload: qm.ID,
-		})
-	case KindEnqueueBatch:
-		frame, ok := msg.Payload.(BatchFrame)
-		if !ok {
-			return
-		}
-		m.mu.Lock()
-		for _, qm := range frame.Msgs {
-			m.admitLocked(qm)
-		}
-		for _, id := range frame.Acks {
-			delete(m.outbox, id)
-		}
-		var snap State
-		if m.persist != nil && len(frame.Msgs) > 0 {
-			snap = m.snapshotLocked()
-		}
-		m.mu.Unlock()
-		if m.persist != nil && len(frame.Msgs) > 0 {
-			// Durability barrier before the ack: the sender deletes its
-			// outbox copy on ack, so the admitted messages must be in the
-			// durable queue image first. On error no ack is staged and the
-			// sender's retransmission redelivers (dedup absorbs it).
-			if err := m.persist(snap); err != nil {
-				return
+		case KindEnqueueBatch:
+			frame, ok := msg.Payload.(BatchFrame)
+			if !ok {
+				continue
 			}
-		}
-		m.mu.Lock()
-		// One cumulative ack covers the whole frame — duplicates
-		// included, since the previous ack may have been lost. It rides
-		// the next outgoing batch to msg.From if one is pending, else a
-		// standalone ack frame after the coalescing window.
-		if len(frame.Msgs) > 0 {
+			for _, id := range frame.Acks {
+				delete(m.outbox, id)
+			}
+			if len(frame.Msgs) == 0 {
+				continue
+			}
 			ids := make([]string, len(frame.Msgs))
 			for i, qm := range frame.Msgs {
+				m.admitLocked(qm)
 				ids[i] = qm.ID
 			}
-			m.pendingAcks[msg.From] = append(m.pendingAcks[msg.From], ids...)
+			acked = append(acked, frameAck{to: msg.From, ids: ids})
+		case KindAck:
+			if id, ok := msg.Payload.(string); ok {
+				delete(m.outbox, id)
+			}
+		case KindAckBatch:
+			if frame, ok := msg.Payload.(AckFrame); ok {
+				for _, id := range frame.IDs {
+					delete(m.outbox, id)
+				}
+			}
 		}
-		flushNow := m.flushDelay <= 0
-		if !flushNow {
+	}
+	// A group that admitted nothing new needs no new image, provided an
+	// image holding everything admitted so far is already durable.
+	barrier := len(acked) > 0 && m.persist != nil && m.durable <= m.dirtyAt
+	var snap State
+	if barrier {
+		snap = m.snapshotLocked()
+	}
+	m.mu.Unlock()
+	if len(acked) == 0 {
+		return
+	}
+	if barrier {
+		if err := m.persist(snap); err != nil {
+			return
+		}
+	}
+	m.mu.Lock()
+	if barrier && snap.Version > m.durable {
+		m.durable = snap.Version
+	}
+	// A batch frame's cumulative ack rides the next outgoing batch to
+	// its sender if one is pending, else a standalone ack frame after
+	// the coalescing window. The legacy dialect acks immediately and
+	// individually.
+	var legacy []simnet.Message
+	for _, a := range acked {
+		if a.legacy {
+			legacy = append(legacy, simnet.Message{From: m.site, To: a.to, Kind: KindAck, Payload: a.ids[0]})
+			continue
+		}
+		m.pendingAcks[a.to] = append(m.pendingAcks[a.to], a.ids...)
+	}
+	flushNow := false
+	if len(legacy) < len(acked) {
+		if flushNow = m.flushDelay <= 0; !flushNow {
 			m.armFlushLocked()
 		}
-		m.mu.Unlock()
-		if flushNow {
-			m.flush()
-		}
-	case KindAck:
-		id, ok := msg.Payload.(string)
-		if !ok {
-			return
-		}
-		m.mu.Lock()
-		delete(m.outbox, id)
-		m.mu.Unlock()
-	case KindAckBatch:
-		frame, ok := msg.Payload.(AckFrame)
-		if !ok {
-			return
-		}
-		m.mu.Lock()
-		for _, id := range frame.IDs {
-			delete(m.outbox, id)
-		}
-		m.mu.Unlock()
+	}
+	m.mu.Unlock()
+	for _, ack := range legacy {
+		_ = m.net.Send(ack)
+	}
+	if flushNow {
+		m.flush()
 	}
 }
 
@@ -915,6 +936,12 @@ func (m *Manager) DedupSparseLen(from simnet.SiteID) int {
 // Retransmission deadlines and the coalescing buffers are volatile and
 // deliberately absent: recovery marks everything due immediately.
 type State struct {
+	// Version orders the images of one endpoint: each snapshot takes
+	// the next number under the manager's mutex, and it carries on from
+	// a restored image. Storage keeps the image with the highest
+	// version, not the one that arrived last — two snapshots race each
+	// other to the log outside the mutex.
+	Version  uint64
 	NextSeq  map[simnet.SiteID]uint64
 	Outbox   map[string]OutboxMsg
 	Queues   map[string][]Msg
@@ -952,6 +979,11 @@ func (m *Manager) Restore(st State) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	now := time.Now()
+	if st.Version > m.version {
+		m.version = st.Version
+	}
+	// Nothing is known about images of the restored state.
+	m.dirtyAt = m.version
 	m.nextSeq = make(map[simnet.SiteID]uint64, len(st.NextSeq))
 	for to, seq := range st.NextSeq {
 		m.nextSeq[to] = seq

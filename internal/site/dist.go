@@ -17,21 +17,11 @@ import (
 	"asynctp/internal/lock"
 	"asynctp/internal/metric"
 	"asynctp/internal/obs"
-	"asynctp/internal/queue"
 	"asynctp/internal/simnet"
 	"asynctp/internal/storage"
 	"asynctp/internal/tracectx"
 	"asynctp/internal/txn"
 )
-
-// The chopped-queue payloads must round-trip through the disk driver's
-// serialized queue image (gob), so their concrete types are registered
-// up front.
-func init() {
-	queue.RegisterPayloadType(activation{})
-	queue.RegisterPayloadType(pieceDone{})
-	queue.RegisterPayloadType(doneBatch{})
-}
 
 // Message kinds of the chopped-queue protocol.
 const (

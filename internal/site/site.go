@@ -440,35 +440,72 @@ func (c *Cluster) Close() {
 // Site returns the site with the given ID, or nil.
 func (c *Cluster) Site(id simnet.SiteID) *Site { return c.sites[id] }
 
+// maxDrain bounds how many waiting inbox messages one dispatch round
+// takes with the message that woke it: enough to share one durability
+// barrier among everything a busy peer set sent during the last fsync,
+// small enough that a crash check and the context are looked at often.
+const maxDrain = 64
+
 // dispatch routes a site's inbox messages.
 func (c *Cluster) dispatch(s *Site, inbox <-chan simnet.Message) {
 	defer c.wg.Done()
+	round := make([]simnet.Message, 0, maxDrain)
 	for {
 		select {
 		case msg := <-inbox:
+			round = append(round[:0], msg)
+		drain:
+			for len(round) < maxDrain {
+				select {
+				case more := <-inbox:
+					round = append(round, more)
+				default:
+					break drain
+				}
+			}
 			if s.isCrashed() {
 				continue // a crashed site processes nothing
 			}
-			switch {
-			case queue.IsQueueKind(msg.Kind):
-				// Enqueue frames persist the durable queue image inside
-				// Handle (WithPersist), before their acks are staged.
-				s.queues.Handle(msg)
-			case msg.Kind == KindPieceDone:
-				c.handleDone(msg)
-			default:
-				// 2PC prepares may block on locks (up to the lock
-				// timeout); handle them off the dispatch loop so
-				// decisions and other traffic keep flowing.
-				c.wg.Add(1)
-				go func(msg simnet.Message) {
-					defer c.wg.Done()
-					s.node.Handle(c.ctx, msg)
-				}(msg)
-			}
+			c.route(s, round)
 		case <-c.ctx.Done():
 			return
 		}
+	}
+}
+
+// route handles one round of inbox messages in arrival order. A run of
+// batched queue frames goes to the queue manager in one call, so the
+// frames share one persist of the durable queue image (WithPersist)
+// before any of their acks is staged; every other message ends the run
+// and is handled by itself.
+func (c *Cluster) route(s *Site, round []simnet.Message) {
+	run := 0 // round[run:i] is the pending run of batched queue frames
+	for i, msg := range round {
+		if queue.IsBatchKind(msg.Kind) {
+			continue
+		}
+		if run < i {
+			s.queues.HandleAll(round[run:i])
+		}
+		run = i + 1
+		switch {
+		case queue.IsQueueKind(msg.Kind):
+			s.queues.Handle(msg)
+		case msg.Kind == KindPieceDone:
+			c.handleDone(msg)
+		default:
+			// 2PC prepares may block on locks (up to the lock
+			// timeout); handle them off the dispatch loop so
+			// decisions and other traffic keep flowing.
+			c.wg.Add(1)
+			go func(msg simnet.Message) {
+				defer c.wg.Done()
+				s.node.Handle(c.ctx, msg)
+			}(msg)
+		}
+	}
+	if run < len(round) {
+		s.queues.HandleAll(round[run:])
 	}
 }
 

@@ -45,6 +45,10 @@ type diskBackend struct {
 	mu     sync.Mutex // aux cache + seq; held briefly, never across fsync
 	aux    map[string][]byte
 	auxSeq uint64
+	// queuesVer is the queue.State.Version of aux["queues"], the newest
+	// image accepted, and queuesSave the append that makes it durable.
+	queuesVer  uint64
+	queuesSave *auxSave
 
 	ckptMu   sync.Mutex // serializes checkpoints
 	ckptBusy atomic.Bool
@@ -98,6 +102,7 @@ func (b *diskBackend) open(init map[storage.Key]metric.Value) error {
 	fresh := !haveSnap && len(res.Batches) == 0 && res.Segments == 0
 
 	b.store, b.aux, b.auxSeq = buildImage(snap, res)
+	b.queuesVer, b.queuesSave = recoveredQueues(b.aux)
 	if b.p.Obs != nil && !fresh {
 		b.p.Obs.Recovered(b.site, len(res.Batches), res.TornBytes)
 	}
@@ -160,6 +165,20 @@ func buildImage(snap wal.Snapshot, res wal.ReplayResult) (*storage.Store, map[st
 	return st, aux, auxSeq
 }
 
+// recoveredQueues returns the version of the queue image a recovery
+// found and a finished save standing for it: what was read back from
+// the files is durable. An image that does not decode counts as version
+// 0; LoadQueues reports the error.
+func recoveredQueues(aux map[string][]byte) (uint64, *auxSave) {
+	save := &auxSave{done: make(chan struct{})}
+	close(save.done)
+	st, err := queue.DecodeState(aux[queuesAux])
+	if err != nil {
+		return 0, save
+	}
+	return st.Version, save
+}
+
 func (b *diskBackend) Store() *storage.Store { return b.store }
 
 // writer returns the current WAL writer; Recover swaps it under mu.
@@ -206,33 +225,53 @@ func (b *diskBackend) maybeCheckpoint() {
 	}()
 }
 
-// putAux makes one named blob durable: the cache is updated under mu,
-// the WAL append (and its group-commit fsync wait) happens outside it so
-// concurrent savers and committers share cohorts.
-func (b *diskBackend) putAux(name string, data []byte) error {
-	b.mu.Lock()
-	b.auxSeq++
-	seq := b.auxSeq
-	b.aux[name] = data
-	w := b.w
-	b.mu.Unlock()
-	return w.Append(wal.AuxRecord(seq, name, data))
+// auxSave is one in-flight (or finished) append of the queue image; err
+// is valid once done is closed.
+type auxSave struct {
+	done chan struct{}
+	err  error
 }
 
+// queuesAux names the queue image among the aux blobs.
+const queuesAux = "queues"
+
 // SaveQueues serializes and logs the queue image; it returns only after
-// the record is fsynced, which is what the queue layer's
-// persist-before-ack barrier relies on.
+// an image at least as new as st is fsynced, which is what the queue
+// layer's persist-before-ack barrier relies on. Snapshots are encoded
+// outside every lock, so an older one can arrive after a newer one. It
+// is then not logged — aux sequence numbers are handed out under mu in
+// version order, and replay keeps the highest sequence, so the log
+// never prefers an older image — and its caller waits for the newer
+// image's append instead. The WAL append (and its group-commit fsync
+// wait) happens outside mu so concurrent savers and committers share
+// cohorts.
 func (b *diskBackend) SaveQueues(st queue.State) error {
 	blob, err := st.Encode()
 	if err != nil {
 		return err
 	}
-	return b.putAux("queues", blob)
+	b.mu.Lock()
+	if st.Version < b.queuesVer {
+		newer := b.queuesSave
+		b.mu.Unlock()
+		<-newer.done
+		return newer.err
+	}
+	save := &auxSave{done: make(chan struct{})}
+	b.queuesVer, b.queuesSave = st.Version, save
+	b.auxSeq++
+	seq := b.auxSeq
+	b.aux[queuesAux] = blob
+	w := b.w
+	b.mu.Unlock()
+	save.err = w.Append(wal.AuxRecord(seq, queuesAux, blob))
+	close(save.done)
+	return save.err
 }
 
 func (b *diskBackend) LoadQueues() (queue.State, bool, error) {
 	b.mu.Lock()
-	blob, ok := b.aux["queues"]
+	blob, ok := b.aux[queuesAux]
 	b.mu.Unlock()
 	if !ok {
 		return queue.State{}, false, nil
@@ -274,6 +313,7 @@ func (b *diskBackend) Recover() (*storage.Store, error) {
 	b.mu.Lock()
 	b.aux = aux
 	b.auxSeq = auxSeq
+	b.queuesVer, b.queuesSave = recoveredQueues(aux)
 	b.w = w
 	b.mu.Unlock()
 	b.store = store

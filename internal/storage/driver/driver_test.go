@@ -1,6 +1,7 @@
 package driver
 
 import (
+	"sync"
 	"testing"
 	"time"
 
@@ -301,6 +302,132 @@ func TestMemAndDiskProduceIdenticalState(t *testing.T) {
 	for k, v := range memSnap {
 		if recSnap[k] != v {
 			t.Errorf("after recovery, key %s: mem=%d disk=%d", k, v, recSnap[k])
+		}
+	}
+}
+
+// versioned is a queue image told apart by its NextSeq entry.
+func versioned(version, mark uint64) queue.State {
+	return queue.State{Version: version, NextSeq: map[simnet.SiteID]uint64{"LA": mark}}
+}
+
+// TestSaveQueuesKeepsHighestVersion: snapshots race each other to the
+// backend outside the queue manager's mutex, so an older image can
+// arrive after a newer one. Neither backend may let it win — not in
+// LoadQueues, and not in what a recovery from the files finds.
+func TestSaveQueuesKeepsHighestVersion(t *testing.T) {
+	dir := t.TempDir()
+	md, err := New("mem", Params{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mb, err := md.Open("NY", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	backends := map[string]Backend{"mem": mb, "disk": openDisk(t, dir)}
+	for name, be := range backends {
+		for _, st := range []queue.State{versioned(1, 10), versioned(3, 30), versioned(2, 20)} {
+			if err := be.SaveQueues(st); err != nil {
+				t.Fatalf("%s: SaveQueues(v%d): %v", name, st.Version, err)
+			}
+		}
+		got, ok, err := be.LoadQueues()
+		if err != nil || !ok || got.Version != 3 || got.NextSeq["LA"] != 30 {
+			t.Errorf("%s: LoadQueues = v%d %v (ok=%v err=%v), want the version-3 image", name, got.Version, got.NextSeq, ok, err)
+		}
+	}
+
+	disk := backends["disk"]
+	if _, err := disk.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	got, ok, err := disk.LoadQueues()
+	if err != nil || !ok || got.Version != 3 || got.NextSeq["LA"] != 30 {
+		t.Errorf("after Recover: v%d %v (ok=%v err=%v), want the version-3 image", got.Version, got.NextSeq, ok, err)
+	}
+	// The recovered backend still refuses what the files already beat,
+	// and a process restart reads the same image.
+	if err := disk.SaveQueues(versioned(2, 20)); err != nil {
+		t.Fatal(err)
+	}
+	if err := disk.Close(); err != nil {
+		t.Fatal(err)
+	}
+	d, _ := New("disk", Params{Dir: dir})
+	reopened, err := d.Open("NY", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	got, ok, err = reopened.LoadQueues()
+	if err != nil || !ok || got.Version != 3 || got.NextSeq["LA"] != 30 {
+		t.Errorf("after reopen: v%d %v (ok=%v err=%v), want the version-3 image", got.Version, got.NextSeq, ok, err)
+	}
+}
+
+// TestSaveQueuesLoserWaitsForNewerImage: the caller whose image lost the
+// race is told "durable" only once the newer image is, and is told the
+// newer image's error if that append fails.
+func TestSaveQueuesLoserWaitsForNewerImage(t *testing.T) {
+	for _, act := range []wal.Action{wal.ActContinue, wal.ActCrash} {
+		entered, release := make(chan struct{}), make(chan struct{})
+		armed := false
+		be := openDisk(t, t.TempDir(), func(p *Params) {
+			p.Hook = func(site string, pt wal.CrashPoint) wal.Action {
+				if armed && pt == wal.PointAppend {
+					armed = false
+					close(entered)
+					<-release
+					return act
+				}
+				return wal.ActContinue
+			}
+		})
+		armed = true // the seed apply already passed through the hook
+		newer, older := make(chan error, 1), make(chan error, 1)
+		go func() { newer <- be.SaveQueues(versioned(2, 20)) }()
+		<-entered
+		go func() { older <- be.SaveQueues(versioned(1, 10)) }()
+		select {
+		case err := <-older:
+			t.Fatalf("action %v: the older image's save returned (%v) before the newer image was durable", act, err)
+		case <-time.After(50 * time.Millisecond):
+		}
+		close(release)
+		errNewer, errOlder := <-newer, <-older
+		if failed := act == wal.ActCrash; (errNewer != nil) != failed || (errOlder != nil) != failed {
+			t.Errorf("action %v: newer err %v, older err %v", act, errNewer, errOlder)
+		}
+		be.Close()
+	}
+}
+
+// TestSaveQueuesConcurrentSaversKeepNewest races many savers, as the
+// receive barrier and the piece workers do: whatever order they reach
+// the backend in, the newest image is the one held and the one replayed.
+func TestSaveQueuesConcurrentSaversKeepNewest(t *testing.T) {
+	be := openDisk(t, t.TempDir())
+	defer be.Close()
+	const n = 32
+	var wg sync.WaitGroup
+	for v := uint64(1); v <= n; v++ {
+		wg.Add(1)
+		go func(v uint64) {
+			defer wg.Done()
+			if err := be.SaveQueues(versioned(v, v)); err != nil {
+				t.Errorf("SaveQueues(v%d): %v", v, err)
+			}
+		}(v)
+	}
+	wg.Wait()
+	for _, stage := range []string{"live", "recovered"} {
+		got, ok, err := be.LoadQueues()
+		if err != nil || !ok || got.Version != n || got.NextSeq["LA"] != n {
+			t.Errorf("%s: v%d %v (ok=%v err=%v), want version %d", stage, got.Version, got.NextSeq, ok, err, n)
+		}
+		if _, err := be.Recover(); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

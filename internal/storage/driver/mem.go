@@ -30,10 +30,15 @@ type memBackend struct {
 
 func (b *memBackend) Store() *storage.Store { return b.store }
 
+// SaveQueues keeps the image with the highest version: an older
+// snapshot that lost the race to the backend finds the newer one
+// already held, which covers it.
 func (b *memBackend) SaveQueues(st queue.State) error {
 	b.mu.Lock()
-	b.queues = st
-	b.hasQ = true
+	if !b.hasQ || st.Version >= b.queues.Version {
+		b.queues = st
+		b.hasQ = true
+	}
 	b.mu.Unlock()
 	return nil
 }
