@@ -63,11 +63,6 @@ type Config struct {
 	// conformance explorer uses it to keep its one-runner-at-a-time
 	// invariant across blocking lock acquisitions.
 	WaitObserver lock.WaitObserver
-	// SequentialPieces runs each instance's piece dependency tree
-	// depth-first on the submitting goroutine instead of spawning child
-	// pieces concurrently. Budget distribution (Figure 2) is unchanged.
-	// The conformance explorer sets it so the worker set stays static.
-	SequentialPieces bool
 	// IDBase offsets every owner and group ID the runner mints (they
 	// start at IDBase+1). A process hosting many runners that share one
 	// observability plane — the tenant partition layer — gives each
@@ -445,14 +440,20 @@ func WithEnqueueTime(ctx context.Context, t time.Time) context.Context {
 
 // Submit executes one instance of program ti (index into
 // Config.Programs) and blocks until every piece finishes. Instances may
-// be submitted concurrently from many goroutines.
+// be submitted concurrently from many goroutines; each one's pieces run
+// one at a time on its submitting goroutine.
+//
+// ctx bounds the first piece only. Once p1 commits the instance is
+// bound to finish (the paper resubmits every later piece until it
+// commits), so the later pieces run under context.WithoutCancel(ctx):
+// they keep ctx's values and ignore its cancellation and deadline.
 func (r *Runner) Submit(ctx context.Context, ti int) (*InstanceResult, error) {
 	if ti < 0 || ti >= r.set.NumTxns() {
 		return nil, fmt.Errorf("core: program index %d out of range", ti)
 	}
 	group := history.Group(r.nextGroup.Add(1))
 	orig := r.set.Original(ti)
-	inst := &instance{
+	inst := instance{
 		runner: r,
 		ti:     ti,
 		group:  group,
@@ -480,21 +481,20 @@ func (r *Runner) Submit(ctx context.Context, ti int) (*InstanceResult, error) {
 	return inst.result, nil
 }
 
-// instance tracks one in-flight submission.
+// instance tracks one in-flight submission. Only its submitting
+// goroutine touches it.
 type instance struct {
 	runner *Runner
 	ti     int
 	group  history.Group
-	mu     sync.Mutex
 	result *InstanceResult
 }
 
-// run executes the instance: the first piece synchronously (business
-// rollbacks abort the whole instance), then the rest of the dependency
-// tree, each piece retried on system aborts until it commits.
+// run executes the instance: the first piece (business rollbacks abort
+// the whole instance), then the rest of the dependency tree, each piece
+// retried on system aborts until it commits.
 func (inst *instance) run(ctx context.Context) error {
 	r := inst.runner
-	children := r.children[inst.ti]
 
 	// The whole-transaction budget enters at the root (Figure 2:
 	// DynamicExecution assigns Limit_t to p1's schedule).
@@ -503,7 +503,7 @@ func (inst *instance) run(ctx context.Context) error {
 		rootSpec = r.dcSpecs[inst.ti]
 	}
 	out, spent, err := inst.runPiece(ctx, 0, rootSpec)
-	inst.record(0, out)
+	inst.result.Outcomes[0] = out
 	if err != nil {
 		if errors.Is(err, txn.ErrRollback) {
 			inst.result.RolledBack = true
@@ -511,92 +511,38 @@ func (inst *instance) run(ctx context.Context) error {
 		}
 		return err
 	}
-	if len(children) == 1 {
-		// Single-piece program (unchopped, or a chopping that found no
-		// cut): there is nothing to schedule, so skip the walk/scheduler
-		// machinery — the closure, wait group, and error channel it
-		// allocates are pure overhead on this hot path.
-		inst.result.Committed = true
-		return nil
-	}
-
-	if r.cfg.SequentialPieces {
-		// Depth-first on the submitting goroutine: the same budget split
-		// as the concurrent path, but a static worker set (one goroutine
-		// per instance), which the conformance explorer needs for
-		// deterministic scheduling.
-		var walk func(pi int, leftover metric.Spec) error
-		walk = func(pi int, leftover metric.Spec) error {
-			kids := children[pi]
-			if len(kids) == 0 {
-				return nil
-			}
-			share := metric.Spec{
-				Import: leftover.Import.Div(len(kids)),
-				Export: leftover.Export.Div(len(kids)),
-			}
-			for _, kid := range kids {
-				out, kidSpent, err := inst.runPiece(ctx, kid, share)
-				inst.record(kid, out)
-				if err != nil {
-					return fmt.Errorf("piece %d: %w", kid, err)
-				}
-				if err := walk(kid, kidSpent); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		if err := walk(0, spent); err != nil {
+	if r.numPieces[inst.ti] > 1 { // unchopped programs skip the context allocation
+		if err := inst.walk(context.WithoutCancel(ctx), 0, spent); err != nil {
 			return err
 		}
-		inst.result.Committed = true
-		return nil
-	}
-
-	// Remaining pieces commit asynchronously along the dependency tree.
-	var wg sync.WaitGroup
-	errs := make(chan error, len(children))
-	var schedule func(pi int, leftover metric.Spec)
-	schedule = func(pi int, leftover metric.Spec) {
-		kids := children[pi]
-		if len(kids) == 0 {
-			return
-		}
-		// Figure 2: split the leftover evenly across the scheduled set.
-		share := metric.Spec{
-			Import: leftover.Import.Div(len(kids)),
-			Export: leftover.Export.Div(len(kids)),
-		}
-		for _, kid := range kids {
-			wg.Add(1)
-			go func(kid int) {
-				defer wg.Done()
-				out, spent, err := inst.runPiece(ctx, kid, share)
-				inst.record(kid, out)
-				if err != nil {
-					errs <- fmt.Errorf("piece %d: %w", kid, err)
-					return
-				}
-				schedule(kid, spent)
-			}(kid)
-		}
-	}
-	schedule(0, spent)
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		return err
 	}
 	inst.result.Committed = true
 	return nil
 }
 
-// record stores a piece outcome.
-func (inst *instance) record(pi int, out *txn.Outcome) {
-	inst.mu.Lock()
-	defer inst.mu.Unlock()
-	inst.result.Outcomes[pi] = out
+// walk runs the dependency-tree children of committed piece pi,
+// depth-first in pre-order: a kid, then the kid's subtree, then the next
+// kid. Figure 2: the kids split pi's leftover evenly.
+func (inst *instance) walk(ctx context.Context, pi int, leftover metric.Spec) error {
+	kids := inst.runner.children[inst.ti][pi]
+	if len(kids) == 0 {
+		return nil
+	}
+	share := metric.Spec{
+		Import: leftover.Import.Div(len(kids)),
+		Export: leftover.Export.Div(len(kids)),
+	}
+	for _, kid := range kids {
+		out, spent, err := inst.runPiece(ctx, kid, share)
+		inst.result.Outcomes[kid] = out
+		if err != nil {
+			return fmt.Errorf("piece %d: %w", kid, err)
+		}
+		if err := inst.walk(ctx, kid, spent); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // runPiece executes piece pi with the given available budget, retrying
@@ -680,7 +626,9 @@ func (inst *instance) runPiece(ctx context.Context, pi int, budget metric.Spec) 
 		}
 		if err == nil {
 			if useDC {
-				inst.addFuzz(imported, exported)
+				// Lemma 1: the instance's fuzziness is the sum over its pieces.
+				inst.result.Imported = inst.result.Imported.Add(imported)
+				inst.result.Exported = inst.result.Exported.Add(exported)
 			}
 			leftover := metric.Spec{
 				Import: runSpec.Import.Sub(imported),
@@ -700,16 +648,6 @@ func (inst *instance) runPiece(ctx context.Context, pi int, budget metric.Spec) 
 		if !retryable || ctx.Err() != nil {
 			return out, budget, err
 		}
-		inst.mu.Lock()
 		inst.result.Retries++
-		inst.mu.Unlock()
 	}
-}
-
-// addFuzz accumulates instance-level fuzziness (Lemma 1).
-func (inst *instance) addFuzz(imported, exported metric.Fuzz) {
-	inst.mu.Lock()
-	defer inst.mu.Unlock()
-	inst.result.Imported = inst.result.Imported.Add(imported)
-	inst.result.Exported = inst.result.Exported.Add(exported)
 }

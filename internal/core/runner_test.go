@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"asynctp/internal/lock"
 	"asynctp/internal/metric"
 	"asynctp/internal/storage"
 	"asynctp/internal/txn"
@@ -345,6 +346,78 @@ func TestMethodStrings(t *testing.T) {
 		if d.String() == "" {
 			t.Errorf("distribution %d has empty name", int(d))
 		}
+	}
+}
+
+// blockSignal is a lock.WaitObserver that runs onBlock when an owner
+// starts waiting for key.
+type blockSignal struct {
+	key     storage.Key
+	onBlock func()
+}
+
+func (b *blockSignal) Blocked(_ lock.Owner, key storage.Key) {
+	if key == b.key {
+		b.onBlock()
+	}
+}
+func (b *blockSignal) Woken(lock.Owner)   {}
+func (b *blockSignal) Resumed(lock.Owner) {}
+
+// TestCancelAfterFirstPieceStillSettles cancels Submit's context while
+// a transfer's second piece waits for a lock, after the first piece has
+// committed its withdrawal. The later piece must keep waiting and
+// commit, or the withdrawn money is gone.
+func TestCancelAfterFirstPieceStillSettles(t *testing.T) {
+	store := storage.NewFrom(map[storage.Key]metric.Value{"a": 100, "b": 100})
+	xfer := txn.MustProgram("xfer", txn.AddOp("a", -1), txn.AddOp("b", 1)).
+		WithSpec(metric.Spec{Import: metric.Zero, Export: metric.LimitOf(1)})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	blocked := make(chan struct{})
+	obs := &blockSignal{key: "b", onBlock: func() {
+		cancel()
+		close(blocked)
+	}}
+	r, err := NewRunner(Config{
+		Method: Method2ESRChopCC, Store: store, Programs: []*txn.Program{xfer}, WaitObserver: obs,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := r.Set().Chopping(0).NumPieces(); got != 2 {
+		t.Fatalf("transfer chopped into %d pieces, want 2", got)
+	}
+	const foreign = lock.Owner(1 << 40)
+	if err := r.locks.Acquire(context.Background(), foreign, "b", lock.Exclusive); err != nil {
+		t.Fatal(err)
+	}
+
+	type submitted struct {
+		res *InstanceResult
+		err error
+	}
+	done := make(chan submitted, 1)
+	go func() {
+		res, err := r.Submit(ctx, 0)
+		done <- submitted{res, err}
+	}()
+	<-blocked
+	// Nothing should happen until the lock is released, so there is no
+	// event to wait for: the pause only gives a runner that gives up on
+	// cancellation time to return. A correct runner passes at any length.
+	select {
+	case s := <-done:
+		t.Fatalf("Submit returned while piece 2 waited: err=%v a=%d b=%d", s.err, store.Get("a"), store.Get("b"))
+	case <-time.After(50 * time.Millisecond):
+	}
+	r.locks.ReleaseAll(foreign)
+	s := <-done
+	if s.err != nil || !s.res.Committed {
+		t.Fatalf("committed=%v err=%v", s.res != nil && s.res.Committed, s.err)
+	}
+	if a, b := store.Get("a"), store.Get("b"); a != 99 || b != 101 {
+		t.Errorf("a=%d b=%d, want 99 and 101", a, b)
 	}
 }
 

@@ -1,0 +1,145 @@
+package core_test
+
+import (
+	"context"
+	"sort"
+	"strconv"
+	"strings"
+	"testing"
+
+	"asynctp/internal/core"
+	"asynctp/internal/history"
+	"asynctp/internal/lock"
+	"asynctp/internal/workload"
+)
+
+// TestSubmitAllocs pins the allocations of one uncontended Submit on
+// the contention table the local-lock benchmark workload runs (8 hot
+// keys, ESR-chopped under locking divergence control), so per-piece
+// goroutines, closures or channels on the walk cannot return unnoticed.
+// A drop below a pin is welcome: lower the pin.
+func TestSubmitAllocs(t *testing.T) {
+	w, err := workload.NewContention(workload.ContentionConfig{
+		Keys: 8, Theta: 0.99, TransferTypes: 8, TransferCount: 1000, AuditCount: 1000 / 7,
+		Amount: 1, InitialBalance: 1 << 40, Epsilon: 1 << 20, Seed: 42,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := workload.RunnerFor(w, core.Method3ESRChopDC, core.Static, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	audit := len(w.Programs) - 1
+	for _, tc := range []struct {
+		name   string
+		ti     int
+		pieces int
+		pin    float64
+	}{
+		{"transfer", 0, 2, 19},
+		{"audit", audit, 8, 35},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if got := r.Set().Chopping(tc.ti).NumPieces(); got != tc.pieces {
+				t.Fatalf("%s chopped into %d pieces, want %d; table changed", tc.name, got, tc.pieces)
+			}
+			ctx := context.Background()
+			allocs := testing.AllocsPerRun(500, func() {
+				res, err := r.Submit(ctx, tc.ti)
+				if err != nil || !res.Committed {
+					t.Fatalf("submit: committed=%v err=%v", res != nil && res.Committed, err)
+				}
+			})
+			t.Logf("Submit(%s): %.1f allocs", tc.name, allocs)
+			if allocs > tc.pin {
+				t.Errorf("Submit(%s): %.1f allocs, pinned at %.0f", tc.name, allocs, tc.pin)
+			}
+		})
+	}
+}
+
+// TestGroupPiecesCommitInProgramOrder checks the invariant the serial-
+// replay oracle relies on, outside the explorer: with a chopped bank
+// workload submitted concurrently, every group's committed pieces are
+// disjoint in the recorded history and ordered by piece index, so its
+// reads appear in program order.
+func TestGroupPiecesCommitInProgramOrder(t *testing.T) {
+	w, err := workload.NewBank(workload.BankConfig{
+		Branches: 2, AccountsPerBranch: 4, InitialBalance: 1000, TransferAmount: 10,
+		TransferTypes: 4, TransferCount: 60, AuditCount: 30, Epsilon: 100000, Seed: 3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := workload.RunnerFor(w, core.Method3ESRChopDC, core.Static, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	audit := len(w.Programs) - 1
+	if got := r.Set().Chopping(audit).NumPieces(); got < 3 {
+		t.Fatalf("audit chopped into %d pieces; the check needs siblings", got)
+	}
+	if _, err := workload.Run(context.Background(), r, w, 8, 1); err != nil {
+		t.Fatal(err)
+	}
+
+	txns, ops := r.Recorder().Snapshot()
+	groupOf := r.GroupOf()
+	// span is one committed piece's interval in the global sequence.
+	type span struct {
+		piece    int
+		min, max uint64
+	}
+	byOwner := make(map[lock.Owner]*span)
+	for _, tx := range txns {
+		if tx.Status != history.Committed {
+			continue
+		}
+		piece := 1
+		if i := strings.LastIndex(tx.Name, "/p"); i >= 0 {
+			if piece, err = strconv.Atoi(tx.Name[i+2:]); err != nil {
+				t.Fatalf("piece name %q: %v", tx.Name, err)
+			}
+		}
+		byOwner[tx.Owner] = &span{piece: piece}
+	}
+	for _, op := range ops {
+		s := byOwner[op.Owner]
+		if s == nil {
+			continue
+		}
+		if s.min == 0 || op.Seq < s.min {
+			s.min = op.Seq
+		}
+		if op.Seq > s.max {
+			s.max = op.Seq
+		}
+	}
+	groups := make(map[history.Group][]*span)
+	for owner, s := range byOwner {
+		g, ok := groupOf[owner]
+		if !ok {
+			t.Fatalf("committed owner %d has no group", owner)
+		}
+		groups[g] = append(groups[g], s)
+	}
+	chopped := 0
+	for g, spans := range groups {
+		sort.Slice(spans, func(i, j int) bool { return spans[i].min < spans[j].min })
+		for i, s := range spans {
+			if s.piece != i+1 {
+				t.Fatalf("group %d: piece %d committed in position %d", g, s.piece, i+1)
+			}
+			if i > 0 && spans[i-1].max >= s.min {
+				t.Fatalf("group %d: pieces %d and %d overlap", g, i, i+1)
+			}
+		}
+		if len(spans) > 1 {
+			chopped++
+		}
+	}
+	if chopped == 0 {
+		t.Fatal("no chopped group committed")
+	}
+}

@@ -120,20 +120,19 @@ func Run(sc Scenario, seed int64, strategy Strategy, ocfg oracle.Config) (*Resul
 		plane = obs.NewPlane(tr, lg, reg)
 	}
 	runner, err := core.NewRunner(core.Config{
-		Method:           sc.Method,
-		Distribution:     sc.Distribution,
-		Store:            store,
-		Programs:         sc.Programs,
-		Counts:           counts,
-		Record:           true,
-		Engine:           sc.Engine,
-		StepHook:         sched,
-		WaitObserver:     sched,
-		SequentialPieces: true,
-		BudgetScale:      sc.BudgetScale,
-		LockStripes:      sc.LockStripes,
-		Obs:              plane,
-		VerifyRepairs:    true,
+		Method:        sc.Method,
+		Distribution:  sc.Distribution,
+		Store:         store,
+		Programs:      sc.Programs,
+		Counts:        counts,
+		Record:        true,
+		Engine:        sc.Engine,
+		StepHook:      sched,
+		WaitObserver:  sched,
+		BudgetScale:   sc.BudgetScale,
+		LockStripes:   sc.LockStripes,
+		Obs:           plane,
+		VerifyRepairs: true,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("explore: %s: %w", sc.Name, err)

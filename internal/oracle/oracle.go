@@ -35,10 +35,15 @@
 // huge traces it is a (deliberately conservative) alarm.
 //
 // Replay assumes that, within one group, the committed reads' global
-// sequence order equals program order. Sequential piece execution
-// (core.Config.SequentialPieces, which the conformance harness always
-// sets) guarantees this; with concurrently executing sibling pieces the
-// comparison is again a conservative over-approximation.
+// sequence order equals program order. core.Runner runs an instance's
+// pieces one at a time on the submitting goroutine, walking the piece
+// dependency tree depth-first in pre-order, so a group's pieces never
+// overlap and commit in walk order. The walk is program order unless
+// some piece sits between a later piece and that piece's parent (its
+// latest earlier conflicting piece, chop.Set.DependencyParents) without
+// descending from the parent: `read a | write x | read y | read x` runs
+// its fourth piece before its third. Only for such a chopping is the
+// positional comparison a conservative over-approximation.
 package oracle
 
 import (
