@@ -7,7 +7,9 @@
 // restricted-piece references, plus random workloads driven end to end.
 //
 // The whole report is a pure function of -seed: same seed, same
-// interleavings, same table, same verdicts. CI runs it twice and diffs.
+// interleavings, same table, same verdicts. CI diffs `-seed 1 -budget
+// 200` against testdata/seed1-budget200.golden, and a second run
+// against the first.
 //
 // Usage:
 //

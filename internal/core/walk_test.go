@@ -14,10 +14,12 @@ import (
 )
 
 // TestSubmitAllocs pins the allocations of one uncontended Submit on
-// the contention table the local-lock benchmark workload runs (8 hot
-// keys, ESR-chopped under locking divergence control), so per-piece
-// goroutines, closures or channels on the walk cannot return unnoticed.
-// A drop below a pin is welcome: lower the pin.
+// the contention table the local benchmark workloads run (8 hot keys):
+// ESR-chopped under locking divergence control, as local-lock runs it,
+// so per-piece goroutines, closures or channels on the walk cannot
+// return unnoticed; and unchopped on the repair engine, as local-repair
+// runs it, so a per-key side table or second write per key on rdc's
+// install cannot either. A drop below a pin is welcome: lower the pin.
 func TestSubmitAllocs(t *testing.T) {
 	w, err := workload.NewContention(workload.ContentionConfig{
 		Keys: 8, Theta: 0.99, TransferTypes: 8, TransferCount: 1000, AuditCount: 1000 / 7,
@@ -26,21 +28,27 @@ func TestSubmitAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := workload.RunnerFor(w, core.Method3ESRChopDC, core.Static, false)
-	if err != nil {
-		t.Fatal(err)
-	}
 	audit := len(w.Programs) - 1
 	for _, tc := range []struct {
 		name   string
+		method core.Method
+		engine core.EngineKind
 		ti     int
 		pieces int
 		pin    float64
 	}{
-		{"transfer", 0, 2, 19},
-		{"audit", audit, 8, 35},
+		{"transfer", core.Method3ESRChopDC, core.EngineLocking, 0, 2, 19},
+		{"audit", core.Method3ESRChopDC, core.EngineLocking, audit, 8, 35},
+		{"repair-transfer", core.BaselineESRDC, core.EngineRepair, 0, 1, 15},
+		{"repair-audit", core.BaselineESRDC, core.EngineRepair, audit, 1, 9},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			cfg := workload.ConfigFor(w, tc.method, core.Static, false)
+			cfg.Engine = tc.engine
+			r, err := core.NewRunner(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
 			if got := r.Set().Chopping(tc.ti).NumPieces(); got != tc.pieces {
 				t.Fatalf("%s chopped into %d pieces, want %d; table changed", tc.name, got, tc.pieces)
 			}

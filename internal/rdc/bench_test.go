@@ -15,7 +15,7 @@ import (
 // validation window: a parked reader pins `depth` committed writers in
 // the window, then each iteration validates a one-read transaction on
 // an uncontended key. With a linear window scan this is O(depth) per
-// validation; with the per-key version index it is O(readSet).
+// validation; with the store's per-key versions it is O(readSet).
 func BenchmarkValidateDeepWindow(b *testing.B) {
 	for _, pc := range policies {
 		for _, depth := range []int{64, 1024, 4096} {

@@ -10,10 +10,11 @@
 // Execution is optimistic with fine-grained provenance:
 //
 //   - Read phase: every operation records where its input value came
-//     from — a committed version of its key (tracked by a per-key
-//     last-committed-version counter) or an earlier operation of the
-//     same program (reads of own buffered writes thread through the
-//     local workspace). Writes are buffered; reads never block.
+//     from — a committed version of its key (the version the store keeps
+//     in the key's cell, read together with the value) or an earlier
+//     operation of the same program (reads of own buffered writes thread
+//     through the local workspace). Writes are buffered; reads never
+//     block.
 //   - Validation (critical section): an op is stale when its committed
 //     input's version moved, and dirtiness propagates down the local
 //     dependency chain. No stale ops → install as-is. A pure commutative
@@ -113,8 +114,9 @@ type opRec struct {
 	// this op's input (reads of own writes), or -1 when the input came
 	// from the committed store.
 	local int
-	// ver is the committed version of op.Key observed at read time
-	// (local < 0 only). Version 0 means "never written by this engine".
+	// ver is the store version of op.Key read together with in (local < 0
+	// only): the seq of the commit that installed the value, 0 for a value
+	// no commit of an engine stamped, or a negative store restore epoch.
 	ver int64
 	// in and out are the input value used and the value produced (the
 	// written value, or the input itself for reads).
@@ -197,14 +199,10 @@ type Engine struct {
 	inline  int
 	rounds  int
 
-	// vers maps each key to the seq of its last committed write. Read
-	// lock-free during the read phase: the version is loaded BEFORE the
-	// value, and installs bump it AFTER writing the value, so a racing
-	// read can only look stale (and get repaired to the same value),
-	// never silently clean.
-	vers sync.Map // storage.Key → int64
-
-	mu        sync.Mutex
+	mu sync.Mutex
+	// seq is the last commit's sequence number; an install stamps its
+	// writes in the store with it, so the store's cells are the per-key
+	// version index validation reads.
 	seq       int64
 	index     map[storage.Key][]verEntry
 	window    []*commitRec
@@ -214,11 +212,13 @@ type Engine struct {
 }
 
 // NewEngine builds an engine over store under policy; obs may be nil.
+// Its sequence starts past every version already in the store.
 func NewEngine(store *storage.Store, obs txn.Observer, policy Policy) *Engine {
 	e := &Engine{
 		store:  store,
 		obs:    obs,
 		policy: policy,
+		seq:    store.MaxVersion(),
 		index:  make(map[storage.Key][]verEntry),
 		active: make(map[lock.Owner]int64),
 	}
@@ -270,12 +270,10 @@ func (e *Engine) Stats() Stats {
 	return st
 }
 
-// verOf returns key's last committed version (0 if never written here).
+// verOf returns the version k's store cell holds now.
 func (e *Engine) verOf(k storage.Key) int64 {
-	if v, ok := e.vers.Load(k); ok {
-		return v.(int64)
-	}
-	return 0
+	_, ver := e.store.GetVersioned(k)
+	return ver
 }
 
 // Run executes p once under the given ε-spec and class, returning the
@@ -329,8 +327,7 @@ func (e *Engine) Run(
 			rec.local = j
 			rec.in = recs[j].out
 		} else {
-			rec.ver = e.verOf(op.Key) // version first, value second
-			rec.in = e.store.Get(op.Key)
+			rec.in, rec.ver = e.store.GetVersioned(op.Key)
 		}
 		if op.AbortIf != nil && op.AbortIf(rec.in) {
 			if e.obs != nil {
@@ -376,8 +373,7 @@ func (e *Engine) begin(owner lock.Owner) int64 {
 
 // end unregisters and garbage-collects the validation window: committed
 // records no active transaction can conflict with are dropped, and the
-// per-key version chains are pruned alongside. The version counters
-// (vers) are never pruned — staleness checks need them forever.
+// per-key version chains are pruned alongside.
 func (e *Engine) end(owner lock.Owner) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -439,11 +435,12 @@ func (e *Engine) commit(
 				// the local workspace inherit its dirtiness.
 				dirty[i] = dirty[rec.local]
 			} else {
-				moved := e.verOf(rec.op.Key) != rec.ver
+				ver := e.verOf(rec.op.Key)
+				moved := ver != rec.ver
 				if e.policy == Abort {
 					// Snapshot at begin: a commit since then conflicts even
 					// if this op happened to read after it.
-					moved = e.verOf(rec.op.Key) > start
+					moved = moved || ver > start
 				}
 				dirty[i] = moved && !reappliable(recs, i)
 			}
@@ -533,11 +530,11 @@ func (e *Engine) timedRepairPass(owner lock.Owner, recs []opRec, dirty []bool) (
 }
 
 // repairPass re-executes every dirty op in program order: committed
-// inputs are re-read (version before value, as in the read phase),
-// local inputs come from the already-repaired producer, and rollback
-// predicates are re-evaluated on the fresh input — a flipped decision
-// returns txn.ErrRollback. Each re-executed op pays the simulated op
-// cost. Returns the number of ops repaired.
+// inputs are re-read with their versions, local inputs come from the
+// already-repaired producer, and rollback predicates are re-evaluated
+// on the fresh input — a flipped decision returns txn.ErrRollback. Each
+// re-executed op pays the simulated op cost. Returns the number of ops
+// repaired.
 func (e *Engine) repairPass(recs []opRec, dirty []bool) (uint64, error) {
 	var n uint64
 	for i := range recs {
@@ -548,8 +545,7 @@ func (e *Engine) repairPass(recs []opRec, dirty []bool) (uint64, error) {
 		if rec.local >= 0 {
 			rec.in = recs[rec.local].out
 		} else {
-			rec.ver = e.verOf(rec.op.Key)
-			rec.in = e.store.Get(rec.op.Key)
+			rec.in, rec.ver = e.store.GetVersioned(rec.op.Key)
 		}
 		if e.opDelay > 0 {
 			txn.SimWork(e.opDelay)
@@ -666,8 +662,9 @@ func (e *Engine) absorbLocked(
 }
 
 // installLocked emits the observer events with the final values,
-// applies the buffered writes, and records the commit in the version
-// index and validation window. Caller holds e.mu.
+// applies the buffered writes stamped with the commit's seq (each key
+// written once), and records the commit in the version chains and
+// validation window. Caller holds e.mu.
 func (e *Engine) installLocked(
 	owner lock.Owner,
 	spec metric.Spec,
@@ -682,10 +679,12 @@ func (e *Engine) installLocked(
 		if rec.op.Kind == txn.OpWrite {
 			writes++
 		}
-		if e.verOf(rec.op.Key) != rec.ver && reappliable(recs, i) {
-			rec.ver = e.verOf(rec.op.Key)
-			rec.in = e.store.Get(rec.op.Key)
-			rec.out = rec.op.Update(rec.in)
+		if !reappliable(recs, i) {
+			continue
+		}
+		if in, ver := e.store.GetVersioned(rec.op.Key); ver != rec.ver {
+			rec.in, rec.ver = in, ver
+			rec.out = rec.op.Update(in)
 			e.stats.ReApplied++
 		}
 	}
@@ -725,19 +724,15 @@ func (e *Engine) installLocked(
 			}
 		}
 	}
-	for _, w := range batch {
-		e.store.Set(w.Key, w.Value)
-	}
-	if err := e.store.Apply(batch); err != nil {
+	// The seq is spent even if Apply fails: its cells may already carry it.
+	e.seq++
+	if err := e.store.ApplyStamped(batch, e.seq); err != nil {
 		return err
 	}
 	out.Writes = batch
-	e.seq++
 	if len(batch) > 0 {
 		rec := &commitRec{seq: e.seq, owner: owner, writes: wrote, exportLimit: spec.Export}
 		for _, w := range wrote {
-			// Value first (Set above), version second: see vers.
-			e.vers.Store(w.key, e.seq)
 			e.index[w.key] = append(e.index[w.key], verEntry{seq: e.seq, rec: rec})
 		}
 		e.window = append(e.window, rec)

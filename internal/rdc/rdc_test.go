@@ -157,11 +157,11 @@ func TestValidationWindowGC(t *testing.T) {
 		idx := len(e.index)
 		e.mu.Unlock()
 		if idx != 0 {
-			t.Errorf("version index holds %d keys after quiescence", idx)
+			t.Errorf("version chains hold %d keys after quiescence", idx)
 		}
-		// Versions survive GC: a fresh read still validates against them.
-		if e.verOf("x") == 0 {
-			t.Error("version counter pruned with the window")
+		// Versions live in the store cells, which GC does not touch.
+		if got := e.verOf("x"); got != 100 {
+			t.Errorf("x's version = %d after 100 commits, want 100", got)
 		}
 	})
 }
@@ -776,4 +776,105 @@ func TestAbsorptionChargedOnceInLedger(t *testing.T) {
 			t.Fatal("audit group missing from ledger")
 		})
 	}
+}
+
+// ---- store versions ----
+
+// stepFunc adapts a function to txn.StepHook.
+type stepFunc func(txn.Step)
+
+func (f stepFunc) OnStep(s txn.Step) { f(s) }
+
+// onceAt installs a step hook that calls f, once, when owner reaches a
+// step of kind k; f runs on owner's goroutine, outside the engine lock.
+func onceAt(e *Engine, owner lock.Owner, k txn.StepKind, f func()) {
+	var once sync.Once
+	e.SetStepHook(stepFunc(func(s txn.Step) {
+		if s.Owner == owner && s.Kind == k {
+			once.Do(f)
+		}
+	}))
+}
+
+// readXValidated runs `read x` as owner 1 under the Update class (so no
+// ε absorption), with between run after the read and before validation.
+func readXValidated(t *testing.T, e *Engine, between func()) result {
+	t.Helper()
+	onceAt(e, 1, txn.StepCommit, between)
+	out, imported, err := e.Run(context.Background(), 1, txn.MustProgram("r", txn.ReadOp("x")), metric.Strict, txn.Update)
+	return result{out, imported, err}
+}
+
+// TestStoreVersionMovesUnderLiveRead pins that validation reads the
+// version the store cell holds: an install of the read key by another
+// transaction, or a store Restore, between the read and validation makes
+// the read dirty — repaired to the committed value under Repair, a
+// retryable abort under Abort — never clean but stale.
+func TestStoreVersionMovesUnderLiveRead(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		between func(t *testing.T, e *Engine)
+	}{
+		{"install", func(t *testing.T, e *Engine) {
+			commitUpdate(t, e, 2, txn.MustProgram("set", txn.TransformOp("x",
+				func(metric.Value) metric.Value { return 99 }, metric.Infinite)), metric.Strict)
+		}},
+		{"restore", func(t *testing.T, e *Engine) {
+			e.store.Restore(map[storage.Key]metric.Value{"x": 99})
+		}},
+	} {
+		t.Run(tc.name+"/repair", func(t *testing.T) {
+			e := newEngineT(map[storage.Key]metric.Value{"x": 10}, Repair)
+			e.SetVerify(true)
+			r := readXValidated(t, e, func() { tc.between(t, e) })
+			if r.err != nil {
+				t.Fatalf("err = %v, want a repaired commit", r.err)
+			}
+			if got := r.out.Reads; len(got) != 1 || got[0].Value != 99 {
+				t.Errorf("reads = %+v, want x repaired to 99", got)
+			}
+			if st := e.Stats(); st.Repairs != 1 || st.RepairedOps != 1 {
+				t.Errorf("stats = %+v, want one repair of one op", st)
+			}
+			if msg := e.VerifyFailure(); msg != "" {
+				t.Errorf("verify: %s", msg)
+			}
+		})
+		t.Run(tc.name+"/abort", func(t *testing.T) {
+			e := newEngineT(map[storage.Key]metric.Value{"x": 10}, Abort)
+			if r := readXValidated(t, e, func() { tc.between(t, e) }); !e.Retryable(r.err) {
+				t.Fatalf("err = %v, want a retryable validation abort", r.err)
+			}
+		})
+	}
+}
+
+// TestAbortSnapshotIsBegin pins the abort policy's snapshot check against
+// the store's versions: a key installed after the transaction began is
+// stale even when the read came after the install and saw its value.
+// The repair policy validates the version the read saw, so the same
+// schedule commits there without repair.
+func TestAbortSnapshotIsBegin(t *testing.T) {
+	forEachPolicy(t, func(t *testing.T, policy Policy) {
+		e := newEngineT(map[storage.Key]metric.Value{"x": 10}, policy)
+		onceAt(e, 1, txn.StepApply, func() {
+			commitUpdate(t, e, 2, txn.MustProgram("bump", txn.AddOp("x", 5)), metric.Strict)
+		})
+		out, _, err := e.Run(context.Background(), 1, txn.MustProgram("r", txn.ReadOp("x")), metric.Strict, txn.Update)
+		if policy == Abort {
+			if !e.Retryable(err) {
+				t.Fatalf("err = %v, want a retryable abort (x committed since begin)", err)
+			}
+			return
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := out.Reads; len(got) != 1 || got[0].Value != 15 {
+			t.Errorf("reads = %+v, want x = 15", got)
+		}
+		if st := e.Stats(); st.Repairs != 0 {
+			t.Errorf("Repairs = %d, want 0: the read saw the installed version", st.Repairs)
+		}
+	})
 }

@@ -8,6 +8,25 @@
 // sites a durable-state notion for crash/restore simulation: state
 // reconstructed from the journal is exactly the committed state.
 //
+// # Versions
+//
+// Each key's cell holds its value and a version, read together by
+// GetVersioned under one shard lock. The optimistic engine validates a
+// read by comparing versions, so the rules are about one thing: a cell
+// whose value may have changed since a reader saw it must not show the
+// version that reader saw.
+//
+//   - ApplyStamped writes each key with the caller's positive version
+//     (the optimistic engine's commit sequence).
+//   - Set and Apply are unstamped: they write version 0 without reading
+//     the cell. Two unstamped writes to a key are indistinguishable by
+//     version, so a raw writer and a version-validating reader must not
+//     share keys.
+//   - Restore, Recover and NewRecovered stamp every cell with a fresh
+//     negative restore epoch, which no earlier read of the store (or of
+//     the store recovered from) can hold. CompactJournal touches only
+//     the journal.
+//
 // # Striping
 //
 // The live map is sharded by key hash; the journal is sharded
@@ -55,10 +74,17 @@ type JournalEntry struct {
 	Checkpoint bool
 }
 
+// cell is one key's live state: its value and its version (see
+// Versions in the package doc).
+type cell struct {
+	v   metric.Value
+	ver int64
+}
+
 // dataShard is one shard of the live map.
 type dataShard struct {
 	mu   sync.RWMutex
-	data map[Key]metric.Value
+	data map[Key]cell
 }
 
 // journalShard is one shard of the committed-batch journal.
@@ -98,6 +124,7 @@ type Store struct {
 	jlimit  atomic.Int64  // soft cap (0 = unlimited)
 	compact sync.Mutex    // serializes compactions
 	sink    atomic.Value  // CommitSink, set at most once before use
+	epochs  atomic.Int64  // restore epochs handed out (cells hold -epoch)
 }
 
 // New returns an empty store.
@@ -107,7 +134,7 @@ func New() *Store {
 		jshards: make([]*journalShard, DefaultShards),
 	}
 	for i := range s.shards {
-		s.shards[i] = &dataShard{data: make(map[Key]metric.Value)}
+		s.shards[i] = &dataShard{data: make(map[Key]cell)}
 	}
 	for i := range s.jshards {
 		s.jshards[i] = &journalShard{}
@@ -153,11 +180,34 @@ func (s *Store) shardFor(k Key) *dataShard {
 // metric space's natural zero (an account that does not exist holds no
 // money).
 func (s *Store) Get(k Key) metric.Value {
+	v, _ := s.GetVersioned(k)
+	return v
+}
+
+// GetVersioned returns k's value and version, read under one shard lock.
+// A missing key reads as (0, 0).
+func (s *Store) GetVersioned(k Key) (metric.Value, int64) {
 	sh := s.shardFor(k)
 	sh.mu.RLock()
-	v := sh.data[k]
+	c := sh.data[k]
 	sh.mu.RUnlock()
-	return v
+	return c.v, c.ver
+}
+
+// MaxVersion returns the highest version any cell holds (0 when no cell
+// is stamped). An optimistic engine built over a store that another
+// engine stamped starts its sequence here, so its "committed since my
+// snapshot" checks do not mistake the old stamps for new commits.
+func (s *Store) MaxVersion() int64 {
+	s.lockAllData()
+	defer s.unlockAllData()
+	var hi int64
+	for _, sh := range s.shards {
+		for _, c := range sh.data {
+			hi = max(hi, c.ver)
+		}
+	}
+	return hi
 }
 
 // Has reports whether k has ever been written.
@@ -169,28 +219,49 @@ func (s *Store) Has(k Key) bool {
 	return ok
 }
 
-// Set assigns k := v without journaling. It is the raw cell update used by
-// in-flight transactions; the transaction layer journals the final batch at
-// commit via Apply, and undoes via Set on abort.
+// Set assigns k := v without journaling and clears k's version to 0. It
+// is the raw cell update used by in-flight transactions; the transaction
+// layer journals the final batch at commit via Apply, and undoes via Set
+// on abort.
 func (s *Store) Set(k Key, v metric.Value) {
+	s.put(k, cell{v: v})
+}
+
+// put writes c into k's cell: one map write, the old cell is never read.
+func (s *Store) put(k Key, c cell) {
 	sh := s.shardFor(k)
 	sh.mu.Lock()
-	sh.data[k] = v
+	sh.data[k] = c
 	sh.mu.Unlock()
 }
 
-// Apply journals an atomic committed batch. Values must already be present
-// in the live map when the batch comes from an in-place committer; Apply
-// also (re)assigns them so it works for both write-through and deferred
-// writers.
+// Apply journals an atomic committed batch, unstamped: every written key's
+// version becomes 0. Values must already be present in the live map when
+// the batch comes from an in-place committer; Apply also (re)assigns them
+// so it works for both write-through and deferred writers.
 func (s *Store) Apply(writes []Write) error {
+	return s.apply(writes, 0)
+}
+
+// ApplyStamped is Apply for a deferred writer that versions its commits:
+// each key is written once, with version ver, which must be positive.
+func (s *Store) ApplyStamped(writes []Write, ver int64) error {
+	if ver <= 0 {
+		panic(fmt.Sprintf("storage: ApplyStamped with version %d", ver))
+	}
+	return s.apply(writes, ver)
+}
+
+// apply is Apply and ApplyStamped: it writes every key's cell, then
+// journals the batch.
+func (s *Store) apply(writes []Write, ver int64) error {
 	if len(writes) == 0 {
 		return nil
 	}
 	cp := make([]Write, len(writes))
 	copy(cp, writes)
 	for _, w := range cp {
-		s.Set(w.Key, w.Value)
+		s.put(w.Key, cell{v: w.Value, ver: ver})
 	}
 	js := s.jshards[s.nextJS.Add(1)%uint64(len(s.jshards))]
 	js.mu.Lock()
@@ -276,8 +347,8 @@ func (s *Store) Snapshot() map[Key]metric.Value {
 	defer s.unlockAllData()
 	snap := make(map[Key]metric.Value)
 	for _, sh := range s.shards {
-		for k, v := range sh.data {
-			snap[k] = v
+		for k, c := range sh.data {
+			snap[k] = c.v
 		}
 	}
 	return snap
@@ -289,14 +360,16 @@ func (s *Store) Snapshot() map[Key]metric.Value {
 // that the restored state has already forgotten, and a later
 // CompactJournal (or Recover) would fold those future writes back into
 // the old state. The checkpoint's LSN is the current high-water mark so
-// LSNs stay monotonic for writes committed after the restore.
+// LSNs stay monotonic for writes committed after the restore. Every
+// restored cell carries a fresh restore epoch as its version.
 func (s *Store) Restore(snap map[Key]metric.Value) {
 	for _, sh := range s.shards {
 		sh.mu.Lock()
-		sh.data = make(map[Key]metric.Value)
+		sh.data = make(map[Key]cell)
 	}
+	ver := s.newEpoch()
 	for k, v := range snap {
-		s.shardFor(k).data[k] = v
+		s.shardFor(k).data[k] = cell{v: v, ver: ver}
 	}
 	s.lockAllJournal()
 	for _, js := range s.jshards {
@@ -354,18 +427,25 @@ func (s *Store) Journal() []JournalEntry {
 	return s.mergedJournalLocked()
 }
 
+// newEpoch hands out the version of the next restore: negative, so it
+// never equals a stamped or unstamped version, and new each time.
+func (s *Store) newEpoch() int64 { return -s.epochs.Add(1) }
+
 // Recover builds a fresh store whose state replays the journal: the
 // durable, committed state as of the crash. Uncommitted Set calls made by
 // in-flight transactions are lost, exactly as a write-ahead-logged store
-// would lose dirty pages whose transactions never committed.
+// would lose dirty pages whose transactions never committed. The
+// recovered cells carry a restore epoch past every one s handed out.
 func (s *Store) Recover() *Store {
 	entries := s.Journal()
 	r := New()
 	r.jlimit.Store(s.jlimit.Load())
+	r.epochs.Store(s.epochs.Load())
+	ver := r.newEpoch()
 	var maxLSN uint64
 	for _, entry := range entries {
 		for _, w := range entry.Writes {
-			r.shardFor(w.Key).data[w.Key] = w.Value
+			r.shardFor(w.Key).data[w.Key] = cell{v: w.Value, ver: ver}
 		}
 		js := r.jshards[r.nextJS.Add(1)%uint64(len(r.jshards))]
 		js.entries = append(js.entries, entry)
@@ -385,14 +465,15 @@ func (s *Store) Recover() *Store {
 // replays base then entries, the journal holds a checkpoint for base
 // plus the entries, and the LSN counter resumes past the highest
 // recovered LSN. Entries at or below baseLSN are skipped — the snapshot
-// already folds them.
+// already folds them. The cells carry the new store's first restore epoch.
 func NewRecovered(base map[Key]metric.Value, baseLSN uint64, entries []JournalEntry) *Store {
 	r := New()
+	ver := r.newEpoch()
 	maxLSN := baseLSN
 	if len(base) > 0 {
 		writes := make([]Write, 0, len(base))
 		for k, v := range base {
-			r.shardFor(k).data[k] = v
+			r.shardFor(k).data[k] = cell{v: v, ver: ver}
 			writes = append(writes, Write{Key: k, Value: v})
 		}
 		sort.Slice(writes, func(i, j int) bool { return writes[i].Key < writes[j].Key })
@@ -409,7 +490,7 @@ func NewRecovered(base map[Key]metric.Value, baseLSN uint64, entries []JournalEn
 			continue
 		}
 		for _, w := range entry.Writes {
-			r.shardFor(w.Key).data[w.Key] = w.Value
+			r.shardFor(w.Key).data[w.Key] = cell{v: w.Value, ver: ver}
 		}
 		js := r.jshards[r.nextJS.Add(1)%uint64(len(r.jshards))]
 		js.entries = append(js.entries, entry)
@@ -520,14 +601,9 @@ func (s *Store) Sum(keys []Key) metric.Value {
 	defer s.unlockAllData()
 	var total metric.Value
 	for _, k := range keys {
-		total += s.shardForNoLock(k)[k]
+		total += s.shardFor(k).data[k].v
 	}
 	return total
-}
-
-// shardForNoLock returns k's shard map; callers hold the shard locks.
-func (s *Store) shardForNoLock(k Key) map[Key]metric.Value {
-	return s.shardFor(k).data
 }
 
 // SumAll returns the total over every key present.
@@ -536,8 +612,8 @@ func (s *Store) SumAll() metric.Value {
 	defer s.unlockAllData()
 	var total metric.Value
 	for _, sh := range s.shards {
-		for _, v := range sh.data {
-			total += v
+		for _, c := range sh.data {
+			total += c.v
 		}
 	}
 	return total

@@ -1,0 +1,224 @@
+package storage
+
+import (
+	"fmt"
+	"sync"
+	"sync/atomic"
+	"testing"
+
+	"asynctp/internal/metric"
+)
+
+// TestVersionRules checks each writer's effect on the cell versions
+// against the rules in the package doc, and on every case the invariant
+// the optimistic engine relies on: a cell whose value changed never
+// shows the version it had before.
+func TestVersionRules(t *testing.T) {
+	keys := []Key{"a", "b", "c"}
+	// base holds a stamped cell (a), a raw uncommitted write (b) and an
+	// unstamped seeded cell (c).
+	base := func() *Store {
+		s := NewFrom(map[Key]metric.Value{"a": 1, "b": 2, "c": 3})
+		if err := s.ApplyStamped([]Write{{Key: "a", Value: 10}}, 5); err != nil {
+			t.Fatal(err)
+		}
+		s.Set("b", 20)
+		return s
+	}
+	changeA := func(s *Store) map[Key]metric.Value {
+		snap := s.Snapshot()
+		snap["a"]++
+		return snap
+	}
+	for _, tc := range []struct {
+		name string
+		prep func(s *Store) // before the versions are read
+		op   func(s *Store) *Store
+		// want lists exact versions after op; unlisted keys keep theirs.
+		want map[Key]int64
+		// fresh: every cell instead carries one new negative epoch.
+		fresh bool
+	}{
+		{name: "stamped Apply sets the version",
+			op: func(s *Store) *Store {
+				must(t, s.ApplyStamped([]Write{{Key: "a", Value: 11}, {Key: "c", Value: 4}}, 6))
+				return s
+			},
+			want: map[Key]int64{"a": 6, "c": 6}},
+		{name: "Set clears the version",
+			op:   func(s *Store) *Store { s.Set("a", 12); return s },
+			want: map[Key]int64{"a": 0}},
+		{name: "unstamped Apply clears the version",
+			op:   func(s *Store) *Store { must(t, s.Apply([]Write{{Key: "a", Value: 13}})); return s },
+			want: map[Key]int64{"a": 0}},
+		{name: "Restore stamps an epoch, changed or not",
+			op:    func(s *Store) *Store { s.Restore(changeA(s)); return s },
+			fresh: true},
+		{name: "second Restore stamps a new epoch",
+			prep:  func(s *Store) { s.Restore(s.Snapshot()) },
+			op:    func(s *Store) *Store { s.Restore(s.Snapshot()); return s },
+			fresh: true},
+		{name: "Recover drops the raw write under a new epoch",
+			op:    func(s *Store) *Store { return s.Recover() },
+			fresh: true},
+		{name: "Recover after Restore outruns its epoch",
+			prep:  func(s *Store) { s.Restore(s.Snapshot()) },
+			op:    func(s *Store) *Store { return s.Recover() },
+			fresh: true},
+		{name: "NewRecovered stamps an epoch",
+			op: func(s *Store) *Store {
+				return NewRecovered(changeA(s), s.LastLSN(), nil)
+			},
+			fresh: true},
+		{name: "NewRecovered replays entries under the epoch",
+			op: func(s *Store) *Store {
+				tail := []JournalEntry{{LSN: s.LastLSN() + 1, Writes: []Write{{Key: "c", Value: 30}}}}
+				return NewRecovered(s.Snapshot(), s.LastLSN(), tail)
+			},
+			fresh: true},
+		{name: "CompactJournal leaves cells alone",
+			op:   func(s *Store) *Store { s.CompactJournal(s.LastLSN()); return s },
+			want: map[Key]int64{}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := base()
+			if tc.prep != nil {
+				tc.prep(s)
+			}
+			type pair struct {
+				v   metric.Value
+				ver int64
+			}
+			before := map[Key]pair{}
+			for _, k := range keys {
+				v, ver := s.GetVersioned(k)
+				before[k] = pair{v, ver}
+			}
+			after := tc.op(s)
+			var epoch int64
+			for _, k := range keys {
+				v, ver := after.GetVersioned(k)
+				if v != after.Get(k) {
+					t.Fatalf("%s: GetVersioned value %d, Get %d", k, v, after.Get(k))
+				}
+				was := before[k]
+				if v != was.v && ver == was.ver {
+					t.Errorf("%s: value %d → %d under unchanged version %d", k, was.v, v, ver)
+				}
+				switch want, listed := tc.want[k]; {
+				case tc.fresh:
+					if epoch == 0 {
+						epoch = ver
+					}
+					if ver >= 0 || ver != epoch {
+						t.Errorf("%s: version %d, want one negative epoch (first cell %d)", k, ver, epoch)
+					}
+					for _, p := range before {
+						if ver == p.ver {
+							t.Errorf("%s: epoch %d reuses a version read before", k, ver)
+						}
+					}
+				case listed && ver != want:
+					t.Errorf("%s: version %d, want %d", k, ver, want)
+				case !listed && ver != was.ver:
+					t.Errorf("%s: version %d → %d, want it kept", k, was.ver, ver)
+				}
+			}
+		})
+	}
+}
+
+func must(t *testing.T, err error) {
+	t.Helper()
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestApplyStampedRejectsNonPositiveVersion(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("ApplyStamped(…, 0) did not panic")
+		}
+	}()
+	_ = New().ApplyStamped([]Write{{Key: "x", Value: 1}}, 0)
+}
+
+// TestVersionedReadsSeeInstalledPairs races versioned readers against
+// stamped applies: every (value, version) pair a reader observes must be
+// one some apply wrote (or the seeded cell), never a value with another
+// apply's version.
+func TestVersionedReadsSeeInstalledPairs(t *testing.T) {
+	const (
+		nKeys    = 4
+		writers  = 4
+		applies  = 500
+		readers  = 4
+		seedBase = 7
+	)
+	keys := make([]Key, nKeys)
+	init := map[Key]metric.Value{}
+	for i := range keys {
+		keys[i] = Key(fmt.Sprintf("k%d", i))
+		init[keys[i]] = seedBase
+	}
+	// valueOf is the value stamp ver writes to key i: recoverable from
+	// the pair alone, so a reader can check what it saw.
+	valueOf := func(ver int64, i int) metric.Value { return metric.Value(ver*nKeys + int64(i)) }
+	s := NewFrom(init)
+	s.SetJournalLimit(64)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	errs := make(chan error, readers)
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				for i, k := range keys {
+					v, ver := s.GetVersioned(k)
+					if (ver == 0 && v != seedBase) || (ver != 0 && v != valueOf(ver, i)) {
+						errs <- fmt.Errorf("%s: read (%d, %d), which no apply wrote", k, v, ver)
+						return
+					}
+				}
+			}
+		}()
+	}
+	var ww sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		ww.Add(1)
+		go func() {
+			defer ww.Done()
+			for n := 0; n < applies; n++ {
+				ver := next.Add(1)
+				batch := make([]Write, nKeys)
+				for i, k := range keys {
+					batch[i] = Write{Key: k, Value: valueOf(ver, i)}
+				}
+				if err := s.ApplyStamped(batch, ver); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	ww.Wait()
+	close(stop)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	last := next.Add(1)
+	must(t, s.ApplyStamped([]Write{{Key: keys[0], Value: valueOf(last, 0)}}, last))
+	if got := s.MaxVersion(); got != last {
+		t.Errorf("MaxVersion = %d, want the last stamp %d", got, last)
+	}
+}
