@@ -238,3 +238,126 @@ func TestSnapshotVersionsAscendAcrossRestore(t *testing.T) {
 		t.Errorf("first image after restoring version %d has version %d", b.Version, c.Version)
 	}
 }
+
+// TestSendHeldUntilPersist: under a persist barrier a committed message
+// stays off the wire — the retransmitter skips it too — until Persist
+// has made an image holding it durable. A failed persist keeps it held,
+// and a Restore drops it.
+func TestSendHeldUntilPersist(t *testing.T) {
+	probe := &persistProbe{}
+	wire := &capture{}
+	la := NewManager("LA", wire, time.Millisecond, WithFlushDelay(0), WithPersist(probe.persist))
+	defer la.Close()
+	send := func(inst uint64) {
+		buf := la.Buffer()
+		buf.Enqueue("NY", "pieces", statePayload{Inst: inst})
+		la.CommitSend(buf)
+	}
+
+	send(1)
+	time.Sleep(5 * time.Millisecond) // several retransmit ticks
+	if got := len(wire.take()); got != 0 {
+		t.Fatalf("%d frames left before any persist", got)
+	}
+	probe.setFail(errors.New("disk full"))
+	if err := la.Persist(); err == nil {
+		t.Fatal("Persist hid the backend's error")
+	}
+	if got := len(wire.take()); got != 0 {
+		t.Fatalf("%d frames left after a failed persist", got)
+	}
+	probe.setFail(nil)
+	if err := la.Persist(); err != nil {
+		t.Fatal(err)
+	}
+	if len(probe.last.Outbox) != 1 {
+		t.Fatalf("persisted image holds %d outbox entries, want the held message", len(probe.last.Outbox))
+	}
+	if frames := wire.take(); len(frames) != 1 || len(frames[0].Payload.(BatchFrame).Msgs) != 1 {
+		t.Fatalf("after the persist: %+v, want one frame with the message", frames)
+	}
+
+	send(2)
+	la.Restore(State{})
+	if err := la.Persist(); err != nil {
+		t.Fatal(err)
+	}
+	if frames := wire.take(); len(frames) != 0 {
+		t.Errorf("a message held across a Restore was sent: %+v", frames)
+	}
+}
+
+// durableWire is a Sender and a persist callback in one: it remembers
+// every outbox entry an image has held by the time persist returned,
+// and reports a frame carrying a message none did.
+type durableWire struct {
+	t       *testing.T
+	mu      sync.Mutex
+	durable map[string]bool
+	sent    int
+}
+
+func (w *durableWire) persist(st State) error {
+	w.mu.Lock()
+	for id := range st.Outbox {
+		w.durable[id] = true
+	}
+	w.mu.Unlock()
+	return nil
+}
+
+func (w *durableWire) Send(msg simnet.Message) error {
+	frame, ok := msg.Payload.(BatchFrame)
+	if !ok {
+		return nil
+	}
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	for _, m := range frame.Msgs {
+		if !w.durable[m.ID] {
+			w.t.Errorf("%s left before an image held it", m.ID)
+		}
+		w.sent++
+	}
+	return nil
+}
+
+// TestConcurrentCommitAndPersist races committers, each persisting after
+// its send, against receive barriers on the same endpoint (run under
+// -race): every message leaves exactly once, and never ahead of an image
+// holding it.
+func TestConcurrentCommitAndPersist(t *testing.T) {
+	const committers, each = 4, 50
+	_, frames := framesFrom(t, "CHI", each)
+	wire := &durableWire{t: t, durable: make(map[string]bool)}
+	la := NewManager("LA", wire, time.Hour, WithFlushDelay(0), WithPersist(wire.persist))
+	defer la.Close()
+	var wg sync.WaitGroup
+	for g := 0; g < committers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				buf := la.Buffer()
+				buf.Enqueue("NY", "pieces", statePayload{Inst: uint64(g*each + i)})
+				la.CommitSend(buf)
+				if err := la.Persist(); err != nil {
+					t.Error(err)
+				}
+			}
+		}(g)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for _, f := range frames {
+			la.Handle(f)
+		}
+	}()
+	wg.Wait()
+	wire.mu.Lock()
+	defer wire.mu.Unlock()
+	if wire.sent != committers*each {
+		t.Errorf("%d messages sent, want each of the %d once", wire.sent, committers*each)
+	}
+}

@@ -23,9 +23,11 @@
 // destination (size- and delay-bounded) into a single queue.enq.batch
 // frame; receivers acknowledge a whole frame with one cumulative
 // queue.ack.batch and piggyback pending acks on outgoing data frames.
-// A receiver with a durable image (WithPersist) admits every frame it
-// was handed together, persists one image and only then stages their
-// acks (HandleAll).
+// An endpoint with a durable image (WithPersist) holds both directions
+// behind one barrier: a receiver admits every frame it was handed
+// together, persists one image and only then stages their acks
+// (HandleAll), and a sender keeps committed messages off the wire until
+// an image holding them is durable (Persist).
 // Unacknowledged messages are retransmitted per-message on a deadline
 // with exponential backoff (batched by destination when due), instead
 // of re-sending the entire outbox every tick. WithLegacyWire restores
@@ -146,6 +148,9 @@ type outMsg struct {
 	backoff time.Duration
 	// attempts counts (re)transmissions after the first flush.
 	attempts int
+	// held marks a committed message waiting for the persist barrier:
+	// no image holding it is durable yet, so it must not leave the site.
+	held bool
 }
 
 // TxBuffer stages messages inside a transaction. It is not safe for
@@ -268,7 +273,10 @@ func WithMaxBackoff(d time.Duration) Option {
 // frame per message, an immediate KindAck per receipt, and
 // full-outbox retransmission every tick with no backoff. Kept as the
 // measured baseline for the batched pipeline (cmd/distbench) and as a
-// compatibility reference — every endpoint accepts both dialects.
+// compatibility reference — every endpoint accepts both dialects. The
+// legacy dialect keeps its per-commit send: it never holds a message
+// for the persist barrier, so its frames can leave before the image
+// holding them is durable.
 func WithLegacyWire() Option {
 	return func(m *Manager) { m.legacy = true }
 }
@@ -319,11 +327,18 @@ type Manager struct {
 	// pendingAcks is the per-destination cumulative-ack buffer.
 	pendingAcks map[simnet.SiteID][]string
 	flushArmed  bool
+	// held lists the committed messages waiting for the persist barrier
+	// (WithPersist), in commit order. Volatile, like the coalescing
+	// buffers: a crash drops them, and the outbox of the durable image
+	// is all a restart knows.
+	held []*outMsg
 	// version numbers the snapshots taken (State.Version). dirtyAt is
-	// its value when a message was last admitted or the state restored,
-	// durable the newest version persist has returned nil for: while
-	// durable > dirtyAt every admitted message is in a durable image,
-	// and a frame of duplicates may be re-acked without a new one.
+	// its value when the state last changed in a way the next image must
+	// capture — a message admitted, a send committed, a delivery
+	// consumed, the state restored — and durable the newest version
+	// persist has returned nil for. While durable > dirtyAt a durable
+	// image holds everything, and a frame of duplicates may be re-acked
+	// without a new one.
 	version, dirtyAt, durable uint64
 
 	stop chan struct{}
@@ -428,7 +443,7 @@ func (m *Manager) retransmitDue() {
 	}
 	byDest := make(map[simnet.SiteID][]Msg)
 	for _, om := range m.outbox {
-		if om.nextSend.After(now) {
+		if om.held || om.nextSend.After(now) {
 			continue
 		}
 		om.attempts++
@@ -488,38 +503,41 @@ func (m *Manager) framesForLocked(to simnet.SiteID, msgs []Msg, acks []string) [
 // Buffer returns a fresh transactional staging buffer.
 func (m *Manager) Buffer() *TxBuffer { return &TxBuffer{} }
 
-// CommitSend makes the buffer's messages durable and deliverable: the
+// CommitSend makes the buffer's messages committed and deliverable: the
 // moment the sending piece commits. The messages enter the outbox (they
-// now survive crashes via Snapshot/Restore) and the per-destination
-// coalescing buffer; the buffer flushes immediately when a destination
-// reaches the batch cap (or the flush delay is zero), else after the
-// coalescing window.
+// survive crashes once an image holding them is durable, see
+// Snapshot/Restore). Under a persist barrier (WithPersist) they are
+// held off the wire until Persist — or a receive barrier — has made
+// such an image durable; otherwise they enter the per-destination
+// coalescing buffer at once. The buffer flushes immediately when a
+// destination reaches the batch cap (or the flush delay is zero), else
+// after the coalescing window.
 func (m *Manager) CommitSend(b *TxBuffer) {
 	m.mu.Lock()
 	now := time.Now()
-	flushNow := m.flushDelay <= 0
+	hold := m.persist != nil && !m.legacy
+	full := false
 	for _, om := range b.staged {
 		m.nextSeq[om.to]++
 		seq := m.nextSeq[om.to]
 		om.msg.Seq = seq
 		om.msg.ID = fmt.Sprintf("%s>%s-%d", m.site, om.to, seq)
 		om.msg.From = m.site
-		o := &outMsg{msg: om.msg, to: om.to, nextSend: now.Add(m.interval), backoff: m.interval}
+		o := &outMsg{msg: om.msg, to: om.to, nextSend: now.Add(m.interval), backoff: m.interval, held: hold}
 		m.outbox[o.msg.ID] = o
 		if m.obs != nil {
 			m.obs.Sent(om.to, o.msg)
 		}
-		if m.legacy {
-			continue
-		}
-		m.pendingOut[om.to] = append(m.pendingOut[om.to], o.msg.ID)
-		if len(m.pendingOut[om.to]) >= m.maxBatch {
-			flushNow = true
+		switch {
+		case m.legacy:
+		case hold:
+			m.held = append(m.held, o)
+		default:
+			full = m.pendLocked(o) || full
 		}
 	}
-	if !m.legacy && !flushNow {
-		m.armFlushLocked()
-	}
+	m.dirtyAt = m.version
+	flushNow := !m.legacy && !hold && m.scheduleLocked(full)
 	m.mu.Unlock()
 	b.staged = nil
 	if m.legacy {
@@ -531,6 +549,26 @@ func (m *Manager) CommitSend(b *TxBuffer) {
 	if flushNow {
 		m.flush()
 	}
+}
+
+// pendLocked puts a committed message into its destination's coalescing
+// buffer and reports whether that buffer reached the batch cap. Callers
+// hold m.mu.
+func (m *Manager) pendLocked(o *outMsg) bool {
+	m.pendingOut[o.to] = append(m.pendingOut[o.to], o.msg.ID)
+	return len(m.pendingOut[o.to]) >= m.maxBatch
+}
+
+// scheduleLocked arranges for the coalescing buffers to go out: after
+// the window, or — when a buffer is full or the window is zero — now,
+// which it asks of the caller by returning true (flush runs after
+// m.mu is released). Callers hold m.mu.
+func (m *Manager) scheduleLocked(full bool) bool {
+	if full || m.flushDelay <= 0 {
+		return true
+	}
+	m.armFlushLocked()
+	return false
 }
 
 // armFlushLocked schedules a flush after the coalescing window unless
@@ -655,13 +693,15 @@ func (m *Manager) Handle(msg simnet.Message) {
 // HandleAll processes queue-layer messages that arrived together (the
 // site's dispatch loop routes Kind == queue.* here, see IsQueueKind;
 // other kinds are ignored). Every frame's messages are admitted and its
-// piggybacked acks applied under one lock; then ONE snapshot is
-// persisted (WithPersist), and only after persist returns nil are the
-// frames' acknowledgements staged, frame by frame, so each sender's
-// acks keep their order. The senders delete their outbox copies on ack,
-// so the admitted messages must be in the durable image first: on a
-// persist error no frame of the group is acknowledged, the senders
-// retransmit, and the watermark dedup absorbs the redelivery.
+// piggybacked acks applied under one lock; then ONE image passes the
+// persist barrier (WithPersist, see Persist), and only after it is
+// durable are the frames' acknowledgements staged, frame by frame, so
+// each sender's acks keep their order. The senders delete their outbox
+// copies on ack, so the admitted messages must be in the durable image
+// first: on a persist error no frame of the group is acknowledged, the
+// senders retransmit, and the watermark dedup absorbs the redelivery. A
+// group that admits nothing new needs no new image when a durable one
+// already holds everything.
 func (m *Manager) HandleAll(msgs []simnet.Message) {
 	// acked lists, per enqueue frame in arrival order, the IDs to
 	// acknowledge — duplicates included, since the previous ack may
@@ -709,25 +749,14 @@ func (m *Manager) HandleAll(msgs []simnet.Message) {
 			}
 		}
 	}
-	// A group that admitted nothing new needs no new image, provided an
-	// image holding everything admitted so far is already durable.
-	barrier := len(acked) > 0 && m.persist != nil && m.durable <= m.dirtyAt
-	var snap State
-	if barrier {
-		snap = m.snapshotLocked()
-	}
-	m.mu.Unlock()
 	if len(acked) == 0 {
+		m.mu.Unlock()
 		return
 	}
-	if barrier {
-		if err := m.persist(snap); err != nil {
-			return
-		}
-	}
-	m.mu.Lock()
-	if barrier && snap.Version > m.durable {
-		m.durable = snap.Version
+	flushNow, err := m.barrierLocked()
+	if err != nil {
+		m.mu.Unlock()
+		return
 	}
 	// A batch frame's cumulative ack rides the next outgoing batch to
 	// its sender if one is pending, else a standalone ack frame after
@@ -741,11 +770,8 @@ func (m *Manager) HandleAll(msgs []simnet.Message) {
 		}
 		m.pendingAcks[a.to] = append(m.pendingAcks[a.to], a.ids...)
 	}
-	flushNow := false
-	if len(legacy) < len(acked) {
-		if flushNow = m.flushDelay <= 0; !flushNow {
-			m.armFlushLocked()
-		}
+	if len(legacy) < len(acked) && m.scheduleLocked(false) {
+		flushNow = true
 	}
 	m.mu.Unlock()
 	for _, ack := range legacy {
@@ -754,6 +780,64 @@ func (m *Manager) HandleAll(msgs []simnet.Message) {
 	if flushNow {
 		m.flush()
 	}
+}
+
+// Persist is the send-side half of the persist barrier (WithPersist):
+// it makes one image holding every committed send, admitted message and
+// consumed delivery so far durable, and only then releases the sends it
+// holds into the coalescing window. A sender that crashes before the
+// image is durable therefore never had those messages on the wire, and
+// its recovered outbox cannot re-mint a sequence number a receiver has
+// already acknowledged. It returns the persist error; the held sends
+// stay held, so a caller that cannot retry must fail-stop. Without a
+// barrier installed it does nothing.
+func (m *Manager) Persist() error {
+	m.mu.Lock()
+	flushNow, err := m.barrierLocked()
+	m.mu.Unlock()
+	if flushNow {
+		m.flush()
+	}
+	return err
+}
+
+// barrierLocked is the durability barrier HandleAll and Persist share.
+// When the state changed since the last durable image it snapshots it,
+// persists the image with m.mu released, marks its version durable and
+// releases the held sends the image holds into the coalescing buffers;
+// it reports whether those must flush now (see scheduleLocked). On a
+// persist error the sends stay held. Callers hold m.mu.
+func (m *Manager) barrierLocked() (flushNow bool, err error) {
+	if m.persist == nil || m.durable > m.dirtyAt {
+		return false, nil
+	}
+	snap := m.snapshotLocked()
+	held := m.held
+	m.held = nil
+	m.mu.Unlock()
+	err = m.persist(snap)
+	m.mu.Lock()
+	if err != nil {
+		m.held = append(held, m.held...)
+		return false, err
+	}
+	if snap.Version > m.durable {
+		m.durable = snap.Version
+	}
+	if len(held) == 0 {
+		return false, nil
+	}
+	now := time.Now()
+	full := false
+	for _, o := range held {
+		if m.outbox[o.msg.ID] != o {
+			continue // a Restore replaced the outbox meanwhile
+		}
+		o.held = false
+		o.nextSend = now.Add(m.interval)
+		full = m.pendLocked(o) || full
+	}
+	return m.scheduleLocked(full), nil
 }
 
 // Delivery is one dequeued message pending consumer commit.
@@ -765,6 +849,8 @@ type Delivery struct {
 }
 
 // Ack marks the message consumed: the receiving transaction committed.
+// The next barrier writes a new image even if nothing else changed, so
+// a consumer that persists after acking has its own commit covered.
 func (d *Delivery) Ack() {
 	d.mgr.mu.Lock()
 	defer d.mgr.mu.Unlock()
@@ -773,6 +859,7 @@ func (d *Delivery) Ack() {
 	}
 	d.settled = true
 	delete(d.mgr.inflight, d.Msg.ID)
+	d.mgr.dirtyAt = d.mgr.version
 }
 
 // Nack returns the message to the front of its queue: the receiving
@@ -1008,9 +1095,11 @@ func (m *Manager) Restore(st State) {
 		}
 		m.seen[from] = ss
 	}
-	// The coalescing buffers are volatile: whatever was pending either
-	// made it to the wire or is replayed from the outbox.
+	// The coalescing buffers and the held sends are volatile: whatever
+	// was pending either made it to the wire or is replayed from the
+	// outbox, and a held send is in the outbox only if its image was.
 	m.pendingOut = make(map[simnet.SiteID][]string)
 	m.pendingAcks = make(map[simnet.SiteID][]string)
+	m.held = nil
 	m.wakeAllLocked()
 }

@@ -455,16 +455,21 @@ func DecodeState(data []byte) (State, error) {
 	return st, nil
 }
 
-// WithPersist installs the receive-side durability barrier: after the
-// messages of a group of frames are admitted, the endpoint snapshots
-// its state once and calls persist before staging any of the group's
+// WithPersist installs the durability barrier, persist being the one
+// call that writes the endpoint's image. Receiving: after the messages
+// of a group of frames are admitted, the endpoint snapshots its state
+// once and calls persist before staging any of the group's
 // acknowledgements. Only a successful persist stages acks — on error
 // the senders keep the messages in their outboxes and retransmit, and
-// the watermark dedup absorbs the redelivery. Without this barrier a
-// group-commit fsync slower than the ack coalescing window could
-// acknowledge a message whose durable queue image never hit disk: kill
-// -9 in that window would lose the message at the receiver after the
-// sender forgot it.
+// the watermark dedup absorbs the redelivery. Without it a group-commit
+// fsync slower than the ack coalescing window could acknowledge a
+// message whose durable queue image never hit disk: kill -9 in that
+// window would lose the message at the receiver after the sender forgot
+// it. Sending: CommitSend holds new messages until a barrier (Persist,
+// or a receiving one) has made an image holding them durable. Without
+// that, kill -9 between a frame's send and its image would let the
+// restarted sender mint the same sequence numbers for new messages,
+// which the receiver's watermark then drops as duplicates.
 func WithPersist(persist func(State) error) Option {
 	return func(m *Manager) { m.persist = persist }
 }

@@ -160,6 +160,10 @@ func TestDoneBatchPayloadSettlesTracker(t *testing.T) {
 		{Inst: inst, Piece: 2},
 	}})
 	la.queues.CommitSend(buf)
+	// The committed send is held until an image holding it is durable.
+	if err := la.queues.Persist(); err != nil {
+		t.Fatal(err)
+	}
 	select {
 	case <-tr.done:
 	case <-time.After(10 * time.Second):

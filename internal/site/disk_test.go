@@ -15,13 +15,15 @@ import (
 )
 
 // diskCluster builds the NY/LA/CHI chain cluster over the disk driver
-// rooted at dir. instBase offsets instance IDs for restart incarnations.
-func diskCluster(t *testing.T, dir string, instBase uint64) *Cluster {
+// rooted at dir. instBase offsets instance IDs for restart incarnations;
+// opts adjust the driver's parameters.
+func diskCluster(t *testing.T, dir string, instBase uint64, opts ...func(*driver.Params)) *Cluster {
 	t.Helper()
-	drv, err := driver.New("disk", driver.Params{
-		Dir:       dir,
-		SyncEvery: 200 * time.Microsecond,
-	})
+	params := driver.Params{Dir: dir, SyncEvery: 200 * time.Microsecond}
+	for _, o := range opts {
+		o(&params)
+	}
+	drv, err := driver.New("disk", params)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -288,7 +288,9 @@ func (c *Cluster) RegisterPrograms(programs []*txn.Program) error {
 	// exists, re-stage their successors (no-op on fresh stores).
 	if c.Strategy == ChoppedQueues {
 		for _, s := range c.sites {
-			s.restageOrigins()
+			if err := s.restageOrigins(); err != nil {
+				return fmt.Errorf("site: %s re-staging recovered origins: %w", s.ID, err)
+			}
 		}
 	}
 	return nil
@@ -539,8 +541,17 @@ func (s *Site) commit2PC(txid string) {
 	if pt == nil {
 		return
 	}
-	// The writes are already in place; journal them as committed.
-	_ = s.Store.Apply(pt.batch)
+	// The writes are already in place; journal them as committed and
+	// wait for them to be durable before the decision is acknowledged: no
+	// queue image follows a 2PC commit. A store that can do neither has
+	// crashed.
+	err := s.Store.Apply(pt.batch)
+	if err == nil {
+		err = s.Store.Sync()
+	}
+	if err != nil {
+		s.crashFromWorker()
+	}
 	locks.ReleaseAll(pt.owner)
 	var imported, exported metric.Fuzz
 	if ctl != nil {
@@ -627,6 +638,18 @@ func (c *Cluster) submitChopped(ctx context.Context, ti int, dp *distProgram) (*
 		}
 		return nil, err
 	}
+	// The piece's batch, and the children it staged, are durable before
+	// the caller hears of the commit: one image persist, which also lets
+	// the children onto the wire, or a store sync for a piece that staged
+	// nothing.
+	wait := origin.queues.Persist
+	if len(dp.children[0]) == 0 {
+		wait = origin.Store.Sync
+	}
+	if err := origin.makeDurable(wait, done); err != nil {
+		c.obs.TxnEnd(int64(inst), false)
+		return nil, err
+	}
 	initiation := time.Since(start)
 	c.recordDone(done)
 
@@ -664,9 +687,10 @@ func (c *Cluster) nextInstID() uint64 {
 // successors and report (fault.PointPreReport).
 var errInjectedCrash = errors.New("site: fault-injected crash")
 
-// stageChildren durably enqueues the dependent activations of a
-// committed piece. Safe to repeat: receivers dedup application on
-// (inst, piece) and the origin's tracker dedups reports.
+// stageChildren commits the dependent activations of a committed piece
+// to the queue, where they wait for the site's next persist (durable).
+// Safe to repeat: receivers dedup application on (inst, piece) and the
+// origin's tracker dedups reports.
 func (s *Site) stageChildren(act activation, dp *distProgram) {
 	buf := s.queues.Buffer()
 	obsP := s.cluster.obs
@@ -679,19 +703,34 @@ func (s *Site) stageChildren(act activation, dp *distProgram) {
 		}, ctx)
 	}
 	if buf.Len() > 0 {
-		var t0 int64
-		if obsP.SpansOn() {
-			t0 = time.Now().UnixNano()
-		}
 		s.queues.CommitSend(buf)
-		s.persistQueues()
-		if t0 > 0 {
-			// The durable-enqueue wait (queue image persistence — a real
-			// fsync under the disk driver) is the piece's fsync phase.
-			obsP.SpanFsync(act.Inst, obs.PieceSpanID(act.Inst, act.Piece, false),
-				act.Piece, false, t0, time.Now().UnixNano())
+	}
+}
+
+// makeDurable waits for the pieces reported in done, committed here just
+// before, to be durable together with everything they staged: wait is
+// the queue's persist barrier, which also lets their staged messages
+// onto the wire, or a store sync where no image needs writing. The wait
+// is each piece's fsync phase. A failed wait fail-stops the site: the
+// log refuses every write after an error, so nothing the pieces
+// committed or staged can become durable, and their messages stay held.
+func (s *Site) makeDurable(wait func() error, done ...pieceDone) error {
+	obsP := s.cluster.obs
+	var t0 int64
+	if obsP.SpansOn() {
+		t0 = time.Now().UnixNano()
+	}
+	if err := wait(); err != nil {
+		s.crashFromWorker()
+		return err
+	}
+	if t0 > 0 {
+		t1 := time.Now().UnixNano()
+		for _, d := range done {
+			obsP.SpanFsync(d.Inst, obs.PieceSpanID(d.Inst, d.Piece, d.Comp), d.Piece, d.Comp, t0, t1)
 		}
 	}
+	return nil
 }
 
 // restageOrigins re-stages the successor activations of every origin
@@ -703,13 +742,16 @@ func (s *Site) stageChildren(act activation, dp *distProgram) {
 // children were owed. The marker value carries the program type, and
 // staging is idempotent: downstream dedup collapses re-activations,
 // and trackers of long-settled instances simply ignore the reports.
-func (s *Site) restageOrigins() {
+// One persist covers every re-staged activation; its error is returned
+// with the site fail-stopped.
+func (s *Site) restageOrigins() error {
 	s.cluster.dist.mu.Lock()
 	programs := append([]*distProgram(nil), s.cluster.dist.programs...)
 	s.cluster.dist.mu.Unlock()
 	if len(programs) == 0 {
-		return
+		return nil
 	}
+	staged := false
 	for _, key := range s.Store.Keys() {
 		name := string(key)
 		rest, ok := strings.CutPrefix(name, "__applied/")
@@ -729,13 +771,19 @@ func (s *Site) restageOrigins() {
 			continue
 		}
 		s.stageChildren(activation{Inst: inst, Origin: s.ID, TxType: ti, Piece: 0}, programs[ti])
+		staged = true
 	}
+	if !staged {
+		return nil
+	}
+	return s.makeDurable(s.queues.Persist)
 }
 
 // runPiece executes piece act.Piece of dp at site s, retrying system
 // aborts until commit (resubmission of rollback-safe pieces), then
 // stages the dependent activations through the recoverable queue in the
-// same commit scope. It returns the pieceDone report.
+// same commit scope. It returns the pieceDone report. The caller makes
+// the commit durable (see makeDurable) before anyone hears of it.
 func (s *Site) runPiece(ctx context.Context, act activation, dp *distProgram) (pieceDone, error) {
 	// Exactly-once application: redelivered activations (crash between a
 	// piece's commit and its queue ack) must not re-apply the writes. The
@@ -815,9 +863,9 @@ func (s *Site) runPiece(ctx context.Context, act activation, dp *distProgram) (p
 				h.ShouldCrash(fault.PointPreReport, s.ID, act.Inst, act.Piece, act.Compensate) {
 				return pieceDone{}, errInjectedCrash
 			}
-			// Stage successor activations; CommitSend makes them durable
-			// and deliverable now that the piece has committed.
-			// Compensation pieces have no successors.
+			// Stage successor activations now that the piece has
+			// committed; the caller's persist makes them durable and
+			// sends them. Compensation pieces have no successors.
 			if !act.Compensate {
 				s.stageChildren(act, dp)
 			}
@@ -931,7 +979,9 @@ const (
 // workerLoop consumes piece activations until stopped, draining them in
 // batches of up to s.actBatch to amortize wakeups, settlement reports
 // (one coalesced done-queue message per origin per batch), and the
-// per-consume durable queue snapshot.
+// persist: one image per batch, written after its children and reports
+// are committed and its deliveries acked, makes the batch's pieces
+// durable and releases everything they staged onto the wire.
 func (s *Site) workerLoop(stop <-chan struct{}) {
 	defer s.workerWG.Done()
 	select {
@@ -985,7 +1035,7 @@ func (s *Site) workerLoop(stop <-chan struct{}) {
 		// crash between the two redelivers the activations, and dedup
 		// turns the re-executions into report resends — at-least-once
 		// reports, collapsed at the origin's per-piece tracker.
-		s.flushReports(reports)
+		local := s.flushReports(reports)
 		for i := 0; i < processed; i++ {
 			d := batch.Deliveries[i]
 			if act, ok := d.Msg.Payload.(activation); ok && s.preAckCrash(act) {
@@ -1003,10 +1053,28 @@ func (s *Site) workerLoop(stop <-chan struct{}) {
 			for i := len(batch.Deliveries) - 1; i >= processed; i-- {
 				batch.Deliveries[i].Nack()
 			}
-			s.persistQueues()
+		}
+		var committed []pieceDone
+		if s.cluster.obs.SpansOn() {
+			for _, list := range reports {
+				for _, done := range list {
+					if done.RolledAt == 0 {
+						committed = append(committed, done)
+					}
+				}
+			}
+		}
+		if s.makeDurable(s.queues.Persist, committed...) != nil {
 			return
 		}
-		s.persistQueues()
+		// A local report settles its tracker, so it waits for the persist
+		// that made its piece durable.
+		for _, done := range local {
+			s.cluster.recordDone(done)
+		}
+		if status == actFailed {
+			return
+		}
 	}
 }
 
@@ -1066,11 +1134,11 @@ func rolledMarker(inst uint64, piece int) storage.Key {
 	return storage.Key(fmt.Sprintf("__rolled/%d/%d", inst, piece))
 }
 
-// stageRollback durably stages the compensating activations for the
-// committed predecessors of a rolled-back piece, plus the rollback
-// report to the origin. Safe to repeat after a redelivery: compensation
-// application dedups on (inst, piece, comp) and the tracker collapses
-// duplicate reports.
+// stageRollback stages the compensating activations for the committed
+// predecessors of a rolled-back piece, plus the rollback report to the
+// origin; the worker's batch persist makes them durable. Safe to repeat
+// after a redelivery: compensation application dedups on (inst, piece,
+// comp) and the tracker collapses duplicate reports.
 func (s *Site) stageRollback(act activation, dp *distProgram, reports map[simnet.SiteID][]pieceDone) {
 	buf := s.queues.Buffer()
 	// Compensations and the rollback report hang off the rolled
@@ -1085,28 +1153,25 @@ func (s *Site) stageRollback(act activation, dp *distProgram, reports map[simnet
 	}
 	if buf.Len() > 0 {
 		s.queues.CommitSend(buf)
-		s.persistQueues()
 	}
 	reports[act.Origin] = append(reports[act.Origin], pieceDone{Inst: act.Inst, RolledAt: act.Piece, Ctx: rbCtx})
 }
 
 // flushReports stages the settlement reports a worker accumulated while
-// draining one batch: local reports fold straight into their trackers;
-// remote origins each get ONE done-queue message — a bare pieceDone for
-// a single report, a doneBatch for several — so a drained batch costs
-// one wire payload per origin instead of one per piece. Reports ride
-// the recoverable queue (at-least-once) and the origin's tracker
-// collapses duplicates.
-func (s *Site) flushReports(reports map[simnet.SiteID][]pieceDone) {
+// draining one batch and returns the local ones, which the worker folds
+// into their trackers after the batch's persist. Remote origins each
+// get ONE done-queue message — a bare pieceDone for a single report, a
+// doneBatch for several — so a drained batch costs one wire payload per
+// origin instead of one per piece. Reports ride the recoverable queue
+// (at-least-once) and the origin's tracker collapses duplicates.
+func (s *Site) flushReports(reports map[simnet.SiteID][]pieceDone) (local []pieceDone) {
 	if len(reports) == 0 {
-		return
+		return nil
 	}
 	buf := s.queues.Buffer()
 	for origin, list := range reports {
 		if origin == s.ID {
-			for _, done := range list {
-				s.cluster.recordDone(done)
-			}
+			local = append(local, list...)
 			continue
 		}
 		if s.cluster.obs.SpansOn() {
@@ -1129,8 +1194,8 @@ func (s *Site) flushReports(reports map[simnet.SiteID][]pieceDone) {
 	}
 	if buf.Len() > 0 {
 		s.queues.CommitSend(buf)
-		s.persistQueues()
 	}
+	return local
 }
 
 // preAckCrash consults the fault hook at PointPreAck — the piece is

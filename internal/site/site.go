@@ -384,9 +384,12 @@ func NewCluster(cfg Config, opts ...Option) (*Cluster, error) {
 		if qObs := cfg.Obs.QueueObserver(id); qObs != nil {
 			qOpts = append(qOpts, queue.WithObserver(qObs))
 		}
-		// Persist-before-ack: the endpoint's durable image is written (and,
-		// under the disk driver, fsynced) before any received frame is
-		// acknowledged, so an acked message is never lost to kill -9.
+		// Persist before ack and before send: the endpoint's durable image
+		// is written (and, under the disk driver, fsynced) before any
+		// received frame is acknowledged and before any committed message
+		// leaves the site, so kill -9 neither loses an acked message nor
+		// lets a restart re-mint a sequence number a peer has seen. The
+		// manager's barrier is the only caller of SaveQueues.
 		qOpts = append(qOpts, queue.WithPersist(be.SaveQueues))
 		s.queues = queue.NewManager(id, c.Net, cfg.RetransmitEvery, qOpts...)
 		// A disk backend opened over an existing image (a process restart
@@ -516,14 +519,6 @@ func (s *Site) isCrashed() bool {
 	return s.crashed
 }
 
-// persistQueues refreshes the durable queue image. Errors are not fatal
-// here: the image on disk stays one frame stale, senders retransmit the
-// unacked messages, and the watermark dedup absorbs the redelivery —
-// the same at-least-once argument that covers a crash at this point.
-func (s *Site) persistQueues() {
-	_ = s.backend.SaveQueues(s.queues.Snapshot())
-}
-
 // Crash simulates a site failure: volatile state (locks, in-flight
 // transactions, dirty store cells) is lost; the journaled store and the
 // persisted queue image survive.
@@ -540,11 +535,12 @@ func (s *Site) Crash() {
 }
 
 // crashFromWorker fail-stops the site from inside one of its own worker
-// goroutines (fault-hook injection points fire there). It cannot call
-// Crash, which waits on the worker WaitGroup that includes the caller;
-// instead it marks the site crashed, signals the remaining workers, and
-// drops the site off the network. Recover waits out the stragglers
-// before rebuilding.
+// goroutines (fault-hook injection points fire there, and a failed
+// persist ends there), or from any goroutine that must not wait for the
+// workers. It cannot call Crash, which waits on the worker WaitGroup
+// that includes the caller; instead it marks the site crashed, signals
+// the remaining workers, and drops the site off the network. Recover
+// waits out the stragglers before rebuilding.
 func (s *Site) crashFromWorker() {
 	s.mu.Lock()
 	if s.crashed {
@@ -636,11 +632,16 @@ func (s *Site) Recover() {
 	// never rides a queue, so a crash between its commit and its staging
 	// has no redelivery to resurrect the children — the durable marker is
 	// the only witness. Duplicates collapse downstream.
-	s.restageOrigins()
+	if err := s.restageOrigins(); err != nil {
+		s.mu.Lock()
+		s.recoverErr = err
+		s.mu.Unlock()
+	}
 }
 
 // RecoverError reports why the last Recover left the site down (nil
-// after a successful recovery).
+// after a successful recovery): an unreadable image, or a persist that
+// failed while re-staging.
 func (s *Site) RecoverError() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -35,7 +35,7 @@ func (d *diskDriver) Open(site string, init map[storage.Key]metric.Value) (Backe
 }
 
 // diskBackend is one site's disk-durable storage. The commit path is
-// lock-free here (Store.Apply → Commit → wal.Append handles its own
+// lock-free here (Store.Apply → Commit → wal.Write handles its own
 // serialization); mu guards the aux-blob cache and sequence.
 type diskBackend struct {
 	site string
@@ -120,7 +120,12 @@ func (b *diskBackend) open(init map[storage.Key]metric.Value) error {
 			writes = append(writes, storage.Write{Key: k, Value: v})
 		}
 		sort.Slice(writes, func(i, j int) bool { return writes[i].Key < writes[j].Key })
+		// No queue image follows the seed batch, so wait for it here: a
+		// site reopened from the files must find its initial state.
 		if err := b.store.Apply(writes); err != nil {
+			return fmt.Errorf("driver: seeding %s: %w", b.site, err)
+		}
+		if err := b.Sync(); err != nil {
 			return fmt.Errorf("driver: seeding %s: %w", b.site, err)
 		}
 	}
@@ -190,19 +195,24 @@ func (b *diskBackend) writer() *wal.Writer {
 }
 
 // Commit implements storage.CommitSink: every committed batch becomes a
-// WAL record, and Apply does not return until the record is fsynced
-// (possibly sharing the fsync with a group-commit cohort).
+// WAL record, written without waiting for an fsync. The next fsync of
+// the log makes it durable: the site's next queue-image persist, whose
+// record lands after it, or a Sync.
 func (b *diskBackend) Commit(e storage.JournalEntry) error {
 	kvs := make([]wal.KV, len(e.Writes))
 	for i, w := range e.Writes {
 		kvs[i] = wal.KV{Key: string(w.Key), Val: int64(w.Value)}
 	}
-	if err := b.writer().Append(wal.BatchRecord(e.LSN, kvs)); err != nil {
+	if err := b.writer().Write(wal.BatchRecord(e.LSN, kvs)); err != nil {
 		return err
 	}
 	b.maybeCheckpoint()
 	return nil
 }
+
+// Sync implements storage.CommitSink: it returns once every batch
+// committed so far is durable, sharing the group-commit fsync.
+func (b *diskBackend) Sync() error { return b.writer().Wait() }
 
 // maybeCheckpoint probes the log size every 32 commits and kicks a
 // background checkpoint when it outgrows CheckpointBytes.

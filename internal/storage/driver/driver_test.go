@@ -431,3 +431,80 @@ func TestSaveQueuesConcurrentSaversKeepNewest(t *testing.T) {
 		}
 	}
 }
+
+// syncObs is a driver Observer counting the records fsyncs covered.
+type syncObs struct {
+	mu      sync.Mutex
+	records int
+}
+
+func (o *syncObs) WALSynced(site string, records int) {
+	o.mu.Lock()
+	o.records += records
+	o.mu.Unlock()
+}
+func (o *syncObs) Recovered(string, int, int64) {}
+func (o *syncObs) Checkpointed(string, int)     {}
+
+func (o *syncObs) synced() int {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return o.records
+}
+
+// TestDiskSeedDurableWithoutClose: no queue image follows the seed batch,
+// so Open itself waits for it. A backend reopened from the directory
+// straight after Open, with no Close, still holds the seed.
+func TestDiskSeedDurableWithoutClose(t *testing.T) {
+	dir := t.TempDir()
+	obs := &syncObs{}
+	be := openDisk(t, dir, func(p *Params) { p.Obs = obs })
+	defer be.Close()
+	if got := obs.synced(); got != 1 {
+		t.Fatalf("fsyncs covered %d records when Open returned, want the seed batch", got)
+	}
+	d, err := New("disk", Params{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reopened, err := d.Open("NY", map[storage.Key]metric.Value{"a": 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	if st := reopened.Store(); st.Get("a") != 100 || st.Get("b") != 50 {
+		t.Errorf("reopened without Close: a=%d b=%d, want the seed 100 and 50", st.Get("a"), st.Get("b"))
+	}
+}
+
+// TestDiskCommitRidesTheNextSync: Apply writes its batch to the log
+// without an fsync; the store's Sync, or the fsync of any record written
+// after it, makes it durable.
+func TestDiskCommitRidesTheNextSync(t *testing.T) {
+	obs := &syncObs{}
+	be := openDisk(t, t.TempDir(), func(p *Params) { p.Obs = obs })
+	defer be.Close()
+	st := be.Store()
+	seed := obs.synced()
+	if err := st.Apply([]storage.Write{{Key: "a", Value: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	if got := obs.synced(); got != seed {
+		t.Fatalf("Apply fsynced %d records, want none", got-seed)
+	}
+	if err := st.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if got := obs.synced(); got != seed+1 {
+		t.Fatalf("Sync covered %d records, want the one batch", got-seed)
+	}
+	if err := st.Apply([]storage.Write{{Key: "b", Value: 2}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := be.SaveQueues(versioned(1, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if got := obs.synced(); got != seed+3 {
+		t.Errorf("the image's fsync covered %d records, want the batch before it and the image", got-seed-1)
+	}
+}

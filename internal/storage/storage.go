@@ -104,14 +104,18 @@ const DefaultShards = 16
 const DefaultJournalLimit = 1 << 16
 
 // CommitSink receives every committed batch after it is journaled. A
-// durable driver implements it to write the batch to a write-ahead log;
-// Apply does not return until Commit does, so when the sink fsyncs
-// before returning, "Apply returned" means "batch is durable". A Commit
+// durable driver implements it to write the batch to a write-ahead log.
+// Commit need not wait for the write to be durable, and the disk driver
+// does not: there "Apply returned" means the batch is in the log, ahead
+// of every later record, and it becomes durable with the next fsync
+// of that log — the site's next queue-image persist, or a Sync. Sync
+// returns once every batch Commit has been handed is durable. A Commit
 // error is fatal for the batch's transaction: Apply propagates it and
 // the executor aborts, but the in-memory journal entry has already been
 // appended, so a store whose sink failed must be treated as crashed.
 type CommitSink interface {
 	Commit(e JournalEntry) error
+	Sync() error
 }
 
 // Store is a concurrent key-value store over the metric value space.
@@ -287,6 +291,15 @@ func (s *Store) SetSink(sink CommitSink) {
 	if sink != nil {
 		s.sink.Store(sink)
 	}
+}
+
+// Sync returns once every batch applied so far is durable: the sink's
+// Sync, and nothing to do without a sink.
+func (s *Store) Sync() error {
+	if sink, ok := s.sink.Load().(CommitSink); ok && sink != nil {
+		return sink.Sync()
+	}
+	return nil
 }
 
 // LastLSN returns the highest LSN assigned so far (0 on a fresh store).

@@ -286,6 +286,8 @@ func (r *recordingSink) Commit(e JournalEntry) error {
 	return nil
 }
 
+func (r *recordingSink) Sync() error { return nil }
+
 func TestCommitSinkSeesEveryBatch(t *testing.T) {
 	sink := &recordingSink{}
 	s := New()

@@ -20,6 +20,15 @@
 // affordable on real disks. Group commit off degrades to
 // fsync-per-append.
 //
+// Writing and waiting also come apart: Write puts a record in the log
+// and returns at once, and Wait returns once everything written before
+// it is durable. That is sound because of the log's order. A site has
+// one log, a rotation fsyncs the segment it seals, and replay stops at
+// the first bad record of a segment, so an fsync that covers a record
+// covers every record written before it: a caller that writes a batch
+// and later waits on a record written after it has both, or after a
+// crash neither or only the earlier one.
+//
 // Torn tails: a crash can leave a partial frame at the end of the last
 // segment. Replay stops at the first bad length or CRC within a segment
 // and moves to the next segment — a frame that never finished was never
@@ -329,13 +338,18 @@ type Writer struct {
 
 	mu     sync.Mutex
 	f      *os.File
-	index  int     // active segment index
-	off    int64   // active segment size
-	curLSN uint64  // highest batch LSN in active segment
-	curSeq uint64  // highest aux seq in active segment
+	index  int    // active segment index
+	off    int64  // active segment size
+	curLSN uint64 // highest batch LSN in active segment
+	curSeq uint64 // highest aux seq in active segment
 	sealed []segInfo
-	cohort *cohort
-	err    error // sticky fatal error
+	// cohort collects the waiters of the next fsync (nil while nobody
+	// waits), last is the cohort detached most recently (its fsync may
+	// still be running) and unsynced counts the records written since
+	// then, which the next fsync is the first to cover.
+	cohort, last *cohort
+	unsynced     int
+	err          error // sticky fatal error
 
 	kick   chan struct{}
 	stop   chan struct{}
@@ -343,7 +357,8 @@ type Writer struct {
 	closed bool
 }
 
-// cohort is one group of appenders waiting on a shared fsync.
+// cohort is one group of appenders waiting on a shared fsync; n is the
+// number of records the fsync covers.
 type cohort struct {
 	done chan struct{}
 	err  error
@@ -500,23 +515,61 @@ func (w *Writer) rotateLocked() error {
 }
 
 // Append writes one record and returns once it is durable (fsynced),
-// possibly sharing the fsync with a cohort of concurrent appenders.
+// possibly sharing the fsync with a cohort of concurrent appenders: a
+// Write and a Wait in one step.
 func (w *Writer) Append(rec Record) error {
 	frame := encodeFrame(encodePayload(rec))
 	w.mu.Lock()
-	if w.closed || w.err != nil {
-		err := w.err
+	if err := w.writeLocked(rec, frame); err != nil {
 		w.mu.Unlock()
-		if err == nil {
-			err = errors.New("wal: writer closed")
-		}
+		return err
+	}
+	return w.waitLocked()
+}
+
+// Write puts one record in the log and returns without waiting for an
+// fsync. The record is durable once a later Wait or Append returns nil.
+func (w *Writer) Write(rec Record) error {
+	frame := encodeFrame(encodePayload(rec))
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.writeLocked(rec, frame)
+}
+
+// Wait returns once every record written before the call is durable,
+// sharing the fsync with a cohort of concurrent appenders. After a
+// failure it returns the writer's sticky error.
+func (w *Writer) Wait() error {
+	w.mu.Lock()
+	if err := w.usableLocked(); err != nil {
+		w.mu.Unlock()
+		return err
+	}
+	return w.waitLocked()
+}
+
+// usableLocked returns the sticky error, or an error for a closed
+// writer. Caller holds w.mu.
+func (w *Writer) usableLocked() error {
+	if w.err != nil {
+		return w.err
+	}
+	if w.closed {
+		return errors.New("wal: writer closed")
+	}
+	return nil
+}
+
+// writeLocked writes rec's frame to the active segment, rotating first
+// when the segment is full. Caller holds w.mu.
+func (w *Writer) writeLocked(rec Record, frame []byte) error {
+	if err := w.usableLocked(); err != nil {
 		return err
 	}
 	if w.hook != nil {
 		switch w.hook.Act(PointAppend) {
 		case ActCrash:
 			w.err = ErrCrashed
-			w.mu.Unlock()
 			return ErrCrashed
 		case ActTorn:
 			// Write a deliberately truncated frame and make it reach the
@@ -528,33 +581,29 @@ func (w *Writer) Append(rec Record) error {
 			}
 			if _, err := w.f.Write(frame[:cut]); err != nil {
 				w.err = err
-				w.mu.Unlock()
 				return err
 			}
 			if err := w.f.Sync(); err != nil {
 				w.err = err
-				w.mu.Unlock()
 				return err
 			}
 			w.hook.Act(PointTorn)
 			w.err = ErrCrashed
-			w.mu.Unlock()
 			return ErrCrashed
 		}
 	}
 	if w.off >= w.segBytes {
 		if err := w.rotateLocked(); err != nil {
 			w.err = err
-			w.mu.Unlock()
 			return err
 		}
 	}
 	if _, err := w.f.Write(frame); err != nil {
 		w.err = err
-		w.mu.Unlock()
 		return err
 	}
 	w.off += int64(len(frame))
+	w.unsynced++
 	switch rec.Type {
 	case recBatch:
 		if rec.LSN > w.curLSN {
@@ -565,13 +614,35 @@ func (w *Writer) Append(rec Record) error {
 			w.curSeq = rec.Seq
 		}
 	}
+	return nil
+}
+
+// waitLocked returns once every record written so far is durable. The
+// caller holds w.mu; waitLocked releases it.
+func (w *Writer) waitLocked() error {
 	if w.window <= 0 {
-		// Sync-per-append mode.
-		err := w.syncLocked(1)
+		// Sync-per-append mode: fsync inline when anything is unsynced.
+		var err error
+		if w.unsynced > 0 {
+			if err = w.syncLocked(w.unsynced); err == nil {
+				w.unsynced = 0
+			}
+		}
 		w.mu.Unlock()
 		return err
 	}
 	c := w.cohort
+	if c == nil && w.unsynced == 0 {
+		// Every record written so far belongs to a cohort already
+		// detached: its fsync covers them.
+		c = w.last
+		w.mu.Unlock()
+		if c == nil {
+			return nil
+		}
+		<-c.done
+		return c.err
+	}
 	if c == nil {
 		c = &cohort{done: make(chan struct{})}
 		w.cohort = c
@@ -580,8 +651,7 @@ func (w *Writer) Append(rec Record) error {
 		default:
 		}
 	}
-	c.n++
-	full := c.n >= w.maxBatch
+	full := w.unsynced >= w.maxBatch
 	w.mu.Unlock()
 	if full {
 		w.syncCohort()
@@ -608,9 +678,10 @@ func (w *Writer) syncLocked(records int) error {
 }
 
 // syncCohort detaches the current cohort and fsyncs on its behalf. All
-// of a cohort's frames are already in the file: members write under
-// w.mu before joining, and rotation fsyncs the old file, so one fsync
-// of the active file covers the whole group. The fsync itself runs
+// of a cohort's frames, and every frame written before them, are
+// already in the file: records are written under w.mu before anyone
+// waits on them, and rotation fsyncs the old file, so one fsync of the
+// active file covers the whole group. The fsync itself runs
 // OUTSIDE w.mu — appenders keep writing frames and joining the next
 // cohort while this one's fsync is in flight, which is where the
 // group-commit batching actually comes from (holding the mutex across
@@ -624,6 +695,8 @@ func (w *Writer) syncCohort() {
 		w.mu.Unlock()
 		return
 	}
+	c.n, w.unsynced = w.unsynced, 0
+	w.last = c
 	if w.err != nil {
 		c.err = w.err
 		w.mu.Unlock()
@@ -684,17 +757,6 @@ func (w *Writer) syncLoop() {
 		runtime.Gosched()
 		w.syncCohort()
 	}
-}
-
-// Sync forces an fsync of everything appended so far.
-func (w *Writer) Sync() error {
-	w.syncCohort()
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.closed || w.err != nil {
-		return w.err
-	}
-	return w.f.Sync()
 }
 
 // LastLSN returns the highest batch LSN appended to the active segment.

@@ -386,3 +386,198 @@ func TestDecodeFramesRejectsAbsurdLength(t *testing.T) {
 		t.Errorf("absurd length decoded: %d recs, %d consumed", len(recs), consumed)
 	}
 }
+
+// syncCount is a WithSyncObserver callback counting fsyncs and the
+// records they covered.
+type syncCount struct {
+	mu             sync.Mutex
+	syncs, records int
+}
+
+func (c *syncCount) observe(records int) {
+	c.mu.Lock()
+	c.syncs++
+	c.records += records
+	c.mu.Unlock()
+}
+
+func (c *syncCount) get() (syncs, records int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.syncs, c.records
+}
+
+// modes are the writer's two durability modes.
+var modes = map[string]Option{
+	"group-commit":    WithGroupCommit(200*time.Microsecond, 0),
+	"sync-per-append": WithGroupCommit(0, 0),
+}
+
+// TestWriteWaitsForNoFsync: Write puts records in the log without an
+// fsync; one Wait then covers all of them with one fsync, and a second
+// Wait with nothing written since costs none.
+func TestWriteWaitsForNoFsync(t *testing.T) {
+	for name, mode := range modes {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			sc := &syncCount{}
+			w, err := Open(dir, mode, WithSyncObserver(sc.observe))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 1; i <= 3; i++ {
+				if err := w.Write(BatchRecord(uint64(i), []KV{{Key: "k", Val: int64(i)}})); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if syncs, _ := sc.get(); syncs != 0 {
+				t.Fatalf("%d fsyncs after three writes, want 0", syncs)
+			}
+			if err := w.Wait(); err != nil {
+				t.Fatal(err)
+			}
+			if syncs, records := sc.get(); syncs != 1 || records != 3 {
+				t.Fatalf("after Wait: %d fsyncs covering %d records, want 1 covering 3", syncs, records)
+			}
+			if err := w.Wait(); err != nil {
+				t.Fatal(err)
+			}
+			if syncs, _ := sc.get(); syncs != 1 {
+				t.Errorf("a Wait with nothing new written fsynced again (%d fsyncs)", syncs)
+			}
+			w.Close()
+			res, err := Replay(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Batches) != 3 {
+				t.Errorf("replayed %d batches, want 3", len(res.Batches))
+			}
+		})
+	}
+}
+
+// TestWaitCoversWritesBeforeRotation: records written into a segment
+// that has since been sealed are covered by the Wait that follows —
+// rotation fsyncs the segment it seals.
+func TestWaitCoversWritesBeforeRotation(t *testing.T) {
+	for name, mode := range modes {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			sc := &syncCount{}
+			w, err := Open(dir, mode, WithSegmentBytes(1), WithSyncObserver(sc.observe))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 1; i <= 3; i++ {
+				if err := w.Write(BatchRecord(uint64(i), []KV{{Key: "k", Val: int64(i)}})); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if sealed, _ := w.SegmentCount(); sealed < 2 {
+				t.Fatalf("sealed segments = %d, want the writes to span rotations", sealed)
+			}
+			if err := w.Wait(); err != nil {
+				t.Fatal(err)
+			}
+			if syncs, records := sc.get(); syncs != 1 || records != 3 {
+				t.Errorf("Wait: %d fsyncs covering %d records, want 1 covering all 3", syncs, records)
+			}
+			w.Close()
+			res, err := Replay(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Batches) != 3 {
+				t.Errorf("replayed %d batches, want 3", len(res.Batches))
+			}
+		})
+	}
+}
+
+// TestWaitReturnsStickyErrorAfterCrash: a crash at the fsync fails the
+// Wait that needed it, every later Wait and Write, and an Append.
+func TestWaitReturnsStickyErrorAfterCrash(t *testing.T) {
+	for name, mode := range modes {
+		t.Run(name, func(t *testing.T) {
+			h := &stepHook{point: PointSync, at: 1, action: ActCrash}
+			w, err := Open(t.TempDir(), mode, WithHook(h))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer w.Close()
+			if err := w.Write(BatchRecord(1, []KV{{Key: "a", Val: 1}})); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Wait(); !errors.Is(err, ErrCrashed) {
+				t.Fatalf("Wait at the crash point: %v, want ErrCrashed", err)
+			}
+			if err := w.Wait(); !errors.Is(err, ErrCrashed) {
+				t.Errorf("Wait after the crash: %v, want sticky ErrCrashed", err)
+			}
+			if err := w.Write(BatchRecord(2, nil)); !errors.Is(err, ErrCrashed) {
+				t.Errorf("Write after the crash: %v, want sticky ErrCrashed", err)
+			}
+			if err := w.Append(BatchRecord(3, nil)); !errors.Is(err, ErrCrashed) {
+				t.Errorf("Append after the crash: %v, want sticky ErrCrashed", err)
+			}
+		})
+	}
+}
+
+// TestConcurrentWritersAndWaiters mixes non-waiting writers, waiters
+// and appenders (run under -race): every record replays, and every
+// fsync-covered record is counted once.
+func TestConcurrentWritersAndWaiters(t *testing.T) {
+	dir := t.TempDir()
+	sc := &syncCount{}
+	w, err := Open(dir, WithGroupCommit(200*time.Microsecond, 16), WithSyncObserver(sc.observe))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const writers, each = 8, 25
+	var wg sync.WaitGroup
+	errs := make(chan error, writers*each)
+	for g := 0; g < writers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				rec := BatchRecord(uint64(g*each+i+1), []KV{{Key: "k", Val: int64(i)}})
+				var err error
+				switch i % 3 {
+				case 0:
+					err = w.Append(rec)
+				case 1:
+					if err = w.Write(rec); err == nil {
+						err = w.Wait()
+					}
+				default:
+					err = w.Write(rec)
+				}
+				if err != nil {
+					errs <- err
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if err := w.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if _, records := sc.get(); records != writers*each {
+		t.Errorf("fsyncs covered %d records, want %d", records, writers*each)
+	}
+	w.Close()
+	res, err := Replay(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Batches) != writers*each {
+		t.Errorf("replayed %d batches, want %d", len(res.Batches), writers*each)
+	}
+}
