@@ -3,6 +3,8 @@ package queue
 import (
 	"context"
 	"fmt"
+	"sort"
+	"sync"
 	"testing"
 	"time"
 
@@ -65,7 +67,7 @@ func newPairOpts(t *testing.T, netOpts []simnet.Option, mgrOpts ...Option) *pair
 // acks come back cumulatively, not one frame per message.
 func TestBatchCoalescesFrames(t *testing.T) {
 	const n = 64
-	p := newPairOpts(t, nil, WithMaxBatch(64), WithFlushDelay(time.Millisecond))
+	p := newPairOpts(t, nil, WithMaxBatch(64))
 	buf := p.ny.Buffer()
 	for i := 0; i < n; i++ {
 		buf.Enqueue("LA", "q", i)
@@ -147,39 +149,41 @@ func TestLostBatchFrameRedeliveredExactlyOnce(t *testing.T) {
 
 // TestPartialAckLeavesUnackedInOutbox acks a strict subset of a batch
 // and checks exactly the unacked IDs stay durable for retransmission
-// (satellite: batch-fault).
+// (satellite: batch-fault). The frames go to a capture wire, so the only
+// ack NY ever sees is the test's.
 func TestPartialAckLeavesUnackedInOutbox(t *testing.T) {
-	p := newPairOpts(t, nil, WithFlushDelay(time.Hour)) // never auto-flush
-	buf := p.ny.Buffer()
+	ny := NewManager("NY", &capture{}, time.Hour)
+	defer ny.Close()
+	buf := ny.Buffer()
 	for i := 0; i < 3; i++ {
 		buf.Enqueue("LA", "q", i)
 	}
-	p.ny.CommitSend(buf)
-	p.ny.mu.Lock()
-	if len(p.ny.outbox) != 3 {
-		p.ny.mu.Unlock()
-		t.Fatalf("outbox = %d, want 3", len(p.ny.outbox))
+	ny.CommitSend(buf)
+	ny.mu.Lock()
+	if len(ny.outbox) != 3 {
+		ny.mu.Unlock()
+		t.Fatalf("outbox = %d, want 3", len(ny.outbox))
 	}
 	var acked []string
 	var kept string
-	for id := range p.ny.outbox {
+	for id := range ny.outbox {
 		if len(acked) < 2 {
 			acked = append(acked, id)
 		} else {
 			kept = id
 		}
 	}
-	p.ny.mu.Unlock()
+	ny.mu.Unlock()
 	// A cumulative ack frame for two of the three.
-	p.ny.Handle(simnet.Message{
+	ny.Handle(simnet.Message{
 		From: "LA", To: "NY", Kind: KindAckBatch, Payload: AckFrame{IDs: acked},
 	})
-	p.ny.mu.Lock()
-	defer p.ny.mu.Unlock()
-	if len(p.ny.outbox) != 1 {
-		t.Fatalf("outbox = %d after partial ack, want 1", len(p.ny.outbox))
+	ny.mu.Lock()
+	defer ny.mu.Unlock()
+	if len(ny.outbox) != 1 {
+		t.Fatalf("outbox = %d after partial ack, want 1", len(ny.outbox))
 	}
-	if _, ok := p.ny.outbox[kept]; !ok {
+	if _, ok := ny.outbox[kept]; !ok {
 		t.Errorf("surviving outbox entry is not the unacked ID %q", kept)
 	}
 }
@@ -301,13 +305,14 @@ func TestAdaptiveBackoffCapsResends(t *testing.T) {
 	d.Ack()
 }
 
-// TestRetransmitSoakNotQuadratic pushes 10k messages through a healthy
-// link and checks the wire cost stayed near-linear in frames: the
-// legacy transport resent the whole outbox per CommitSend, which on
-// this shape goes quadratic in payload-sends.
+// TestRetransmitSoakNotQuadratic pushes 10k one-message commits through
+// a healthy link, flushed by the endpoints' own flushers, and checks
+// the wire cost stayed near-linear in frames: the legacy transport
+// resent the whole outbox per CommitSend, which on this shape goes
+// quadratic in payload-sends.
 func TestRetransmitSoakNotQuadratic(t *testing.T) {
 	const n = 10000
-	p := newPairOpts(t, nil, WithMaxBatch(128), WithFlushDelay(200*time.Microsecond))
+	p := newPairOpts(t, nil, WithMaxBatch(128))
 	go func() {
 		for i := 0; i < n; i++ {
 			buf := p.ny.Buffer()
@@ -457,37 +462,119 @@ func TestFlushCrashReplaysFromOutbox(t *testing.T) {
 	}
 }
 
-// TestAckPiggybacksOnReverseTraffic checks the piggyback path: when the
-// receiver has reverse data to send, its acks ride the data frame
-// instead of paying their own frame.
+// gate is a Sender that holds its first Send until release, parking the
+// endpoint's flusher inside a frame, and hands every frame to sent.
+type gate struct {
+	once    sync.Once
+	entered chan struct{}
+	release chan struct{}
+	sent    chan simnet.Message
+}
+
+func (g *gate) Send(msg simnet.Message) error {
+	g.once.Do(func() {
+		close(g.entered)
+		<-g.release
+	})
+	g.sent <- msg
+	return nil
+}
+
+// TestAckPiggybacksOnReverseTraffic checks the piggyback path: an ack
+// and reverse data staged for the same peer before a flush leave as one
+// BatchFrame, the ack riding the data instead of paying its own frame.
+// The flusher is held inside the send of a first frame while the test
+// stages both, so which flush carries them is not left to timing.
 func TestAckPiggybacksOnReverseTraffic(t *testing.T) {
-	p := newPairOpts(t, nil, WithFlushDelay(5*time.Millisecond))
-	ctx := ctxT(t)
-	// NY -> LA data.
-	buf := p.ny.Buffer()
-	buf.Enqueue("LA", "q", "ping")
-	p.ny.CommitSend(buf)
-	d, err := p.la.Dequeue(ctx, "q")
-	if err != nil {
-		t.Fatal(err)
+	wire := &gate{entered: make(chan struct{}), release: make(chan struct{}), sent: make(chan simnet.Message, 4)}
+	la := NewManager("LA", wire, time.Hour)
+	defer la.Close()
+	send := func(payload string) {
+		buf := la.Buffer()
+		buf.Enqueue("NY", "q", payload)
+		la.CommitSend(buf)
 	}
-	d.Ack()
-	// LA immediately has reverse traffic: the pending ack for "ping"
-	// must ride this frame.
-	buf = p.la.Buffer()
-	buf.Enqueue("NY", "q", "pong")
-	p.la.CommitSend(buf)
-	d, err = p.ny.Dequeue(ctx, "q")
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.Ack()
-	deadline := time.Now().Add(5 * time.Second)
-	for p.ny.OutboxLen()+p.la.OutboxLen() != 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("outboxes stuck: ny=%d la=%d", p.ny.OutboxLen(), p.la.OutboxLen())
+	send("first")
+	<-wire.entered
+
+	la.Handle(simnet.Message{From: "NY", To: "LA", Kind: KindEnqueueBatch, Payload: BatchFrame{Msgs: []Msg{
+		{ID: "NY>LA-1", Seq: 1, From: "NY", Queue: "q", Payload: "ping"},
+	}}})
+	send("pong")
+	close(wire.release)
+
+	next := func() simnet.Message {
+		select {
+		case f := <-wire.sent:
+			return f
+		case <-time.After(5 * time.Second):
+			t.Fatal("no frame within 5s")
+			return simnet.Message{}
 		}
-		time.Sleep(2 * time.Millisecond)
+	}
+	if f := next(); len(f.Payload.(BatchFrame).Msgs) != 1 {
+		t.Fatalf("first frame = %+v, want the first message alone", f)
+	}
+	f := next()
+	bf, ok := f.Payload.(BatchFrame)
+	if !ok || f.To != "NY" {
+		t.Fatalf("next frame = %+v, want one BatchFrame to NY", f)
+	}
+	if len(bf.Msgs) != 1 || bf.Msgs[0].Payload != "pong" || len(bf.Acks) != 1 || bf.Acks[0] != "NY>LA-1" {
+		t.Errorf("next frame carries msgs %+v, acks %v; want pong with the ack of NY>LA-1", bf.Msgs, bf.Acks)
+	}
+}
+
+// direct is a Sender that hands each frame to its destination endpoint
+// on the sending goroutine: a wire with no latency and no goroutine of
+// its own.
+type direct map[simnet.SiteID]*Manager
+
+func (d direct) Send(msg simnet.Message) error {
+	d[msg.To].Handle(msg)
+	return nil
+}
+
+// TestIdleHopFlushesWithoutWaiting times CommitSend → DequeueBatch hops
+// over an idle pair with no persist barrier: the flusher is woken, not
+// timed, so a hop costs goroutine wake-ups. A 200 µs coalescing timer
+// would bound every hop from below (and an idle Go runtime rounds such
+// a timer up to its 1 ms poll), so no median under 200 µs is possible
+// with one. A box busy with other work can delay wake-ups too, so the
+// best of three rounds is judged.
+func TestIdleHopFlushesWithoutWaiting(t *testing.T) {
+	const hops, rounds, limit = 50, 3, 200 * time.Microsecond
+	wire := direct{}
+	ny := NewManager("NY", wire, time.Hour)
+	defer ny.Close()
+	la := NewManager("LA", wire, time.Hour)
+	defer la.Close()
+	wire["NY"], wire["LA"] = ny, la
+	ctx := ctxT(t)
+
+	best := time.Duration(1<<63 - 1)
+	for r := 0; r < rounds && best >= limit; r++ {
+		took := make([]time.Duration, hops)
+		for i := range took {
+			buf := ny.Buffer()
+			buf.Enqueue("LA", "q", i)
+			start := time.Now()
+			ny.CommitSend(buf)
+			b, err := la.DequeueBatch(ctx, "q", 1)
+			took[i] = time.Since(start)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b.Ack()
+		}
+		sort.Slice(took, func(i, j int) bool { return took[i] < took[j] })
+		if took[hops/2] < best {
+			best = took[hops/2]
+		}
+	}
+	t.Logf("median idle hop %v", best)
+	if best >= limit {
+		t.Errorf("median idle hop = %v in the best of %d rounds, want under %v", best, rounds, limit)
 	}
 }
 

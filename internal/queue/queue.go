@@ -20,9 +20,14 @@
 //     resubmit-until-commit of rollback-safe pieces sound.
 //
 // Transport: the endpoint is batch-first. Committed sends coalesce per
-// destination (size- and delay-bounded) into a single queue.enq.batch
-// frame; receivers acknowledge a whole frame with one cumulative
-// queue.ack.batch and piggyback pending acks on outgoing data frames.
+// destination into a single queue.enq.batch frame; receivers
+// acknowledge a whole frame with one cumulative queue.ack.batch and
+// piggyback pending acks on outgoing data frames. A full batch flushes
+// on the goroutine that filled it. Anything less wakes the endpoint's
+// own goroutine, which yields the processor once, so that whatever else
+// is runnable on the site can add its sends and acks, and then drains
+// every buffer: an idle site pays a goroutine wake-up per hop, not a
+// timer, and a busy one coalesces one scheduler round.
 // An endpoint with a durable image (WithPersist) holds both directions
 // behind one barrier: a receiver admits every frame it was handed
 // together, persists one image and only then stages their acks
@@ -38,6 +43,7 @@ package queue
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -250,13 +256,14 @@ func WithMaxBatch(n int) Option {
 	}
 }
 
-// WithFlushDelay sets the coalescing window: committed sends and
-// pending acks wait up to d for company before the buffer flushes
-// (default 200µs). d <= 0 flushes synchronously on every commit and
-// receipt — no added latency, no coalescing beyond what one CommitSend
-// carries.
+// WithFlushDelay selects where the coalescing buffers are flushed. d <=
+// 0 flushes synchronously on the committing or receiving goroutine
+// (deterministic tests, single-goroutine replays): no coalescing beyond
+// what one CommitSend or HandleAll carries. Any positive d selects the
+// default, the endpoint's flusher (see the package comment); its value
+// is not used, there is no window to size.
 func WithFlushDelay(d time.Duration) Option {
-	return func(m *Manager) { m.flushDelay = d }
+	return func(m *Manager) { m.syncFlush = d <= 0 }
 }
 
 // WithMaxBackoff caps the per-message retransmission backoff (default
@@ -299,7 +306,7 @@ type Manager struct {
 
 	interval   time.Duration // base retransmit interval
 	maxBatch   int
-	flushDelay time.Duration
+	syncFlush  bool // WithFlushDelay(<= 0)
 	maxBackoff time.Duration
 	legacy     bool
 	flushCrash func() bool
@@ -326,7 +333,6 @@ type Manager struct {
 	pendingOut map[simnet.SiteID][]string
 	// pendingAcks is the per-destination cumulative-ack buffer.
 	pendingAcks map[simnet.SiteID][]string
-	flushArmed  bool
 	// held lists the committed messages waiting for the persist barrier
 	// (WithPersist), in commit order. Volatile, like the coalescing
 	// buffers: a crash drops them, and the outbox of the durable image
@@ -341,13 +347,18 @@ type Manager struct {
 	// without a new one.
 	version, dirtyAt, durable uint64
 
+	// kick wakes run to flush the coalescing buffers. One slot: a kick
+	// that finds one pending is already covered by the flush it asked
+	// for, which has not started yet.
+	kick chan struct{}
 	stop chan struct{}
 	done chan struct{}
 }
 
-// NewManager builds the endpoint for site and starts the retransmitter.
-// retransmitEvery is both the tick granularity and the initial
-// per-message retransmission deadline. Close must be called to stop it.
+// NewManager builds the endpoint for site and starts its goroutine, the
+// flusher and retransmitter. retransmitEvery is both the tick
+// granularity and the initial per-message retransmission deadline.
+// Close must be called to stop it.
 func NewManager(site simnet.SiteID, net simnet.Sender, retransmitEvery time.Duration, opts ...Option) *Manager {
 	if retransmitEvery <= 0 {
 		retransmitEvery = 50 * time.Millisecond
@@ -357,7 +368,6 @@ func NewManager(site simnet.SiteID, net simnet.Sender, retransmitEvery time.Dura
 		net:         net,
 		interval:    retransmitEvery,
 		maxBatch:    64,
-		flushDelay:  200 * time.Microsecond,
 		nextSeq:     make(map[simnet.SiteID]uint64),
 		outbox:      make(map[string]*outMsg),
 		queues:      make(map[string][]Msg),
@@ -366,6 +376,7 @@ func NewManager(site simnet.SiteID, net simnet.Sender, retransmitEvery time.Dura
 		notify:      make(map[string]chan struct{}),
 		pendingOut:  make(map[simnet.SiteID][]string),
 		pendingAcks: make(map[simnet.SiteID][]string),
+		kick:        make(chan struct{}, 1),
 		stop:        make(chan struct{}),
 		done:        make(chan struct{}),
 	}
@@ -375,11 +386,12 @@ func NewManager(site simnet.SiteID, net simnet.Sender, retransmitEvery time.Dura
 	if m.maxBackoff <= 0 {
 		m.maxBackoff = 16 * m.interval
 	}
-	go m.retransmitLoop(retransmitEvery)
+	go m.run(retransmitEvery)
 	return m
 }
 
-// Close stops the retransmitter and waits for it to exit.
+// Close stops the endpoint's goroutine and waits for it to exit. A
+// flush still pending is dropped: its messages stay in the outbox.
 func (m *Manager) Close() {
 	m.mu.Lock()
 	if m.closed {
@@ -393,13 +405,21 @@ func (m *Manager) Close() {
 	<-m.done
 }
 
-// retransmitLoop periodically re-sends due unacked outbox messages.
-func (m *Manager) retransmitLoop(every time.Duration) {
+// run is the endpoint's goroutine. Kicked (scheduleLocked), it yields
+// once before it flushes: the yield lets every goroutine already
+// runnable — other committers, workers, the site's dispatch loop —
+// stage its sends and acks into the same frames. Without it a saturated
+// site sent twice the frames per transaction, each paying the codec.
+// Every tick it re-sends the due unacked outbox messages.
+func (m *Manager) run(every time.Duration) {
 	defer close(m.done)
 	ticker := time.NewTicker(every)
 	defer ticker.Stop()
 	for {
 		select {
+		case <-m.kick:
+			runtime.Gosched()
+			m.flush()
 		case <-ticker.C:
 			if m.legacy {
 				m.legacyTransmitOutbox()
@@ -509,9 +529,9 @@ func (m *Manager) Buffer() *TxBuffer { return &TxBuffer{} }
 // Snapshot/Restore). Under a persist barrier (WithPersist) they are
 // held off the wire until Persist — or a receive barrier — has made
 // such an image durable; otherwise they enter the per-destination
-// coalescing buffer at once. The buffer flushes immediately when a
-// destination reaches the batch cap (or the flush delay is zero), else
-// after the coalescing window.
+// coalescing buffer at once. The buffer flushes on this goroutine when a
+// destination reaches the batch cap (or under WithFlushDelay(0)), else
+// on the endpoint's flusher (see scheduleLocked).
 func (m *Manager) CommitSend(b *TxBuffer) {
 	m.mu.Lock()
 	now := time.Now()
@@ -559,36 +579,23 @@ func (m *Manager) pendLocked(o *outMsg) bool {
 	return len(m.pendingOut[o.to]) >= m.maxBatch
 }
 
-// scheduleLocked arranges for the coalescing buffers to go out: after
-// the window, or — when a buffer is full or the window is zero — now,
-// which it asks of the caller by returning true (flush runs after
-// m.mu is released). Callers hold m.mu.
+// scheduleLocked arranges for the coalescing buffers to go out: when a
+// buffer is full or flushing is synchronous, now, which it asks of the
+// caller by returning true (flush runs after m.mu is released); else it
+// kicks the endpoint's flusher, once however many kicks arrive before
+// that flush starts. Callers hold m.mu.
 func (m *Manager) scheduleLocked(full bool) bool {
-	if full || m.flushDelay <= 0 {
+	if full || m.syncFlush {
 		return true
 	}
-	m.armFlushLocked()
+	select {
+	case m.kick <- struct{}{}:
+	default:
+	}
 	return false
 }
 
-// armFlushLocked schedules a flush after the coalescing window unless
-// one is already pending. Callers hold m.mu.
-func (m *Manager) armFlushLocked() {
-	if m.flushArmed || m.closed {
-		return
-	}
-	m.flushArmed = true
-	time.AfterFunc(m.flushDelay, func() {
-		m.mu.Lock()
-		m.flushArmed = false
-		m.mu.Unlock()
-		m.flush()
-	})
-}
-
 // flush drains the coalescing buffers into wire frames and sends them.
-// In legacy mode it degenerates to one frame per pending message with
-// immediate single acks.
 func (m *Manager) flush() {
 	m.mu.Lock()
 	if m.closed {
@@ -759,9 +766,8 @@ func (m *Manager) HandleAll(msgs []simnet.Message) {
 		return
 	}
 	// A batch frame's cumulative ack rides the next outgoing batch to
-	// its sender if one is pending, else a standalone ack frame after
-	// the coalescing window. The legacy dialect acks immediately and
-	// individually.
+	// its sender if one is pending at the flush, else a standalone ack
+	// frame. The legacy dialect acks immediately and individually.
 	var legacy []simnet.Message
 	for _, a := range acked {
 		if a.legacy {
@@ -785,7 +791,7 @@ func (m *Manager) HandleAll(msgs []simnet.Message) {
 // Persist is the send-side half of the persist barrier (WithPersist):
 // it makes one image holding every committed send, admitted message and
 // consumed delivery so far durable, and only then releases the sends it
-// holds into the coalescing window. A sender that crashes before the
+// holds into the coalescing buffers. A sender that crashes before the
 // image is durable therefore never had those messages on the wire, and
 // its recovered outbox cannot re-mint a sequence number a receiver has
 // already acknowledged. It returns the persist error; the held sends

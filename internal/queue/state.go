@@ -462,7 +462,7 @@ func DecodeState(data []byte) (State, error) {
 // acknowledgements. Only a successful persist stages acks — on error
 // the senders keep the messages in their outboxes and retransmit, and
 // the watermark dedup absorbs the redelivery. Without it a group-commit
-// fsync slower than the ack coalescing window could acknowledge a
+// fsync slower than the flush of its acks could acknowledge a
 // message whose durable queue image never hit disk: kill -9 in that
 // window would lose the message at the receiver after the sender forgot
 // it. Sending: CommitSend holds new messages until a barrier (Persist,

@@ -248,11 +248,11 @@ func TestBatchFlushCrashReplay(t *testing.T) {
 	conserveChain(t, c)
 }
 
-// TestQueueBatchingOptionPlumbs checks WithQueueBatching reaches the
-// queue managers (flush behavior changes observably: synchronous flush
-// with a huge batch still delivers).
+// TestQueueBatchingOptionPlumbs runs chains under WithQueueBatching:
+// with a batch cap past the default they still settle and conserve
+// money.
 func TestQueueBatchingOptionPlumbs(t *testing.T) {
-	c := threeSitesOpts(t, 0, WithQueueBatching(256, 0))
+	c := threeSitesOpts(t, 0, WithQueueBatching(256))
 	runChains(t, c, 4)
 	conserveChain(t, c)
 }

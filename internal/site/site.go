@@ -105,15 +105,13 @@ func WithActivationBatch(n int) Option {
 	}
 }
 
-// WithQueueBatching tunes the recoverable-queue wire batching: maxBatch
-// messages per frame (0 keeps the default) and the coalescing window
-// flushDelay (<= 0 flushes synchronously on every commit).
-func WithQueueBatching(maxBatch int, flushDelay time.Duration) Option {
+// WithQueueBatching caps the recoverable-queue wire batching at maxBatch
+// messages per frame (0 keeps the default).
+func WithQueueBatching(maxBatch int) Option {
 	return func(t *tuning) {
 		if maxBatch > 0 {
 			t.queueOpts = append(t.queueOpts, queue.WithMaxBatch(maxBatch))
 		}
-		t.queueOpts = append(t.queueOpts, queue.WithFlushDelay(flushDelay))
 	}
 }
 

@@ -1,28 +1,31 @@
 #!/usr/bin/env bash
-# benchpairs.sh <parent-rev> <workload> [pairs=10] [seconds=10] [first-seed]
+# benchpairs.sh <parent-rev> <workload[,workload...]> [pairs=10] [seconds=10] [first-seed]
 #
 # Paired-run comparison of the working tree against <parent-rev> on one
-# BENCHMARK.json workload. The parent's tree is extracted once (git
-# archive) under the git-ignored .bench_build/ at the repository root.
-# Each pair runs one untraced pass of the benchmark
+# or more BENCHMARK.json workloads, comma-separated; each gets its own
+# pairs and its own table, in the order given. The parent's tree is
+# extracted once (git archive) under the git-ignored .bench_build/ at
+# the repository root. Each pair runs one untraced pass of the benchmark
 #
 #   bash benchmark/run.sh --workload W --seed S --seconds T --trace 0
 #
-# in each tree with the same seed; seeds are consecutive from
-# first-seed (default: drawn from the clock, so every invocation uses
-# fresh ones) and the side that runs first alternates. Prints each
-# pair's five end-to-end metrics and failed count, then per metric each
-# side's quartiles and median, the parent's quartile distance, the ratio
-# of the medians, and in how many pairs the working tree won.
+# in each tree with the same seed; every workload's seeds are
+# consecutive from first-seed (default: drawn from the clock, so every
+# invocation uses fresh ones) and the side that runs first alternates.
+# Prints each pair's five end-to-end metrics and failed count, then per
+# metric each side's quartiles and median, the parent's quartile
+# distance, the ratio of the medians, and in how many pairs the working
+# tree won.
 #
 # Run nothing else on the box meanwhile: the pairs share its cores.
 set -euo pipefail
 
 if [[ $# -lt 2 || $# -gt 5 ]]; then
-	echo "usage: $0 <parent-rev> <workload> [pairs=10] [seconds=10] [first-seed]" >&2
+	echo "usage: $0 <parent-rev> <workload[,workload...]> [pairs=10] [seconds=10] [first-seed]" >&2
 	exit 2
 fi
-rev=$1 workload=$2 pairs=${3:-10} seconds=${4:-10}
+rev=$1 pairs=${3:-10} seconds=${4:-10}
+IFS=, read -r -a workloads <<<"$2"
 seed0=${5:-$(( $(date +%s) % 1000000 * 10 ))}
 root="$(git rev-parse --show-toplevel)"
 sha="$(git -C "$root" rev-parse --verify "$rev^{commit}")"
@@ -34,13 +37,13 @@ if [[ ! -f "$base/benchmark/run.sh" ]]; then
 	git -C "$root" archive "$sha" | tar -x -C "$base"
 fi
 
-# one <tree> <seed>: one untraced pass; prints the metrics and failed
-# count as one tab-separated row.
+# one <tree> <workload> <seed>: one untraced pass; prints the metrics
+# and failed count as one tab-separated row.
 one() {
 	local out
-	if ! out="$(cd "$1" && bash benchmark/run.sh --workload "$workload" --seed "$2" --seconds "$seconds" --trace 0 2>&1)"; then
+	if ! out="$(cd "$1" && bash benchmark/run.sh --workload "$2" --seed "$3" --seconds "$seconds" --trace 0 2>&1)"; then
 		printf '%s\n' "$out" >&2
-		echo "benchpairs: run failed in $1 (seed $2)" >&2
+		echo "benchpairs: run failed in $1 ($2, seed $3)" >&2
 		return 1
 	fi
 	printf '%s\n' "$out" | tail -n 1 | awk '
@@ -58,28 +61,10 @@ one() {
 		}'
 }
 
-echo "benchpairs: $workload, $pairs pairs of ${seconds}s, seeds $seed0..$((seed0 + pairs - 1))"
-dirty=""
-[[ -z "$(git -C "$root" status --porcelain)" ]] || dirty="+dirty"
-echo "parent $sha vs working tree $(git -C "$root" rev-parse --short HEAD)$dirty"
-echo "nproc $(nproc), kernel $(uname -r)"
-
-rows=""
-for ((i = 0; i < pairs; i++)); do
-	seed=$((seed0 + i))
-	if ((i % 2 == 0)); then
-		p="$(one "$base" "$seed")"
-		c="$(one "$root" "$seed")"
-		first=parent
-	else
-		c="$(one "$root" "$seed")"
-		p="$(one "$base" "$seed")"
-		first=change
-	fi
-	rows+="$seed	$first	$p	$c"$'\n'
-done
-
-printf '%s' "$rows" | awk -F '\t' '
+# table: reads one workload's pair rows on stdin and prints each pair,
+# then the per-metric summary.
+table() {
+	awk -F '\t' '
 	BEGIN {
 		split("settled_tps update_p50_us query_p50_us init_p50_us setup_s", name, " ")
 		split("1 0 0 0 0", higher, " ")
@@ -122,3 +107,29 @@ printf '%s' "$rows" | awk -F '\t' '
 		}
 		printf "failed: parent %d, change %d\n", failedP, failedC
 	}'
+}
+
+dirty=""
+[[ -z "$(git -C "$root" status --porcelain)" ]] || dirty="+dirty"
+echo "parent $sha vs working tree $(git -C "$root" rev-parse --short HEAD)$dirty"
+echo "nproc $(nproc), kernel $(uname -r)"
+
+for workload in "${workloads[@]}"; do
+	echo
+	echo "benchpairs: $workload, $pairs pairs of ${seconds}s, seeds $seed0..$((seed0 + pairs - 1))"
+	rows=""
+	for ((i = 0; i < pairs; i++)); do
+		seed=$((seed0 + i))
+		if ((i % 2 == 0)); then
+			p="$(one "$base" "$workload" "$seed")"
+			c="$(one "$root" "$workload" "$seed")"
+			first=parent
+		else
+			c="$(one "$root" "$workload" "$seed")"
+			p="$(one "$base" "$workload" "$seed")"
+			first=change
+		fi
+		rows+="$seed	$first	$p	$c"$'\n'
+	done
+	printf '%s' "$rows" | table
+done
