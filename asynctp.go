@@ -77,7 +77,7 @@ type (
 // Key names a data item.
 type Key = storage.Key
 
-// Store is the in-memory journaled key-value store.
+// Store is the in-memory versioned key-value store.
 type Store = storage.Store
 
 // Program, Op and friends declare transactions.

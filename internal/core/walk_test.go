@@ -37,9 +37,9 @@ func TestSubmitAllocs(t *testing.T) {
 		pieces int
 		pin    float64
 	}{
-		{"transfer", core.Method3ESRChopDC, core.EngineLocking, 0, 2, 19},
+		{"transfer", core.Method3ESRChopDC, core.EngineLocking, 0, 2, 17},
 		{"audit", core.Method3ESRChopDC, core.EngineLocking, audit, 8, 35},
-		{"repair-transfer", core.BaselineESRDC, core.EngineRepair, 0, 1, 15},
+		{"repair-transfer", core.BaselineESRDC, core.EngineRepair, 0, 1, 14},
 		{"repair-audit", core.BaselineESRDC, core.EngineRepair, audit, 1, 9},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

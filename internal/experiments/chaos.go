@@ -62,7 +62,7 @@ type ChaosConfig struct {
 	Plane *obs.Plane
 	// Driver selects the storage driver ("mem" default, "disk" persists
 	// every site to a WAL under Dir). The scheduled crash/restart faults
-	// then exercise real file recovery instead of the simulated journal.
+	// then exercise real file recovery instead of the in-process image.
 	Driver string
 	// Dir roots the disk driver's files; each scenario × strategy run
 	// gets its own subdirectory so runs never share state.
@@ -130,12 +130,6 @@ type ChaosOutcome struct {
 	// Fired is the schedule's fired-event log (deterministic for a
 	// given seed).
 	Fired []string
-	// JournalCompacted counts journal entries folded away across all
-	// sites during the post-quiescence checkpoint; MaxJournalLen is the
-	// largest per-site journal length after it. Long soaks assert the
-	// latter stays flat (memory does not grow with run length).
-	JournalCompacted int
-	MaxJournalLen    int
 }
 
 // chaosPlacement maps chain keys to their sites.
@@ -337,20 +331,6 @@ func RunChaosScenario(strategy site.Strategy, scenario string, cfg ChaosConfig) 
 		time.Sleep(5 * time.Millisecond)
 	}
 	out.Conserved = sum() == chaosTotal
-
-	// Post-quiescence checkpoint: fold each site's committed journal so
-	// long soaks keep memory flat. Compaction preserves the recovered
-	// state exactly, so the conservation verdict above still holds for a
-	// site recovered from the compacted journal.
-	for _, id := range chaosSites {
-		st := c.Site(id).Store
-		if j := st.Journal(); len(j) > 0 {
-			out.JournalCompacted += st.CompactJournal(j[len(j)-1].LSN)
-		}
-		if n := st.JournalLen(); n > out.MaxJournalLen {
-			out.MaxJournalLen = n
-		}
-	}
 	return out, nil
 }
 

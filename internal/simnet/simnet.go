@@ -168,8 +168,8 @@ func linkKey(a, b SiteID) [2]SiteID {
 }
 
 // SetDown marks a site crashed (true) or recovered (false). Messages to
-// a crashed site are dropped — the site's durable state is the store
-// journal, not the inbox.
+// a crashed site are dropped — the site's durable state is its storage
+// driver's committed image and queue image, not the inbox.
 func (n *Network) SetDown(id SiteID, down bool) {
 	n.mu.Lock()
 	defer n.mu.Unlock()

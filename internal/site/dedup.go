@@ -18,8 +18,8 @@ type pieceKey struct {
 // marker returns the durable storage key whose presence proves the
 // piece committed. The marker is written in the same commit batch as
 // the piece's effects, so "applied" and "marker present" are atomic in
-// the journal — the anchor of the at-least-once → exactly-once
-// argument.
+// every committed image a recovery can find — the anchor of the
+// at-least-once → exactly-once argument.
 func (k pieceKey) marker() storage.Key {
 	tag := "applied"
 	if k.comp {
@@ -33,8 +33,7 @@ func (k pieceKey) marker() storage.Key {
 // at least once: an activation redelivered after a crash in the
 // commit→ack window must be recognized, not re-applied. The table is
 // volatile — a crash wipes it — so lookups fall back to the durable
-// marker keys recovered from the store journal, and hits repopulate the
-// cache.
+// marker keys in the recovered store, and hits repopulate the cache.
 type dedupTable struct {
 	mu    sync.Mutex
 	seen  map[pieceKey]bool
@@ -71,7 +70,7 @@ func (d *dedupTable) record(k pieceKey) {
 }
 
 // reset wipes the volatile set and rebinds the store — crash recovery.
-// Durable markers in the recovered journal keep answering through the
+// Durable markers in the recovered store keep answering through the
 // fallback path.
 func (d *dedupTable) reset(store *storage.Store) {
 	d.mu.Lock()

@@ -541,7 +541,7 @@ func (s *Site) commit2PC(txid string) {
 	if pt == nil {
 		return
 	}
-	// The writes are already in place; journal them as committed and
+	// The writes are already in place; commit them as a batch and
 	// wait for them to be durable before the decision is acknowledged: no
 	// queue image follows a 2PC commit. A store that can do neither has
 	// crashed.
@@ -789,7 +789,7 @@ func (s *Site) runPiece(ctx context.Context, act activation, dp *distProgram) (p
 	// piece's commit and its queue ack) must not re-apply the writes. The
 	// dedup table answers from memory or from the durable marker key that
 	// the piece's own commit batch wrote — "piece applied" and "marker
-	// present" are atomic in the journal.
+	// present" are atomic in every committed batch.
 	key := pieceKey{inst: act.Inst, piece: act.Piece, comp: act.Compensate}
 	if s.applied.applied(key) {
 		// Redelivered after a crash in the commit→ack window. The piece's

@@ -518,8 +518,8 @@ func (s *Site) isCrashed() bool {
 }
 
 // Crash simulates a site failure: volatile state (locks, in-flight
-// transactions, dirty store cells) is lost; the journaled store and the
-// persisted queue image survive.
+// transactions, dirty store cells) is lost; the storage driver's
+// committed image and the persisted queue image survive.
 func (s *Site) Crash() {
 	s.mu.Lock()
 	if s.crashed {
@@ -575,9 +575,10 @@ func (s *Site) Recover() {
 		return
 	}
 	// Durable store: the backend rebuilds it from its durable image —
-	// the mem driver replays the simulated journal, the disk driver
-	// loads the snapshot and replays the WAL (truncating torn tails),
-	// exactly as a process restart would. Dirty cells vanish either way.
+	// the mem driver restores its in-process committed image, the disk
+	// driver loads the snapshot and replays the WAL (truncating torn
+	// tails), exactly as a process restart would. Dirty cells vanish
+	// either way.
 	st, err := s.backend.Recover()
 	if err != nil {
 		// The durable image is unreadable; leave the site down rather
@@ -589,7 +590,7 @@ func (s *Site) Recover() {
 	s.Store = st
 	s.recoverErr = nil
 	// The piece-dedup cache is volatile; wipe it. Durable `__applied` /
-	// `__comp` markers in the recovered journal keep answering lookups,
+	// `__comp` markers in the recovered store keep answering lookups,
 	// so redelivered activations stay exactly-once.
 	s.applied.reset(s.Store)
 	// Volatile state: fresh locks (and DC accounts), no prepared txns.

@@ -55,6 +55,7 @@ type diskBackend struct {
 	appends  atomic.Uint64 // commit counter, paces the auto-checkpoint probe
 
 	store *storage.Store
+	img   *image // the committed state a checkpoint writes out; Recover swaps it under mu
 	w     *wal.Writer
 }
 
@@ -102,6 +103,7 @@ func (b *diskBackend) open(init map[storage.Key]metric.Value) error {
 	fresh := !haveSnap && len(res.Batches) == 0 && res.Segments == 0
 
 	b.store, b.aux, b.auxSeq = buildImage(snap, res)
+	b.img = imageOf(b.store)
 	b.queuesVer, b.queuesSave = recoveredQueues(b.aux)
 	if b.p.Obs != nil && !fresh {
 		b.p.Obs.Recovered(b.site, len(res.Batches), res.TornBytes)
@@ -141,7 +143,7 @@ func buildImage(snap wal.Snapshot, res wal.ReplayResult) (*storage.Store, map[st
 	for k, v := range snap.State {
 		base[storage.Key(k)] = metric.Value(v)
 	}
-	entries := make([]storage.JournalEntry, 0, len(res.Batches))
+	entries := make([]storage.Batch, 0, len(res.Batches))
 	for _, r := range res.Batches {
 		if r.LSN <= snap.LSN {
 			continue
@@ -150,7 +152,7 @@ func buildImage(snap wal.Snapshot, res wal.ReplayResult) (*storage.Store, map[st
 		for i, kv := range r.Writes {
 			writes[i] = storage.Write{Key: storage.Key(kv.Key), Value: metric.Value(kv.Val)}
 		}
-		entries = append(entries, storage.JournalEntry{LSN: r.LSN, Writes: writes})
+		entries = append(entries, storage.Batch{LSN: r.LSN, Writes: writes})
 	}
 	st := storage.NewRecovered(base, snap.LSN, entries)
 
@@ -197,15 +199,20 @@ func (b *diskBackend) writer() *wal.Writer {
 // Commit implements storage.CommitSink: every committed batch becomes a
 // WAL record, written without waiting for an fsync. The next fsync of
 // the log makes it durable: the site's next queue-image persist, whose
-// record lands after it, or a Sync.
-func (b *diskBackend) Commit(e storage.JournalEntry) error {
-	kvs := make([]wal.KV, len(e.Writes))
-	for i, w := range e.Writes {
+// record lands after it, or a Sync. Only a batch the log took joins the
+// committed image, so a checkpoint never holds one the log refused.
+func (b *diskBackend) Commit(batch storage.Batch) error {
+	kvs := make([]wal.KV, len(batch.Writes))
+	for i, w := range batch.Writes {
 		kvs[i] = wal.KV{Key: string(w.Key), Val: int64(w.Value)}
 	}
-	if err := b.writer().Write(wal.BatchRecord(e.LSN, kvs)); err != nil {
+	b.mu.Lock()
+	w, img := b.w, b.img
+	b.mu.Unlock()
+	if err := w.Write(wal.BatchRecord(batch.LSN, kvs)); err != nil {
 		return err
 	}
+	img.commit(batch)
 	b.maybeCheckpoint()
 	return nil
 }
@@ -325,19 +332,19 @@ func (b *diskBackend) Recover() (*storage.Store, error) {
 	b.auxSeq = auxSeq
 	b.queuesVer, b.queuesSave = recoveredQueues(aux)
 	b.w = w
+	b.img = imageOf(store)
 	b.mu.Unlock()
 	b.store = store
 	store.SetSink(b)
 	return store, nil
 }
 
-// Checkpoint snapshots the current state and truncates the WAL behind
-// it. The LSN cut is read before the state snapshot: a batch's data
-// writes complete before its LSN is assigned, so every batch at or
-// below the cut is fully contained in the snapshot; batches above it
-// stay in the log and replay idempotently. The in-memory journal is
-// compacted to the same cut, so the disk image and the simulated one
-// fold in lockstep.
+// Checkpoint snapshots the committed image and truncates the WAL behind
+// it. Live cells are never read: they hold in-flight transactions'
+// write-through values, which an abort undoes without a log record. The
+// snapshot's LSN is the image's cut, so every batch at or below it is in
+// the snapshot; batches above it stay in the log (Commit writes the log
+// before the image) and replay over the snapshot in LSN order.
 func (b *diskBackend) Checkpoint() error {
 	b.ckptMu.Lock()
 	defer b.ckptMu.Unlock()
@@ -349,8 +356,7 @@ func (b *diskBackend) Checkpoint() error {
 		aux[name] = append([]byte(nil), blob...)
 	}
 	b.mu.Unlock()
-	snapLSN := b.store.LastLSN()
-	state := b.store.Snapshot()
+	state, snapLSN := b.img.snapshot()
 
 	out := wal.Snapshot{
 		LSN:    snapLSN,
@@ -375,7 +381,6 @@ func (b *diskBackend) Checkpoint() error {
 	if err != nil {
 		return err
 	}
-	b.store.CompactJournal(snapLSN)
 	if b.p.Obs != nil {
 		b.p.Obs.Checkpointed(b.site, pruned)
 	}

@@ -8,27 +8,43 @@ import (
 	"asynctp/internal/storage"
 )
 
-// memDriver is the in-memory driver: the pre-driver behavior of the
-// simulator, unchanged, behind the Backend interface. Durability is
-// simulated — the "durable image" is the store's journal plus a held
-// queue.State object — which keeps the hot path allocation- and
-// fsync-free for experiments that model crashes rather than suffer them.
+// memDriver is the in-memory driver. Durability is simulated — the
+// "durable image" is the committed image the store's sink keeps plus a
+// held queue.State object — which keeps the hot path fsync-free for
+// experiments that model crashes rather than suffer them.
 type memDriver struct{}
 
 func (d *memDriver) Name() string { return "mem" }
 
 func (d *memDriver) Open(site string, init map[storage.Key]metric.Value) (Backend, error) {
-	return &memBackend{store: storage.NewFrom(init)}, nil
+	st := storage.NewFrom(init)
+	b := &memBackend{store: st, img: imageOf(st)}
+	st.SetSink(b)
+	return b, nil
 }
 
+// memBackend is the store's commit sink: every committed batch lands in
+// img, whose own mutex keeps commits off the one SaveQueues takes.
 type memBackend struct {
-	mu     sync.Mutex
-	store  *storage.Store
+	store *storage.Store
+	img   *image
+
+	mu     sync.Mutex // the queue image
 	queues queue.State
 	hasQ   bool
 }
 
 func (b *memBackend) Store() *storage.Store { return b.store }
+
+// Commit implements storage.CommitSink: the batch joins the committed
+// image.
+func (b *memBackend) Commit(batch storage.Batch) error {
+	b.img.commit(batch)
+	return nil
+}
+
+// Sync implements storage.CommitSink: the image is as durable as it gets.
+func (b *memBackend) Sync() error { return nil }
 
 // SaveQueues keeps the image with the highest version: an older
 // snapshot that lost the race to the backend finds the newer one
@@ -49,21 +65,15 @@ func (b *memBackend) LoadQueues() (queue.State, bool, error) {
 	return b.queues, b.hasQ, nil
 }
 
-// Recover replays the store's journal — the simulated durable state —
-// into the same store: uncommitted Set calls vanish, committed batches
-// survive, and Restore resets the journal to a checkpoint of exactly
-// the recovered cut.
+// Recover restores the committed image into the same store: uncommitted
+// Set calls vanish and committed batches survive.
 func (b *memBackend) Recover() (*storage.Store, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	recovered := b.store.Recover()
-	b.store.Restore(recovered.Snapshot())
+	state, _ := b.img.snapshot()
+	b.store.Restore(state)
 	return b.store, nil
 }
 
-func (b *memBackend) Checkpoint() error {
-	b.store.CompactJournal(b.store.LastLSN())
-	return nil
-}
+// Checkpoint has nothing to fold: the image is one value per key.
+func (b *memBackend) Checkpoint() error { return nil }
 
 func (b *memBackend) Close() error { return nil }

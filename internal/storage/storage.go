@@ -1,12 +1,16 @@
 // Package storage implements the in-memory versioned key-value store that
 // backs every simulated site.
 //
-// The store holds the committed database state. Transactions write through
-// it immediately under two-phase locking and undo on abort using
-// before-images kept by the transaction layer, so the store itself stays a
-// plain concurrent map plus a committed-write journal. The journal gives
-// sites a durable-state notion for crash/restore simulation: state
-// reconstructed from the journal is exactly the committed state.
+// A store keeps three things: its cells, each a {value, version} pair;
+// the LSN counter; and an optional commit sink. Transactions write
+// through it immediately under two-phase locking and undo on abort using
+// before-images kept by the transaction layer, so the live cells may
+// hold values no transaction has committed yet. The store keeps no
+// history. What a crash recovers to, the committed state, belongs to
+// whoever holds the sink: Apply hands every committed batch to it, with
+// the batch's LSN, and a storage driver folds those batches into the
+// committed image (and, on disk, into a write-ahead log) that its
+// recovery rebuilds the store from.
 //
 // # Versions
 //
@@ -22,24 +26,20 @@
 //     the cell. Two unstamped writes to a key are indistinguishable by
 //     version, so a raw writer and a version-validating reader must not
 //     share keys.
-//   - Restore, Recover and NewRecovered stamp every cell with a fresh
-//     negative restore epoch, which no earlier read of the store (or of
-//     the store recovered from) can hold. CompactJournal touches only
-//     the journal.
+//   - Restore and NewRecovered stamp every cell with a fresh negative
+//     restore epoch, which no earlier read of the store can hold.
 //
 // # Striping
 //
-// The live map is sharded by key hash; the journal is sharded
-// round-robin with per-entry LSN assignment from an atomic counter, and
-// merged by LSN on read (Journal, Recover). Unrelated keys therefore
-// never contend on a mutex. Whole-store reads (Snapshot, Sum, Keys …)
-// take every data-shard read lock in index order, which still yields a
-// consistent cut. LSNs are assigned while holding the target journal
-// shard's mutex, so any reader holding all journal-shard mutexes sees a
-// gap-free prefix: every assigned LSN is already appended. Replaying
-// the merged journal in LSN order reproduces the committed state —
-// conflicting batches are ordered by the lock manager (writers hold
-// exclusive locks through Apply), so LSN order is a valid serialization.
+// The cells are sharded by key hash, so unrelated keys never contend on
+// a mutex. Whole-store reads (Snapshot, Sum, Keys …) take every shard's
+// read lock in index order, which yields a consistent cut. Apply writes
+// a batch's cells before it takes the batch's LSN from an atomic
+// counter, so every batch at or below an LSN read from LastLSN is
+// already in the cells. Conflicting batches are ordered by the lock
+// manager (writers hold exclusive locks through Apply), so LSN order is
+// a valid serialization for replay; batches on disjoint keys may reach
+// the sink out of LSN order.
 package storage
 
 import (
@@ -61,17 +61,14 @@ type Write struct {
 	Value metric.Value
 }
 
-// JournalEntry is one committed atomic batch.
-type JournalEntry struct {
-	// LSN is the log sequence number, ascending from 1. LSNs are dense
-	// until the first CompactJournal, which folds a prefix of entries
-	// into one checkpoint entry.
+// Batch is one committed atomic batch, as a commit sink receives it and
+// a recovery replays it.
+type Batch struct {
+	// LSN is the log sequence number: dense and ascending from 1, one
+	// per non-empty Apply.
 	LSN uint64
 	// Writes are the batch's assignments.
 	Writes []Write
-	// Checkpoint marks an entry produced by CompactJournal: its writes
-	// are the folded state of every entry it replaced.
-	Checkpoint bool
 }
 
 // cell is one key's live state: its value and its version (see
@@ -87,68 +84,45 @@ type dataShard struct {
 	data map[Key]cell
 }
 
-// journalShard is one shard of the committed-batch journal.
-type journalShard struct {
-	mu      sync.Mutex
-	entries []JournalEntry
-}
-
-// DefaultShards is the default data/journal shard count.
+// DefaultShards is the default data shard count.
 const DefaultShards = 16
 
-// DefaultJournalLimit is the default soft cap on journal entries: when
-// an append pushes the total past the cap the journal auto-compacts its
-// full prefix into one checkpoint entry. Recovery semantics are
-// unchanged (the checkpoint replays to the identical state); the cap
-// only bounds memory in long soaks. SetJournalLimit(0) disables it.
-const DefaultJournalLimit = 1 << 16
-
-// CommitSink receives every committed batch after it is journaled. A
-// durable driver implements it to write the batch to a write-ahead log.
-// Commit need not wait for the write to be durable, and the disk driver
-// does not: there "Apply returned" means the batch is in the log, ahead
-// of every later record, and it becomes durable with the next fsync
-// of that log — the site's next queue-image persist, or a Sync. Sync
-// returns once every batch Commit has been handed is durable. A Commit
-// error is fatal for the batch's transaction: Apply propagates it and
-// the executor aborts, but the in-memory journal entry has already been
-// appended, so a store whose sink failed must be treated as crashed.
+// CommitSink receives every committed batch. A storage driver implements
+// it to keep the committed image a crash recovers to and, on disk, to
+// write the batch to a write-ahead log. Commit must not retain
+// b.Writes: the slice belongs to Apply's caller. Commit need not wait
+// for the write to be durable, and the disk driver does not: there
+// "Apply returned" means the batch is in the log, ahead of every later
+// record, and it becomes durable with the next fsync of that log — the
+// site's next queue-image persist, or a Sync. Sync returns once every
+// batch Commit has been handed is durable. A Commit error is fatal for
+// the batch's transaction: Apply propagates it and the executor aborts,
+// but the batch's cells and LSN are already taken, so a store whose
+// sink failed must be treated as crashed.
 type CommitSink interface {
-	Commit(e JournalEntry) error
+	Commit(b Batch) error
 	Sync() error
 }
 
 // Store is a concurrent key-value store over the metric value space.
 type Store struct {
 	shards  []*dataShard
-	jshards []*journalShard
 	nextLSN atomic.Uint64
-	nextJS  atomic.Uint64 // round-robin journal shard cursor
-	jcount  atomic.Int64  // total journal entries across shards
-	jlimit  atomic.Int64  // soft cap (0 = unlimited)
-	compact sync.Mutex    // serializes compactions
-	sink    atomic.Value  // CommitSink, set at most once before use
-	epochs  atomic.Int64  // restore epochs handed out (cells hold -epoch)
+	sink    atomic.Value // CommitSink, set at most once before use
+	epochs  atomic.Int64 // restore epochs handed out (cells hold -epoch)
 }
 
 // New returns an empty store.
 func New() *Store {
-	s := &Store{
-		shards:  make([]*dataShard, DefaultShards),
-		jshards: make([]*journalShard, DefaultShards),
-	}
+	s := &Store{shards: make([]*dataShard, DefaultShards)}
 	for i := range s.shards {
 		s.shards[i] = &dataShard{data: make(map[Key]cell)}
 	}
-	for i := range s.jshards {
-		s.jshards[i] = &journalShard{}
-	}
-	s.jlimit.Store(DefaultJournalLimit)
 	return s
 }
 
 // NewFrom returns a store seeded with the given contents. The initial load
-// is recorded as LSN 1 so that recovery reproduces it.
+// is applied as LSN 1.
 func NewFrom(init map[Key]metric.Value) *Store {
 	s := New()
 	if len(init) == 0 {
@@ -160,7 +134,7 @@ func NewFrom(init map[Key]metric.Value) *Store {
 	}
 	sort.Slice(writes, func(i, j int) bool { return writes[i].Key < writes[j].Key })
 	if err := s.Apply(writes); err != nil {
-		// Apply on a fresh store with a non-empty batch cannot fail.
+		// Apply on a fresh store without a sink cannot fail.
 		panic(fmt.Sprintf("storage: seeding fresh store: %v", err))
 	}
 	return s
@@ -223,10 +197,10 @@ func (s *Store) Has(k Key) bool {
 	return ok
 }
 
-// Set assigns k := v without journaling and clears k's version to 0. It
-// is the raw cell update used by in-flight transactions; the transaction
-// layer journals the final batch at commit via Apply, and undoes via Set
-// on abort.
+// Set assigns k := v without committing it and clears k's version to 0.
+// It is the raw cell update used by in-flight transactions; the
+// transaction layer commits the final batch via Apply, and undoes via Set
+// on abort. No sink sees a Set, so a recovery forgets it.
 func (s *Store) Set(k Key, v metric.Value) {
 	s.put(k, cell{v: v})
 }
@@ -239,10 +213,10 @@ func (s *Store) put(k Key, c cell) {
 	sh.mu.Unlock()
 }
 
-// Apply journals an atomic committed batch, unstamped: every written key's
-// version becomes 0. Values must already be present in the live map when
-// the batch comes from an in-place committer; Apply also (re)assigns them
-// so it works for both write-through and deferred writers.
+// Apply commits an atomic batch, unstamped: every written key's version
+// becomes 0. Values must already be present in the live map when the
+// batch comes from an in-place committer; Apply also (re)assigns them so
+// it works for both write-through and deferred writers.
 func (s *Store) Apply(writes []Write) error {
 	return s.apply(writes, 0)
 }
@@ -256,31 +230,19 @@ func (s *Store) ApplyStamped(writes []Write, ver int64) error {
 	return s.apply(writes, ver)
 }
 
-// apply is Apply and ApplyStamped: it writes every key's cell, then
-// journals the batch.
+// apply is Apply and ApplyStamped: it writes every key's cell, then takes
+// the batch's LSN (the order the package doc's cut rests on), then hands
+// the caller's batch to the sink.
 func (s *Store) apply(writes []Write, ver int64) error {
 	if len(writes) == 0 {
 		return nil
 	}
-	cp := make([]Write, len(writes))
-	copy(cp, writes)
-	for _, w := range cp {
+	for _, w := range writes {
 		s.put(w.Key, cell{v: w.Value, ver: ver})
 	}
-	js := s.jshards[s.nextJS.Add(1)%uint64(len(s.jshards))]
-	js.mu.Lock()
-	// The LSN is assigned under the shard mutex so that a reader holding
-	// every journal-shard mutex observes a gap-free LSN prefix.
 	lsn := s.nextLSN.Add(1)
-	js.entries = append(js.entries, JournalEntry{LSN: lsn, Writes: cp})
-	js.mu.Unlock()
 	if sink, ok := s.sink.Load().(CommitSink); ok && sink != nil {
-		if err := sink.Commit(JournalEntry{LSN: lsn, Writes: cp}); err != nil {
-			return err
-		}
-	}
-	if n := s.jcount.Add(1); n > s.jlimit.Load() && s.jlimit.Load() > 0 {
-		s.autoCompact()
+		return sink.Commit(Batch{LSN: lsn, Writes: writes})
 	}
 	return nil
 }
@@ -304,16 +266,6 @@ func (s *Store) Sync() error {
 
 // LastLSN returns the highest LSN assigned so far (0 on a fresh store).
 func (s *Store) LastLSN() uint64 { return s.nextLSN.Load() }
-
-// SetJournalLimit sets the soft cap on journal entries (0 disables
-// auto-compaction). The cap bounds memory, not durability: compaction
-// preserves the recovered state exactly.
-func (s *Store) SetJournalLimit(n int) {
-	s.jlimit.Store(int64(n))
-}
-
-// JournalLen returns the number of journal entries currently held.
-func (s *Store) JournalLen() int { return int(s.jcount.Load()) }
 
 // lockAllData read-locks every data shard in index order.
 func (s *Store) lockAllData() {
@@ -367,13 +319,8 @@ func (s *Store) Snapshot() map[Key]metric.Value {
 	return snap
 }
 
-// Restore replaces the live state with snap and resets the journal to a
-// single checkpoint entry mirroring snap. The journal must not survive
-// the restore: entries with LSNs above the restored cut describe writes
-// that the restored state has already forgotten, and a later
-// CompactJournal (or Recover) would fold those future writes back into
-// the old state. The checkpoint's LSN is the current high-water mark so
-// LSNs stay monotonic for writes committed after the restore. Every
+// Restore replaces the live state with snap. The LSN counter is kept,
+// so LSNs stay monotonic for writes committed after the restore. Every
 // restored cell carries a fresh restore epoch as its version.
 func (s *Store) Restore(snap map[Key]metric.Value) {
 	for _, sh := range s.shards {
@@ -384,226 +331,40 @@ func (s *Store) Restore(snap map[Key]metric.Value) {
 	for k, v := range snap {
 		s.shardFor(k).data[k] = cell{v: v, ver: ver}
 	}
-	s.lockAllJournal()
-	for _, js := range s.jshards {
-		js.entries = nil
-	}
-	if len(snap) > 0 {
-		writes := make([]Write, 0, len(snap))
-		for k, v := range snap {
-			writes = append(writes, Write{Key: k, Value: v})
-		}
-		sort.Slice(writes, func(i, j int) bool { return writes[i].Key < writes[j].Key })
-		cut := s.nextLSN.Load()
-		if cut == 0 {
-			cut = s.nextLSN.Add(1)
-		}
-		s.jshards[0].entries = []JournalEntry{{LSN: cut, Writes: writes, Checkpoint: true}}
-		s.jcount.Store(1)
-	} else {
-		s.jcount.Store(0)
-	}
-	s.unlockAllJournal()
 	for _, sh := range s.shards {
 		sh.mu.Unlock()
 	}
-}
-
-// mergedJournalLocked collects every entry sorted by LSN. Callers hold
-// all journal-shard mutexes.
-func (s *Store) mergedJournalLocked() []JournalEntry {
-	var out []JournalEntry
-	for _, js := range s.jshards {
-		out = append(out, js.entries...)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].LSN < out[j].LSN })
-	return out
-}
-
-// lockAllJournal locks every journal shard in index order.
-func (s *Store) lockAllJournal() {
-	for _, js := range s.jshards {
-		js.mu.Lock()
-	}
-}
-
-func (s *Store) unlockAllJournal() {
-	for _, js := range s.jshards {
-		js.mu.Unlock()
-	}
-}
-
-// Journal returns a copy of the committed-batch journal in LSN order.
-func (s *Store) Journal() []JournalEntry {
-	s.lockAllJournal()
-	defer s.unlockAllJournal()
-	return s.mergedJournalLocked()
 }
 
 // newEpoch hands out the version of the next restore: negative, so it
 // never equals a stamped or unstamped version, and new each time.
 func (s *Store) newEpoch() int64 { return -s.epochs.Add(1) }
 
-// Recover builds a fresh store whose state replays the journal: the
-// durable, committed state as of the crash. Uncommitted Set calls made by
-// in-flight transactions are lost, exactly as a write-ahead-logged store
-// would lose dirty pages whose transactions never committed. The
-// recovered cells carry a restore epoch past every one s handed out.
-func (s *Store) Recover() *Store {
-	entries := s.Journal()
-	r := New()
-	r.jlimit.Store(s.jlimit.Load())
-	r.epochs.Store(s.epochs.Load())
-	ver := r.newEpoch()
-	var maxLSN uint64
-	for _, entry := range entries {
-		for _, w := range entry.Writes {
-			r.shardFor(w.Key).data[w.Key] = cell{v: w.Value, ver: ver}
-		}
-		js := r.jshards[r.nextJS.Add(1)%uint64(len(r.jshards))]
-		js.entries = append(js.entries, entry)
-		r.jcount.Add(1)
-		if entry.LSN > maxLSN {
-			maxLSN = entry.LSN
-		}
-	}
-	r.nextLSN.Store(maxLSN)
-	return r
-}
-
 // NewRecovered builds a store from a recovered durable image: base is
 // the latest snapshot (folded state as of baseLSN) and entries are the
-// journaled batches logged after it, in ascending LSN order. The result
-// is exactly the store a crash-surviving site should resume from: data
-// replays base then entries, the journal holds a checkpoint for base
-// plus the entries, and the LSN counter resumes past the highest
+// batches logged after it, in ascending LSN order. The result is exactly
+// the store a crash-surviving site should resume from: its cells replay
+// base then entries, and the LSN counter resumes past the highest
 // recovered LSN. Entries at or below baseLSN are skipped — the snapshot
 // already folds them. The cells carry the new store's first restore epoch.
-func NewRecovered(base map[Key]metric.Value, baseLSN uint64, entries []JournalEntry) *Store {
+func NewRecovered(base map[Key]metric.Value, baseLSN uint64, entries []Batch) *Store {
 	r := New()
 	ver := r.newEpoch()
-	maxLSN := baseLSN
-	if len(base) > 0 {
-		writes := make([]Write, 0, len(base))
-		for k, v := range base {
-			r.shardFor(k).data[k] = cell{v: v, ver: ver}
-			writes = append(writes, Write{Key: k, Value: v})
-		}
-		sort.Slice(writes, func(i, j int) bool { return writes[i].Key < writes[j].Key })
-		lsn := baseLSN
-		if lsn == 0 {
-			lsn = 1
-			maxLSN = 1
-		}
-		r.jshards[0].entries = []JournalEntry{{LSN: lsn, Writes: writes, Checkpoint: true}}
-		r.jcount.Add(1)
+	for k, v := range base {
+		r.shardFor(k).data[k] = cell{v: v, ver: ver}
 	}
-	for _, entry := range entries {
-		if entry.LSN <= baseLSN {
+	maxLSN := baseLSN
+	for _, b := range entries {
+		if b.LSN <= baseLSN {
 			continue
 		}
-		for _, w := range entry.Writes {
+		for _, w := range b.Writes {
 			r.shardFor(w.Key).data[w.Key] = cell{v: w.Value, ver: ver}
 		}
-		js := r.jshards[r.nextJS.Add(1)%uint64(len(r.jshards))]
-		js.entries = append(js.entries, entry)
-		r.jcount.Add(1)
-		if entry.LSN > maxLSN {
-			maxLSN = entry.LSN
-		}
+		maxLSN = max(maxLSN, b.LSN)
 	}
 	r.nextLSN.Store(maxLSN)
 	return r
-}
-
-// CompactJournal folds every journal entry with LSN <= keepLSN into a
-// single checkpoint entry carrying the folded state, and keeps later
-// entries untouched. It returns the number of entries removed (folded
-// entries minus the checkpoint). Recovery from a compacted journal
-// reproduces exactly the state of the uncompacted one: the checkpoint
-// replays the folded prefix's final values, then later entries replay
-// in LSN order as before. Long soaks call it to keep memory flat.
-func (s *Store) CompactJournal(keepLSN uint64) int {
-	s.compact.Lock()
-	defer s.compact.Unlock()
-	return s.compactJournal(keepLSN)
-}
-
-// compactJournal is CompactJournal's body; callers hold s.compact.
-//
-// Each shard's entries are in ascending LSN order by construction (the
-// LSN is assigned under the shard mutex just before the append), so the
-// folded region of every shard is a plain slice prefix: no global
-// merge-and-sort is needed. Folding tracks per-key the highest folded
-// LSN so last-writer-wins holds across shards, the prefixes are trimmed
-// in place (keeping each shard's capacity for the next fill cycle), and
-// the checkpoint — whose LSN precedes every kept entry — is prepended
-// to shard 0, preserving per-shard LSN order. This keeps auto-compaction
-// O(folded entries) with no large transient allocation, which matters
-// because it runs on the commit path of long benchmarks and soaks.
-func (s *Store) compactJournal(keepLSN uint64) int {
-	s.lockAllJournal()
-	defer s.unlockAllJournal()
-	type foldVal struct {
-		lsn uint64
-		v   metric.Value
-	}
-	fold := make(map[Key]foldVal)
-	cuts := make([]int, len(s.jshards))
-	folded := 0
-	var maxFolded uint64
-	for si, js := range s.jshards {
-		entries := js.entries
-		cut := sort.Search(len(entries), func(i int) bool { return entries[i].LSN > keepLSN })
-		cuts[si] = cut
-		for _, e := range entries[:cut] {
-			for _, w := range e.Writes {
-				// >= lets a later write in the same batch win too.
-				if fv, ok := fold[w.Key]; !ok || e.LSN >= fv.lsn {
-					fold[w.Key] = foldVal{lsn: e.LSN, v: w.Value}
-				}
-			}
-			if e.LSN > maxFolded {
-				maxFolded = e.LSN
-			}
-		}
-		folded += cut
-	}
-	if folded <= 1 {
-		return 0 // nothing to gain
-	}
-	writes := make([]Write, 0, len(fold))
-	for k, fv := range fold {
-		writes = append(writes, Write{Key: k, Value: fv.v})
-	}
-	sort.Slice(writes, func(i, j int) bool { return writes[i].Key < writes[j].Key })
-	ck := JournalEntry{LSN: maxFolded, Writes: writes, Checkpoint: true}
-	total := 1 // the checkpoint
-	for si, js := range s.jshards {
-		if cut := cuts[si]; cut > 0 {
-			js.entries = append(js.entries[:0], js.entries[cut:]...)
-		}
-		total += len(js.entries)
-	}
-	// maxFolded <= keepLSN < every kept LSN, so prepending the checkpoint
-	// keeps shard 0 sorted.
-	js0 := s.jshards[0]
-	js0.entries = append(js0.entries, JournalEntry{})
-	copy(js0.entries[1:], js0.entries)
-	js0.entries[0] = ck
-	s.jcount.Store(int64(total))
-	return folded - 1
-}
-
-// autoCompact folds the entire current journal into one checkpoint.
-// It runs at most one compaction at a time; concurrent appends simply
-// land after the fold point and are kept.
-func (s *Store) autoCompact() {
-	if !s.compact.TryLock() {
-		return // a compaction is already running
-	}
-	defer s.compact.Unlock()
-	s.compactJournal(s.nextLSN.Load())
 }
 
 // Sum returns the total of the given keys (missing keys count 0). It is

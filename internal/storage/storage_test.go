@@ -2,11 +2,11 @@ package storage
 
 import (
 	"errors"
-	"maps"
-	"math/rand"
+	"reflect"
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
-	"testing/quick"
 
 	"asynctp/internal/metric"
 )
@@ -36,17 +36,24 @@ func TestSetGet(t *testing.T) {
 	}
 }
 
+// TestNewFromSeedsAndJournals: the seed is one batch, LSN 1, so the
+// first batch a sink installed afterwards sees is LSN 2.
 func TestNewFromSeedsAndJournals(t *testing.T) {
 	s := NewFrom(map[Key]metric.Value{"a": 1, "b": 2})
 	if s.Get("a") != 1 || s.Get("b") != 2 {
 		t.Errorf("seeded values wrong: a=%d b=%d", s.Get("a"), s.Get("b"))
 	}
-	j := s.Journal()
-	if len(j) != 1 || j[0].LSN != 1 || len(j[0].Writes) != 2 {
-		t.Errorf("journal after seed = %+v", j)
+	if got := s.LastLSN(); got != 1 {
+		t.Errorf("LastLSN after seed = %d, want 1", got)
 	}
-	if NewFrom(nil).Len() != 0 {
-		t.Error("NewFrom(nil) not empty")
+	sink := &recordingSink{}
+	s.SetSink(sink)
+	must(t, s.Apply([]Write{{Key: "a", Value: 3}}))
+	if len(sink.entries) != 1 || sink.entries[0].LSN != 2 {
+		t.Errorf("sink after seed saw %+v, want one batch at LSN 2", sink.entries)
+	}
+	if e := NewFrom(nil); e.Len() != 0 || e.LastLSN() != 0 {
+		t.Errorf("NewFrom(nil): %d keys, LSN %d; want empty at 0", e.Len(), e.LastLSN())
 	}
 }
 
@@ -61,11 +68,13 @@ func TestApplyAtomicBatch(t *testing.T) {
 	if err := s.Apply(nil); err != nil {
 		t.Fatalf("Apply(nil): %v", err)
 	}
-	if got := len(s.Journal()); got != 1 {
-		t.Errorf("empty Apply journaled: %d entries", got)
+	if got := s.LastLSN(); got != 1 {
+		t.Errorf("empty Apply took an LSN: LastLSN = %d, want 1", got)
 	}
 }
 
+// TestApplyCopiesBatch: the cells take copies of the batch's values, so
+// the caller may reuse its slice once Apply returns.
 func TestApplyCopiesBatch(t *testing.T) {
 	s := New()
 	batch := []Write{{Key: "x", Value: 1}}
@@ -73,22 +82,50 @@ func TestApplyCopiesBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	batch[0].Value = 999
-	if got := s.Journal()[0].Writes[0].Value; got != 1 {
-		t.Errorf("journal aliases caller batch: %d", got)
+	if got := s.Get("x"); got != 1 {
+		t.Errorf("cell aliases caller batch: %d", got)
 	}
 }
 
+// TestJournalLSNsAreDense: the LSNs a sink sees are ascending per Apply
+// on one goroutine and, across concurrent Applies, exactly 1..n.
 func TestJournalLSNsAreDense(t *testing.T) {
+	sink := &recordingSink{}
 	s := New()
+	s.SetSink(sink)
 	for i := 0; i < 5; i++ {
-		if err := s.Apply([]Write{{Key: "k", Value: metric.Value(i)}}); err != nil {
-			t.Fatal(err)
+		must(t, s.Apply([]Write{{Key: "k", Value: metric.Value(i)}}))
+	}
+	for i, e := range sink.entries {
+		if e.LSN != uint64(i+1) {
+			t.Errorf("batch %d has LSN %d", i, e.LSN)
 		}
 	}
-	for i, entry := range s.Journal() {
-		if entry.LSN != uint64(i+1) {
-			t.Errorf("entry %d has LSN %d", i, entry.LSN)
+	const writers, per = 8, 50
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(k Key) {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				if err := s.Apply([]Write{{Key: k, Value: metric.Value(i)}}); err != nil {
+					t.Error(err)
+				}
+			}
+		}(Key(rune('a' + w)))
+	}
+	wg.Wait()
+	seen := map[uint64]bool{}
+	for _, e := range sink.entries {
+		seen[e.LSN] = true
+	}
+	for lsn := uint64(1); lsn <= 5+writers*per; lsn++ {
+		if !seen[lsn] {
+			t.Fatalf("no batch took LSN %d", lsn)
 		}
+	}
+	if len(sink.entries) != 5+writers*per {
+		t.Errorf("sink saw %d batches, want %d", len(sink.entries), 5+writers*per)
 	}
 }
 
@@ -118,70 +155,6 @@ func TestRestore(t *testing.T) {
 	s.Restore(map[Key]metric.Value{"z": 3})
 	if s.Len() != 1 || s.Get("z") != 3 || s.Has("x") {
 		t.Errorf("Restore failed: len=%d z=%d", s.Len(), s.Get("z"))
-	}
-}
-
-func TestRecoverDropsUncommittedWrites(t *testing.T) {
-	s := New()
-	if err := s.Apply([]Write{{Key: "x", Value: 100}}); err != nil {
-		t.Fatal(err)
-	}
-	// Dirty write by an in-flight transaction that never commits.
-	s.Set("x", 55)
-	s.Set("dirty", 1)
-
-	r := s.Recover()
-	if got := r.Get("x"); got != 100 {
-		t.Errorf("recovered x = %d, want committed 100", got)
-	}
-	if r.Has("dirty") {
-		t.Error("recovered store kept uncommitted key")
-	}
-	// The recovered store must keep journaling from the right LSN.
-	if err := r.Apply([]Write{{Key: "x", Value: 101}}); err != nil {
-		t.Fatal(err)
-	}
-	j := r.Journal()
-	if j[len(j)-1].LSN != 2 {
-		t.Errorf("post-recovery LSN = %d, want 2", j[len(j)-1].LSN)
-	}
-}
-
-func TestRecoverReplayEquivalenceProperty(t *testing.T) {
-	// Replaying the journal must reproduce exactly the state produced by
-	// the sequence of Apply calls, for any batch sequence.
-	prop := func(seed int64, steps uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		s := New()
-		keys := []Key{"a", "b", "c", "d"}
-		for i := 0; i < int(steps%30); i++ {
-			n := rng.Intn(3) + 1
-			batch := make([]Write, 0, n)
-			for j := 0; j < n; j++ {
-				batch = append(batch, Write{
-					Key:   keys[rng.Intn(len(keys))],
-					Value: metric.Value(rng.Intn(1000)),
-				})
-			}
-			if err := s.Apply(batch); err != nil {
-				return false
-			}
-		}
-		r := s.Recover()
-		want := s.Snapshot()
-		got := r.Snapshot()
-		if len(want) != len(got) {
-			return false
-		}
-		for k, v := range want {
-			if got[k] != v {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
 	}
 }
 
@@ -224,65 +197,41 @@ func TestConcurrentAccess(t *testing.T) {
 	}
 }
 
-func TestRestoreTruncatesStaleJournal(t *testing.T) {
-	// Regression: Restore used to keep the journal untouched, so entries
-	// with LSNs above the restored snapshot's cut survived and the next
-	// CompactJournal (or Recover) folded those future writes back into
-	// the old state.
-	s := NewFrom(map[Key]metric.Value{"x": 1})
-	if err := s.Apply([]Write{{Key: "x", Value: 2}}); err != nil {
-		t.Fatal(err)
-	}
-	snap := s.Snapshot() // x=2
-	if err := s.Apply([]Write{{Key: "x", Value: 9}, {Key: "leak", Value: 7}}); err != nil {
-		t.Fatal(err)
-	}
-	s.Restore(snap)
-	s.CompactJournal(s.LastLSN())
-	r := s.Recover()
-	if got := r.Get("x"); got != 2 {
-		t.Errorf("recovered x = %d, want restored 2", got)
-	}
-	if r.Has("leak") {
-		t.Error("recovered store resurrected a write from above the restore cut")
-	}
-	if got, want := r.Snapshot(), s.Snapshot(); !maps.Equal(got, want) {
-		t.Errorf("Recover after Restore+Compact = %v, want %v", got, want)
-	}
-}
-
 func TestRestoreKeepsLSNMonotonic(t *testing.T) {
 	s := NewFrom(map[Key]metric.Value{"x": 1})
 	if err := s.Apply([]Write{{Key: "x", Value: 2}}); err != nil {
 		t.Fatal(err)
 	}
 	cut := s.LastLSN()
+	sink := &recordingSink{}
+	s.SetSink(sink)
 	s.Restore(s.Snapshot())
+	if got := s.LastLSN(); got != cut {
+		t.Fatalf("Restore moved the LSN counter: %d, want %d", got, cut)
+	}
 	if err := s.Apply([]Write{{Key: "y", Value: 3}}); err != nil {
 		t.Fatal(err)
 	}
-	j := s.Journal()
-	if len(j) != 2 || !j[0].Checkpoint {
-		t.Fatalf("journal after restore = %+v, want [checkpoint, y]", j)
-	}
-	if j[0].LSN != cut || j[1].LSN <= cut {
-		t.Errorf("LSNs not monotonic across restore: %d then %d", j[0].LSN, j[1].LSN)
+	if len(sink.entries) != 1 || sink.entries[0].LSN != cut+1 {
+		t.Errorf("batch after restore = %+v, want LSN %d", sink.entries, cut+1)
 	}
 }
 
+// recordingSink keeps a copy of every batch it is handed: Commit must not
+// retain the caller's slice.
 type recordingSink struct {
 	mu      sync.Mutex
-	entries []JournalEntry
+	entries []Batch
 	fail    error
 }
 
-func (r *recordingSink) Commit(e JournalEntry) error {
+func (r *recordingSink) Commit(b Batch) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.fail != nil {
 		return r.fail
 	}
-	r.entries = append(r.entries, e)
+	r.entries = append(r.entries, Batch{LSN: b.LSN, Writes: slices.Clone(b.Writes)})
 	return nil
 }
 
@@ -293,17 +242,24 @@ func TestCommitSinkSeesEveryBatch(t *testing.T) {
 	s := New()
 	s.SetSink(sink)
 	for i := 1; i <= 5; i++ {
-		if err := s.Apply([]Write{{Key: "x", Value: metric.Value(i)}}); err != nil {
+		if err := s.Apply([]Write{{Key: "x", Value: metric.Value(i)}, {Key: "y", Value: metric.Value(-i)}}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if len(sink.entries) != 5 {
-		t.Fatalf("sink saw %d batches, want 5", len(sink.entries))
+	if err := s.ApplyStamped([]Write{{Key: "z", Value: 6}}, 9); err != nil {
+		t.Fatal(err)
 	}
-	for i, e := range sink.entries {
-		if e.LSN != uint64(i+1) {
-			t.Errorf("sink entry %d LSN = %d, want %d", i, e.LSN, i+1)
+	if len(sink.entries) != 6 {
+		t.Fatalf("sink saw %d batches, want 6", len(sink.entries))
+	}
+	for i, e := range sink.entries[:5] {
+		want := Batch{LSN: uint64(i + 1), Writes: []Write{{Key: "x", Value: metric.Value(i + 1)}, {Key: "y", Value: metric.Value(-i - 1)}}}
+		if !reflect.DeepEqual(e, want) {
+			t.Errorf("sink batch %d = %+v, want %+v", i, e, want)
 		}
+	}
+	if e := sink.entries[5]; e.LSN != 6 || !reflect.DeepEqual(e.Writes, []Write{{Key: "z", Value: 6}}) {
+		t.Errorf("stamped batch = %+v, want LSN 6 writing z=6", e)
 	}
 }
 
@@ -317,3 +273,33 @@ func TestCommitSinkErrorPropagates(t *testing.T) {
 }
 
 var errSinkDown = errors.New("sink down")
+
+// TestApplyHeapStaysFlat: a store keeps one cell per key and no history,
+// so a long run of commits leaves its live heap where it started.
+func TestApplyHeapStaysFlat(t *testing.T) {
+	s := NewFrom(map[Key]metric.Value{"a": 0, "b": 0})
+	batch := []Write{{Key: "a"}, {Key: "b"}}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 60000; i++ {
+		batch[0].Value, batch[1].Value = metric.Value(i), metric.Value(-i)
+		must(t, s.Apply(batch))
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(s)
+	if grew := int64(after.HeapAlloc) - int64(before.HeapAlloc); grew >= 256<<10 {
+		t.Errorf("60000 Applies grew the live heap by %d bytes, want < 256 KiB", grew)
+	}
+}
+
+// TestApplyAllocs: without a sink, an Apply to existing keys allocates
+// nothing.
+func TestApplyAllocs(t *testing.T) {
+	s := NewFrom(map[Key]metric.Value{"a": 0, "b": 0})
+	batch := []Write{{Key: "a", Value: 1}, {Key: "b", Value: -1}}
+	if allocs := testing.AllocsPerRun(1000, func() { must(t, s.Apply(batch)) }); allocs != 0 {
+		t.Errorf("Apply: %.1f allocs, want 0", allocs)
+	}
+}

@@ -30,6 +30,14 @@ func TestVersionRules(t *testing.T) {
 		snap["a"]++
 		return snap
 	}
+	// recover is what a storage driver's Recover does to the store:
+	// restore its committed image, which lacks the raw write to b.
+	recover := func(s *Store) *Store {
+		committed := s.Snapshot()
+		committed["b"] = 2
+		s.Restore(committed)
+		return s
+	}
 	for _, tc := range []struct {
 		name string
 		prep func(s *Store) // before the versions are read
@@ -59,11 +67,11 @@ func TestVersionRules(t *testing.T) {
 			op:    func(s *Store) *Store { s.Restore(s.Snapshot()); return s },
 			fresh: true},
 		{name: "Recover drops the raw write under a new epoch",
-			op:    func(s *Store) *Store { return s.Recover() },
+			op:    recover,
 			fresh: true},
 		{name: "Recover after Restore outruns its epoch",
 			prep:  func(s *Store) { s.Restore(s.Snapshot()) },
-			op:    func(s *Store) *Store { return s.Recover() },
+			op:    recover,
 			fresh: true},
 		{name: "NewRecovered stamps an epoch",
 			op: func(s *Store) *Store {
@@ -72,13 +80,10 @@ func TestVersionRules(t *testing.T) {
 			fresh: true},
 		{name: "NewRecovered replays entries under the epoch",
 			op: func(s *Store) *Store {
-				tail := []JournalEntry{{LSN: s.LastLSN() + 1, Writes: []Write{{Key: "c", Value: 30}}}}
+				tail := []Batch{{LSN: s.LastLSN() + 1, Writes: []Write{{Key: "c", Value: 30}}}}
 				return NewRecovered(s.Snapshot(), s.LastLSN(), tail)
 			},
 			fresh: true},
-		{name: "CompactJournal leaves cells alone",
-			op:   func(s *Store) *Store { s.CompactJournal(s.LastLSN()); return s },
-			want: map[Key]int64{}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := base()
@@ -166,7 +171,6 @@ func TestVersionedReadsSeeInstalledPairs(t *testing.T) {
 	// the pair alone, so a reader can check what it saw.
 	valueOf := func(ver int64, i int) metric.Value { return metric.Value(ver*nKeys + int64(i)) }
 	s := NewFrom(init)
-	s.SetJournalLimit(64)
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	stop := make(chan struct{})

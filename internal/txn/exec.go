@@ -158,7 +158,7 @@ func (e *Exec) abort(owner lock.Owner, writes []writeRec, reason error) {
 }
 
 // Run executes p atomically as owner. On success the outcome is committed
-// and journaled. On failure all effects are undone and the error tells the
+// to the store as one batch. On failure all effects are undone and the error tells the
 // caller whether to retry: lock.ErrDeadlock and context errors are system
 // aborts (retryable); ErrRollback is a business rollback (final).
 func (e *Exec) Run(ctx context.Context, owner lock.Owner, p *Program) (*Outcome, error) {
@@ -218,7 +218,7 @@ func (e *Exec) Run(ctx context.Context, owner lock.Owner, p *Program) (*Outcome,
 		}
 	}
 
-	// Commit: journal the batch, then release (strict 2PL holds all locks
+	// Commit: apply the batch, then release (strict 2PL holds all locks
 	// to this point).
 	e.stepTo(owner, p, -1, StepCommit, "", false)
 	var batch []storage.Write

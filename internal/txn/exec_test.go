@@ -3,6 +3,8 @@ package txn
 import (
 	"context"
 	"errors"
+	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -271,18 +273,35 @@ func TestIDGenUnique(t *testing.T) {
 	wg.Wait()
 }
 
+// batchSink records the batches a store commits.
+type batchSink struct{ batches []storage.Batch }
+
+func (s *batchSink) Commit(b storage.Batch) error {
+	s.batches = append(s.batches, storage.Batch{LSN: b.LSN, Writes: slices.Clone(b.Writes)})
+	return nil
+}
+
+func (s *batchSink) Sync() error { return nil }
+
+// TestCommitJournalsBatch: a commit hands its final writes to the
+// store's sink as one batch; an abort hands it nothing.
 func TestCommitJournalsBatch(t *testing.T) {
 	e, _ := newExecT(nil)
-	p := MustProgram("t", AddOp("x", 5))
+	sink := &batchSink{}
+	e.Store().SetSink(sink)
+	p := MustProgram("t", AddOp("x", 5), AddOp("x", 2), AddOp("y", -1))
 	if _, err := e.Run(context.Background(), 1, p); err != nil {
 		t.Fatal(err)
 	}
-	j := e.Store().Journal()
-	if len(j) != 1 || len(j[0].Writes) != 1 || j[0].Writes[0].Key != "x" || j[0].Writes[0].Value != 5 {
-		t.Errorf("journal = %+v", j)
+	want := []storage.Batch{{LSN: 1, Writes: []storage.Write{{Key: "x", Value: 7}, {Key: "y", Value: -1}}}}
+	if !reflect.DeepEqual(sink.batches, want) {
+		t.Errorf("committed batches = %+v, want %+v", sink.batches, want)
 	}
-	// Recovery must see the committed value.
-	if got := e.Store().Recover().Get("x"); got != 5 {
-		t.Errorf("recovered x = %d, want 5", got)
+	bad := MustProgram("rollback", AddOp("x", 1), WithAbortIf(AddOp("y", 1), func(v metric.Value) bool { return v < 0 }))
+	if _, err := e.Run(context.Background(), 2, bad); !errors.Is(err, ErrRollback) {
+		t.Fatalf("err = %v, want ErrRollback", err)
+	}
+	if len(sink.batches) != 1 || e.Store().Get("x") != 7 {
+		t.Errorf("rollback reached the sink (%d batches) or left x = %d", len(sink.batches), e.Store().Get("x"))
 	}
 }

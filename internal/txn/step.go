@@ -23,7 +23,7 @@ const (
 	// StepApply fires after admission, immediately before the operation
 	// reads or writes the store.
 	StepApply
-	// StepCommit fires before the commit point (journal apply under
+	// StepCommit fires before the commit point (the batch apply under
 	// locking, the validate-and-install critical section under OCC, the
 	// install section under TO). Key is empty.
 	StepCommit
