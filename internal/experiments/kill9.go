@@ -199,7 +199,7 @@ func kill9Quiesce(c *site.Cluster, timeout time.Duration) error {
 // Kill9Child runs the workload child: it recovers the cluster from the
 // shared disk image, re-stages recovered traffic, submits a fresh round
 // of chains, and either dies at the injected crash point (the expected
-// outcome) or quiesces and exits 0.
+// outcome) or quiesces kill9MaxRounds rounds short of it and exits 0.
 func Kill9Child() error {
 	dir := os.Getenv(kill9EnvDir)
 	if dir == "" {
@@ -225,20 +225,32 @@ func Kill9Child() error {
 	if err := c.RegisterPrograms(chaosPrograms(metric.Value(amount))); err != nil {
 		return err
 	}
-	var wg sync.WaitGroup
-	for i := 0; i < chains; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			time.Sleep(time.Duration(i) * 2 * time.Millisecond)
-			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-			defer cancel()
-			_, _ = c.Submit(ctx, 0) // settlement is audited from the files
-		}(i)
+	// Group commit may fold several hops into one fsync, so a round can
+	// quiesce short of an armed crash point's hit count; another round,
+	// submitted only once the last one settled, reaches it with no more
+	// chains in flight than one round.
+	for round := 0; ; round++ {
+		var wg sync.WaitGroup
+		for i := 0; i < chains; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				time.Sleep(time.Duration(i) * 2 * time.Millisecond)
+				ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+				defer cancel()
+				_, _ = c.Submit(ctx, 0) // settlement is audited from the files
+			}(i)
+		}
+		wg.Wait()
+		if err := kill9Quiesce(c, 20*time.Second); err != nil || hook == nil || round == kill9MaxRounds-1 {
+			return err
+		}
 	}
-	wg.Wait()
-	return kill9Quiesce(c, 20*time.Second)
 }
+
+// kill9MaxRounds bounds the rounds a child with an armed crash point
+// submits before it gives up and exits as quiesced.
+const kill9MaxRounds = 4
 
 // runKill9Child execs one workload child and reports whether it died by
 // SIGKILL (the only acceptable death when a crash spec is armed).

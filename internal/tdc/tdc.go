@@ -174,7 +174,10 @@ func (e *Engine) Run(
 		imported metric.Fuzz
 		exported metric.Fuzz
 		writes   []txn.Op
-		values   = make(map[storage.Key]metric.Value) // buffered writes
+		// exportedAt[i] reports whether writes[i] already exported its
+		// bound at admission for writing under a later query read.
+		exportedAt []bool
+		values     = make(map[storage.Key]metric.Value) // buffered writes
 	)
 	abort := func(format string, args ...any) (*txn.Outcome, metric.Fuzz, error) {
 		e.mu.Lock()
@@ -196,14 +199,12 @@ func (e *Engine) Run(
 		if e.opDelay > 0 {
 			txn.SimWork(e.opDelay)
 		}
-		// Read the current value (own buffered write wins).
-		cur, buffered := values[op.Key]
-		if !buffered {
-			cur = e.store.Get(op.Key)
-		}
-		// Timestamp admission per op.
+		// Timestamp admission per op, then the read of the current value
+		// (own buffered write wins) in the same critical section, so no
+		// install lands between the check and the value it admitted.
 		e.mu.Lock()
 		ks := e.key(op.Key)
+		priced := false
 		switch {
 		case op.Kind == txn.OpRead && class == txn.Query, op.Kind == txn.OpWrite && class == txn.Query:
 			// Query read (queries have no writes in our environment, but
@@ -254,7 +255,18 @@ func (e *Engine) Run(
 				}
 				exported = exported.Add(op.Bound.Bound())
 				e.stats.Absorbed++
+				priced = true
 			}
+		}
+		cur, buffered := values[op.Key]
+		if !buffered {
+			cur = e.store.Get(op.Key)
+		}
+		// The read is recorded under e.mu, so the history orders it against
+		// the installs exactly as the value it saw; a rollback below marks
+		// the transaction aborted.
+		if op.Kind == txn.OpRead && e.obs != nil {
+			e.obs.Read(owner, op.Key, cur)
 		}
 		e.mu.Unlock()
 
@@ -267,23 +279,33 @@ func (e *Engine) Run(
 		switch op.Kind {
 		case txn.OpRead:
 			out.Reads = append(out.Reads, txn.ReadRec{Key: op.Key, Value: cur})
-			if e.obs != nil {
-				e.obs.Read(owner, op.Key, cur)
-			}
 		case txn.OpWrite:
 			values[op.Key] = op.Update(cur)
 			writes = append(writes, op)
+			exportedAt = append(exportedAt, priced)
 		}
 	}
 
-	// Install: revalidate write timestamps, then apply atomically.
+	// Install: revalidate write timestamps, then apply atomically. A
+	// query with a later timestamp may have read a key since its write was
+	// admitted; that read missed this write, so the write exports its
+	// bound now, as it would have at admission.
 	if e.step != nil {
 		e.step.OnStep(txn.Step{Owner: owner, Program: p.Name, Op: -1, Kind: txn.StepCommit})
 	}
 	e.mu.Lock()
-	for _, op := range writes {
+	for i, op := range writes {
 		ks := e.key(op.Key)
-		if ts < ks.updateRTS || ts < ks.updateWTS {
+		conflict := ts < ks.updateRTS || ts < ks.updateWTS
+		if !conflict && ts < ks.queryRTS && !exportedAt[i] {
+			if op.Bound.IsInfinite() || !spec.Export.Allows(exported.Add(op.Bound.Bound())) {
+				conflict = true
+			} else {
+				exported = exported.Add(op.Bound.Bound())
+				e.stats.Absorbed++
+			}
+		}
+		if conflict {
 			e.stats.Aborts++
 			e.mu.Unlock()
 			if e.obs != nil {
