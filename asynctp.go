@@ -108,7 +108,6 @@ type (
 const (
 	EngineLocking    = core.EngineLocking
 	EngineOptimistic = core.EngineOptimistic
-	EngineTimestamp  = core.EngineTimestamp
 	EngineRepair     = core.EngineRepair
 	EngineRepairSkip = core.EngineRepairSkip
 )

@@ -344,11 +344,11 @@ func BenchmarkDivergenceControlAbsorb(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------
-// E5 — the three divergence-control engine families on one workload.
+// E5 — locking vs optimistic divergence control on one workload.
 // ---------------------------------------------------------------------
 
 func BenchmarkEngines(b *testing.B) {
-	for _, kind := range []core.EngineKind{core.EngineLocking, core.EngineOptimistic, core.EngineTimestamp} {
+	for _, kind := range []core.EngineKind{core.EngineLocking, core.EngineOptimistic} {
 		b.Run(kind.String(), func(b *testing.B) {
 			w, err := workload.NewBank(workload.BankConfig{
 				Branches: 1, AccountsPerBranch: 4,

@@ -1,9 +1,7 @@
 // Command distbench benchmarks the distributed piece pipeline over the
 // simulated WAN: three sites, NY→LA→CHI transfer chains chopped into
 // three pieces, activations and settlement reports riding the
-// recoverable queues. It measures what the batched transport buys over
-// the legacy wire (one frame per message) at a given one-way latency
-// and loss rate.
+// recoverable queues, at a given one-way latency and loss rate.
 //
 // Suites:
 //
@@ -12,15 +10,14 @@
 //	settle — settled chains per second (latency columns are settlement
 //	         percentiles: every piece committed)
 //
-// Both suites come from the same run per (variant, workers) cell.
+// Both suites come from the same run per workers cell.
 // The JSON report uses the perfbench schema, so CI gates it with
 // `perfbench -compare BENCH_4.json new.json`.
 //
 // Usage:
 //
 //	distbench -quick -out dist.json
-//	distbench -suites pieces -variants batched,unbatched -latency 1ms
-//	distbench -minspeedup 3.0        # fail unless batched ≥ 3x legacy
+//	distbench -suites pieces -latency 1ms -workers 1,4
 //	distbench -quick -dc -trace trace.json -metricsdump prom.txt
 //	perfbench -compare BENCH_4.json dist.json
 package main
@@ -40,11 +37,11 @@ import (
 	"asynctp/internal/profiling"
 )
 
-// Result is one measured (suite, variant, workers) cell. The first
-// fields mirror perfbench's schema — suite/variant/workers key the
-// -compare gate, tps is the gated metric — and the trailing fields add
-// the wire-cost accounting the batching work is about. perfbench
-// ignores fields it does not know.
+// Result is one measured (suite, workers) cell. The first fields mirror
+// perfbench's schema — suite/variant/workers key the -compare gate
+// (variant is always "batched", the key of BENCH_4.json's rows), tps is
+// the gated metric — and the trailing fields add the wire-cost
+// accounting. perfbench ignores fields it does not know.
 type Result struct {
 	Suite   string  `json:"suite"`
 	Variant string  `json:"variant"`
@@ -84,7 +81,6 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("distbench", flag.ContinueOnError)
 	suitesArg := fs.String("suites", "pieces,settle", "comma-separated suites: pieces,settle")
-	variantsArg := fs.String("variants", "batched,unbatched", "comma-separated transports: batched,unbatched")
 	workersArg := fs.String("workers", "4", "comma-separated per-site worker-pool sizes")
 	latency := fs.Duration("latency", time.Millisecond, "simulated one-way WAN latency")
 	jitter := fs.Float64("jitter", 0, "latency jitter fraction (0..1)")
@@ -93,7 +89,6 @@ func run(args []string) error {
 	txns := fs.Int("txns", 0, "chain transactions per cell (0 = 1500, or 600 with -quick)")
 	submitters := fs.Int("submitters", 0, "closed-loop submitters (0 = 64, or 48 with -quick)")
 	quick := fs.Bool("quick", false, "CI mode: smaller stream")
-	minSpeedup := fs.Float64("minspeedup", 0, "fail unless batched pieces/s >= this multiple of unbatched (0 disables)")
 	useDC := fs.Bool("dc", false, "run sites under divergence control and interleave ε-audits")
 	audits := fs.Int("audits", 0, "audit transactions to interleave with -dc (0 = txns/10)")
 	out := fs.String("out", "", "write JSON report to this file (default stdout)")
@@ -103,11 +98,7 @@ func run(args []string) error {
 		return err
 	}
 
-	// The legacy wire's costs are superlinear in outbox depth (full-outbox
-	// retransmission per commit), so the stream must be deep enough for the
-	// batched/unbatched contrast to be about the transport, not the idle
-	// pipeline. 600 chains over 48 submitters keeps -quick past that knee
-	// while still finishing in a couple of seconds.
+	// 600 chains over 48 submitters keeps -quick to a couple of seconds.
 	nTxns, nSub := 1500, 64
 	if *quick {
 		nTxns, nSub = 600, 48
@@ -154,80 +145,50 @@ func run(args []string) error {
 		Latency: latency.String(),
 		Loss:    *loss,
 	}
-	// piecesPerSec[workers] tracks the batched/unbatched ratio per pool
-	// size for the -minspeedup gate.
-	type cellRate struct{ batched, unbatched float64 }
-	rates := map[int]*cellRate{}
 	for _, w := range workers {
-		rates[w] = &cellRate{}
-		for _, variant := range strings.Split(*variantsArg, ",") {
-			variant = strings.TrimSpace(variant)
-			res, err := experiments.RunDistBench(experiments.DistBenchConfig{
-				Variant:    variant,
-				Latency:    *latency,
-				Jitter:     *jitter,
-				LossRate:   *loss,
-				Seed:       *seed,
-				Workers:    w,
-				Submitters: nSub,
-				Txns:       nTxns,
-				UseDC:      *useDC,
-				Audits:     *audits,
-				Plane:      plane,
-			})
-			if err != nil {
-				return fmt.Errorf("%s/workers=%d: %w", variant, w, err)
-			}
-			if !res.Conserved {
-				return fmt.Errorf("%s/workers=%d: money not conserved — measurement void", variant, w)
-			}
-			switch variant {
-			case experiments.VariantBatched:
-				rates[w].batched = res.PiecesPerSec
-			case experiments.VariantUnbatched:
-				rates[w].unbatched = res.PiecesPerSec
-			}
-			for _, suite := range suites {
-				suite = strings.TrimSpace(suite)
-				row := Result{
-					Suite:        "dist-" + suite,
-					Variant:      variant,
-					Workers:      w,
-					Txns:         res.Txns,
-					FramesPerTxn: res.FramesPerTxn,
-					MsgsPerTxn:   res.MsgsPerTxn,
-					Conserved:    res.Conserved,
-				}
-				switch suite {
-				case "pieces":
-					row.TPS = res.PiecesPerSec
-					row.P50us = float64(res.InitP50.Microseconds())
-					row.P99us = float64(res.InitP99.Microseconds())
-				case "settle":
-					row.TPS = res.TPS
-					row.P50us = float64(res.SettleP50.Microseconds())
-					row.P99us = float64(res.SettleP99.Microseconds())
-				}
-				file.Results = append(file.Results, row)
-				fmt.Fprintf(os.Stderr, "%-12s %-10s workers=%-3d %9.0f /s  p50=%7.0fµs p99=%7.0fµs  %5.1f frames/txn %5.1f msgs/txn\n",
-					row.Suite, row.Variant, row.Workers, row.TPS, row.P50us, row.P99us,
-					row.FramesPerTxn, row.MsgsPerTxn)
-			}
+		res, err := experiments.RunDistBench(experiments.DistBenchConfig{
+			Latency:    *latency,
+			Jitter:     *jitter,
+			LossRate:   *loss,
+			Seed:       *seed,
+			Workers:    w,
+			Submitters: nSub,
+			Txns:       nTxns,
+			UseDC:      *useDC,
+			Audits:     *audits,
+			Plane:      plane,
+		})
+		if err != nil {
+			return fmt.Errorf("workers=%d: %w", w, err)
 		}
-		if r := rates[w]; r.batched > 0 && r.unbatched > 0 {
-			fmt.Fprintf(os.Stderr, "workers=%-3d batched/unbatched piece throughput: %.2fx\n",
-				w, r.batched/r.unbatched)
+		if !res.Conserved {
+			return fmt.Errorf("workers=%d: money not conserved — measurement void", w)
 		}
-	}
-	if *minSpeedup > 0 {
-		for w, r := range rates {
-			if r.batched == 0 || r.unbatched == 0 {
-				return fmt.Errorf("-minspeedup needs both batched and unbatched variants")
+		for _, suite := range suites {
+			suite = strings.TrimSpace(suite)
+			row := Result{
+				Suite:        "dist-" + suite,
+				Variant:      "batched",
+				Workers:      w,
+				Txns:         res.Txns,
+				FramesPerTxn: res.FramesPerTxn,
+				MsgsPerTxn:   res.MsgsPerTxn,
+				Conserved:    res.Conserved,
 			}
-			if ratio := r.batched / r.unbatched; ratio < *minSpeedup {
-				return fmt.Errorf("workers=%d: batched is only %.2fx unbatched, want >= %.2fx",
-					w, ratio, *minSpeedup)
+			switch suite {
+			case "pieces":
+				row.TPS = res.PiecesPerSec
+				row.P50us = float64(res.InitP50.Microseconds())
+				row.P99us = float64(res.InitP99.Microseconds())
+			case "settle":
+				row.TPS = res.TPS
+				row.P50us = float64(res.SettleP50.Microseconds())
+				row.P99us = float64(res.SettleP99.Microseconds())
 			}
+			file.Results = append(file.Results, row)
+			fmt.Fprintf(os.Stderr, "%-12s workers=%-3d %9.0f /s  p50=%7.0fµs p99=%7.0fµs  %5.1f frames/txn %5.1f msgs/txn\n",
+				row.Suite, row.Workers, row.TPS, row.P50us, row.P99us,
+				row.FramesPerTxn, row.MsgsPerTxn)
 		}
 	}
 	if err := stopProfiles(); err != nil {

@@ -8,8 +8,8 @@ import (
 )
 
 // TestRunSmoke drives the CLI end to end on a tiny workload and checks
-// the report: both variants, both suites, perfbench-compatible keys,
-// and conservation on every cell.
+// the report: both suites, perfbench-compatible keys, and conservation
+// on every cell.
 func TestRunSmoke(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "dist.json")
 	err := run([]string{
@@ -33,9 +33,9 @@ func TestRunSmoke(t *testing.T) {
 	if f.Schema != "asynctp/perfbench/v1" {
 		t.Errorf("schema = %q, want perfbench-compatible", f.Schema)
 	}
-	// 2 suites x 2 variants x 1 worker pool.
-	if len(f.Results) != 4 {
-		t.Fatalf("results = %d, want 4: %+v", len(f.Results), f.Results)
+	// 2 suites x 1 worker pool.
+	if len(f.Results) != 2 {
+		t.Fatalf("results = %d, want 2: %+v", len(f.Results), f.Results)
 	}
 	seen := map[string]bool{}
 	for _, r := range f.Results {
@@ -50,10 +50,7 @@ func TestRunSmoke(t *testing.T) {
 			t.Errorf("%s/%s: txns = %d, want 48", r.Suite, r.Variant, r.Txns)
 		}
 	}
-	for _, k := range []string{
-		"dist-pieces/batched", "dist-pieces/unbatched",
-		"dist-settle/batched", "dist-settle/unbatched",
-	} {
+	for _, k := range []string{"dist-pieces/batched", "dist-settle/batched"} {
 		if !seen[k] {
 			t.Errorf("missing cell %s", k)
 		}

@@ -319,10 +319,10 @@ func runE1(workers int, quick bool, opDelay time.Duration, seed int64, plane *ob
 	return out, nil
 }
 
-// runE5 is the engine-family comparison: locking vs optimistic vs
-// timestamp divergence control on the same stream.
+// runE5 is the engine-family comparison: locking vs optimistic
+// divergence control on the same stream.
 func runE5(workers int, quick bool, opDelay time.Duration, seed int64, plane *obs.Plane) ([]Result, error) {
-	engines := []core.EngineKind{core.EngineLocking, core.EngineOptimistic, core.EngineTimestamp}
+	engines := []core.EngineKind{core.EngineLocking, core.EngineOptimistic}
 	var out []Result
 	for _, e := range engines {
 		w, err := bankFor(quick, seed)

@@ -1,9 +1,9 @@
-// Optimistic: the same ESR workload under the three divergence-control
+// Optimistic: the same ESR workload under two divergence-control
 // families of the paper's reference [12] — the lock-based controller the
-// paper prototyped on Encina, the validation-based (optimistic) one, and
-// timestamp ordering. Readers never block under the non-locking engines,
-// so a read-mostly workload finishes far faster; the price appears as
-// aborts (redone work) once non-commuting writers contend.
+// paper prototyped on Encina and the validation-based (optimistic) one.
+// Readers never block under the optimistic engine, so a read-mostly
+// workload finishes far faster; the price appears as aborts (redone
+// work) once non-commuting writers contend.
 package main
 
 import (
@@ -74,9 +74,6 @@ func drive(kind asynctp.EngineKind) (time.Duration, string, error) {
 	case asynctp.EngineOptimistic:
 		st := runner.RDCStats()
 		detail = fmt.Sprintf("validation aborts=%d absorbed=%d", st.Aborts, st.Absorbed)
-	case asynctp.EngineTimestamp:
-		st := runner.TDCStats()
-		detail = fmt.Sprintf("timestamp aborts=%d absorbed=%d", st.Aborts, st.Absorbed)
 	default:
 		ls := runner.LockStats()
 		ds := runner.DCStats()
@@ -90,7 +87,7 @@ func drive(kind asynctp.EngineKind) (time.Duration, string, error) {
 
 func run() error {
 	for _, kind := range []asynctp.EngineKind{
-		asynctp.EngineLocking, asynctp.EngineOptimistic, asynctp.EngineTimestamp,
+		asynctp.EngineLocking, asynctp.EngineOptimistic,
 	} {
 		elapsed, detail, err := drive(kind)
 		if err != nil {
@@ -99,7 +96,7 @@ func run() error {
 		fmt.Printf("%-12s elapsed=%-10v %s\n", kind, elapsed.Round(time.Millisecond), detail)
 	}
 	fmt.Println("\nsame ε guarantees, same conserved total — different concurrency")
-	fmt.Println("mechanics: locking blocks conflicting readers; the other engines")
-	fmt.Println("let them run and charge the ε accounts after the fact.")
+	fmt.Println("mechanics: locking blocks conflicting readers; the optimistic engine")
+	fmt.Println("lets them run and charges the ε accounts after the fact.")
 	return nil
 }

@@ -122,57 +122,8 @@ func TestOptimisticLockStatsStayZero(t *testing.T) {
 	}
 }
 
-func TestTimestampEngineSRIsSerializable(t *testing.T) {
-	fx := newBankFixture(0, 0)
-	cfg := mixedConfig(fx, BaselineSRCC, 15, 8, true)
-	cfg.Engine = EngineTimestamp
-	r, err := NewRunner(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	audits := runMixed(t, r, 15, 8)
-	for i, a := range audits {
-		if got := a.SumReads(); got != fx.total {
-			t.Errorf("audit %d sum = %d, want exactly %d", i, got, fx.total)
-		}
-	}
-	grouped := r.Recorder().CheckGrouped(r.GroupOf())
-	if !grouped.Serializable {
-		t.Errorf("timestamp SR/CC produced non-serializable history: %v", grouped.Cycle)
-	}
-	if got := fx.store.Sum([]storage.Key{"X", "Y"}); got != fx.total {
-		t.Errorf("final total = %d, want %d", got, fx.total)
-	}
-	if r.TDCStats().Commits == 0 {
-		t.Error("timestamp engine did not run")
-	}
-}
-
-func TestTimestampEngineESRBounded(t *testing.T) {
-	const importLimit = 800
-	fx := newBankFixture(importLimit, 10000)
-	cfg := mixedConfig(fx, BaselineESRDC, 20, 10, false)
-	cfg.Engine = EngineTimestamp
-	r, err := NewRunner(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	audits := runMixed(t, r, 20, 10)
-	for i, a := range audits {
-		if dev := metric.Distance(a.SumReads(), fx.total); dev > importLimit {
-			t.Errorf("audit %d deviation = %d > ε = %d", i, dev, importLimit)
-		}
-		if a.Imported > importLimit {
-			t.Errorf("audit %d imported %d > limit", i, a.Imported)
-		}
-	}
-	if got := fx.store.Sum([]storage.Key{"X", "Y"}); got != fx.total {
-		t.Errorf("final total = %d, want %d", got, fx.total)
-	}
-}
-
 func TestEngineKindStrings(t *testing.T) {
-	for _, k := range []EngineKind{EngineLocking, EngineOptimistic, EngineTimestamp, EngineRepair, EngineRepairSkip} {
+	for _, k := range []EngineKind{EngineLocking, EngineOptimistic, EngineRepair, EngineRepairSkip} {
 		if k.String() == "" {
 			t.Errorf("empty name for kind %d", int(k))
 		}

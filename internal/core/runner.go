@@ -16,7 +16,6 @@ import (
 	"asynctp/internal/obs"
 	"asynctp/internal/rdc"
 	"asynctp/internal/storage"
-	"asynctp/internal/tdc"
 	"asynctp/internal/txn"
 )
 
@@ -48,11 +47,10 @@ type Config struct {
 	// OpDelay simulates per-operation work while locks are held (see
 	// txn.Exec.SetOpDelay); zero disables it.
 	OpDelay time.Duration
-	// Engine selects the on-line engine family: locking (default),
-	// optimistic (rdc's abort policy: plain OCC for CC methods, ε
-	// absorption for DC methods), timestamp ordering (tdc) — the three DC
-	// families of the paper's reference [12] — or transaction repair
-	// (rdc's repair policies, with or without ε-skip).
+	// Engine selects the on-line engine family: locking (default), or one
+	// of rdc's three policies — optimistic (abort: plain OCC for CC
+	// methods, ε absorption for DC methods) and transaction repair, with
+	// or without ε-skip.
 	Engine EngineKind
 	// StepHook, when non-nil, gates every engine scheduling point (lock
 	// request, operation effect, commit). The conformance explorer uses
@@ -101,8 +99,6 @@ const (
 	// EngineOptimistic is backward-validation OCC (+ ε absorption):
 	// rdc with the abort policy, a validation failure retries the piece.
 	EngineOptimistic
-	// EngineTimestamp is timestamp ordering (+ ε absorption).
-	EngineTimestamp
 	// EngineRepair is provenance-based transaction repair (rdc): on
 	// validation failure only the stale ops re-execute, instead of
 	// aborting the whole piece.
@@ -120,8 +116,6 @@ func (k EngineKind) String() string {
 		return "locking"
 	case EngineOptimistic:
 		return "optimistic"
-	case EngineTimestamp:
-		return "timestamp"
 	case EngineRepair:
 		return "repair"
 	case EngineRepairSkip:
@@ -136,15 +130,6 @@ var rdcPolicies = map[EngineKind]rdc.Policy{
 	EngineOptimistic: rdc.Abort,
 	EngineRepair:     rdc.Repair,
 	EngineRepairSkip: rdc.RepairSkip,
-}
-
-// engine is the seam to the non-locking engines.
-type engine interface {
-	Run(ctx context.Context, owner lock.Owner, p *txn.Program,
-		spec metric.Spec, class txn.Class) (*txn.Outcome, metric.Fuzz, error)
-	SetOpDelay(d time.Duration)
-	SetStepHook(h txn.StepHook)
-	Retryable(err error) bool
 }
 
 // InstanceResult describes one submitted transaction instance.
@@ -184,7 +169,7 @@ type Runner struct {
 	dcSpecs []metric.Spec   // per-type spec used by DC (Method 3 shrinks it)
 	locks   *lock.Manager
 	ctl     *dc.Controller
-	engine  engine // nil for the locking engine
+	engine  *rdc.Engine // nil for the locking engine
 	exec    *txn.Exec
 	rec     *history.Recorder
 	gen     txn.IDGen
@@ -346,8 +331,6 @@ func NewRunner(cfg Config) (*Runner, error) {
 			})
 		}
 		r.engine = eng
-	} else if cfg.Engine == EngineTimestamp {
-		r.engine = tdc.NewEngine(cfg.Store, txnObs)
 	}
 	r.exec = txn.NewExec(cfg.Store, r.locks, txnObs)
 	r.exec.SetOpDelay(cfg.OpDelay)
@@ -364,31 +347,23 @@ func scaleSpec(s metric.Spec, n int) metric.Spec {
 	return metric.Spec{Import: s.Import.Mul(n), Export: s.Export.Mul(n)}
 }
 
-// TDCStats returns the timestamp engine counters (zero otherwise).
-func (r *Runner) TDCStats() tdc.Stats {
-	if e, ok := r.engine.(*tdc.Engine); ok {
-		return e.Stats()
-	}
-	return tdc.Stats{}
-}
-
 // RDCStats returns the optimistic and repair engines' counters (zero
 // otherwise).
 func (r *Runner) RDCStats() rdc.Stats {
-	if e, ok := r.engine.(*rdc.Engine); ok {
-		return e.Stats()
+	if r.engine == nil {
+		return rdc.Stats{}
 	}
-	return rdc.Stats{}
+	return r.engine.Stats()
 }
 
 // RepairVerifyFailure returns the rdc engine's first self-check
 // mismatch ("" when clean or not an rdc engine); see
 // Config.VerifyRepairs.
 func (r *Runner) RepairVerifyFailure() string {
-	if e, ok := r.engine.(*rdc.Engine); ok {
-		return e.VerifyFailure()
+	if r.engine == nil {
+		return ""
 	}
-	return ""
+	return r.engine.VerifyFailure()
 }
 
 // Set returns the prepared chopping (one instance per program type).

@@ -161,7 +161,6 @@ func Conformance(cfg ConformanceConfig) (*Report, error) {
 	}
 	stacks = append(stacks,
 		stack{core.BaselineESRDC, core.EngineOptimistic},
-		stack{core.BaselineESRDC, core.EngineTimestamp},
 		stack{core.BaselineESRDC, core.EngineRepair},
 		stack{core.BaselineESRDC, core.EngineRepairSkip},
 	)
@@ -169,12 +168,9 @@ func Conformance(cfg ConformanceConfig) (*Report, error) {
 	cleanUncovered := 0
 	for _, st := range stacks {
 		sc := explore.BankScenario(st.method, st.engine, core.Static, conformanceEps)
-		// The ε-provenance ledger rides the locking stacks and the rdc
-		// stacks (optimistic, repair, repair-skip): the lock arbiter and
+		// The ε-provenance ledger rides every stack: the lock arbiter and
 		// rdc's charge routine both debit through the plane's DC observer.
-		// The tdc engine absorbs inside its own validation layer, which
-		// the ledger does not see.
-		sc.Ledger = st.engine != core.EngineTimestamp
+		sc.Ledger = true
 		row, err := sweepScenario(sc, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("E8 %s: %w", sc.Name, err)
@@ -195,9 +191,7 @@ func Conformance(cfg ConformanceConfig) (*Report, error) {
 			rep.Notes = append(rep.Notes, fmt.Sprintf(
 				"%s: oracle fell back to sampled orders within budget %d", sc.Name, cfg.Budget))
 		}
-		if sc.Ledger {
-			cleanUncovered += row.uncovered
-		}
+		cleanUncovered += row.uncovered
 		if st.engine == core.EngineRepair || st.engine == core.EngineRepairSkip {
 			msg := sc.Name + ": every repaired install matches a fresh full re-execution"
 			if row.repairMismatch != "" {

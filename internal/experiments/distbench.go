@@ -1,11 +1,11 @@
 package experiments
 
 // This file drives the distributed piece pipeline end to end over the
-// simulated WAN and measures what the batching layer buys: settled
-// chains per second, piece throughput, initiation/settlement latency
-// percentiles, and the wire cost in frames vs application messages.
-// cmd/distbench wraps it in a perfbench-compatible CLI; the committed
-// BENCH_4.json gates the batched-vs-legacy ratio in CI.
+// simulated WAN and measures it: settled chains per second, piece
+// throughput, initiation/settlement latency percentiles, and the wire
+// cost in frames vs application messages. cmd/distbench wraps it in a
+// perfbench-compatible CLI; CI compares its rows with the committed
+// BENCH_4.json.
 
 import (
 	"context"
@@ -22,21 +22,8 @@ import (
 	"asynctp/internal/txn"
 )
 
-// Distbench variants.
-const (
-	// VariantBatched is the default transport: coalesced frames,
-	// cumulative piggybacked acks, adaptive retransmit, batch dequeue.
-	VariantBatched = "batched"
-	// VariantUnbatched is the pre-batching pipeline (site.WithLegacyWire):
-	// one frame per message, one ack per frame, full-outbox
-	// retransmission, per-activation dequeue, one report per piece.
-	VariantUnbatched = "unbatched"
-)
-
 // DistBenchConfig parameterizes one distributed pipeline run.
 type DistBenchConfig struct {
-	// Variant selects the transport (VariantBatched / VariantUnbatched).
-	Variant string
 	// Latency is the simulated one-way WAN latency (default 1ms).
 	Latency time.Duration
 	// Jitter is the latency jitter fraction.
@@ -72,9 +59,6 @@ type DistBenchConfig struct {
 
 // withDefaults fills zero fields.
 func (cfg DistBenchConfig) withDefaults() DistBenchConfig {
-	if cfg.Variant == "" {
-		cfg.Variant = VariantBatched
-	}
 	if cfg.Latency == 0 {
 		cfg.Latency = time.Millisecond
 	}
@@ -98,7 +82,6 @@ func (cfg DistBenchConfig) withDefaults() DistBenchConfig {
 
 // DistBenchResult is one run's measurements.
 type DistBenchResult struct {
-	Variant string
 	Workers int
 	// Txns is the number of settled chain transactions.
 	Txns int
@@ -138,8 +121,7 @@ func distPlacement(k storage.Key) simnet.SiteID {
 
 // RunDistBench runs cfg.Txns three-site transfer chains (NY→LA→CHI,
 // three pieces each) through the chopped-queue pipeline and measures
-// throughput, latency, and wire cost. The unbatched variant runs the
-// identical workload over the legacy transport for the A/B ratio.
+// throughput, latency, and wire cost.
 func RunDistBench(cfg DistBenchConfig) (*DistBenchResult, error) {
 	cfg = cfg.withDefaults()
 	perKey := metric.Value(cfg.Txns) // never overdraw even if one family takes it all
@@ -179,14 +161,6 @@ func RunDistBench(cfg DistBenchConfig) (*DistBenchResult, error) {
 	}
 
 	var opts []site.Option
-	switch cfg.Variant {
-	case VariantBatched:
-		// defaults are the batched pipeline
-	case VariantUnbatched:
-		opts = append(opts, site.WithLegacyWire())
-	default:
-		return nil, fmt.Errorf("distbench: unknown variant %q", cfg.Variant)
-	}
 	if cfg.Workers > 0 {
 		opts = append(opts, site.WithWorkers(cfg.Workers))
 	}
@@ -315,7 +289,6 @@ func RunDistBench(cfg DistBenchConfig) (*DistBenchResult, error) {
 
 	const piecesPerChain = 3
 	res := &DistBenchResult{
-		Variant:      cfg.Variant,
 		Workers:      cfg.Workers,
 		Txns:         cfg.Txns,
 		Pieces:       cfg.Txns * piecesPerChain,

@@ -7,11 +7,10 @@ import (
 	"asynctp/internal/site"
 )
 
-// TestDistBenchSmokeBothVariants runs a tiny distbench in each
-// transport variant: both must settle every chain, conserve money, and
-// the batched variant must pay fewer network frames per chain than the
-// legacy wire on the identical workload.
-func TestDistBenchSmokeBothVariants(t *testing.T) {
+// TestDistBenchSmoke runs a tiny distbench: it must settle every
+// chain, conserve money, and coalesce, sending fewer network frames per
+// chain than it delivers application messages.
+func TestDistBenchSmoke(t *testing.T) {
 	cfg := DistBenchConfig{
 		Latency:    200 * time.Microsecond,
 		Seed:       9,
@@ -19,39 +18,25 @@ func TestDistBenchSmokeBothVariants(t *testing.T) {
 		Txns:       64,
 		Families:   8,
 	}
-	results := map[string]*DistBenchResult{}
-	for _, variant := range []string{VariantBatched, VariantUnbatched} {
-		cfg.Variant = variant
-		res, err := RunDistBench(cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", variant, err)
-		}
-		if res.Txns != cfg.Txns {
-			t.Errorf("%s: txns = %d, want %d", variant, res.Txns, cfg.Txns)
-		}
-		if !res.Conserved {
-			t.Errorf("%s: money not conserved", variant)
-		}
-		if res.TPS <= 0 || res.PiecesPerSec <= 0 {
-			t.Errorf("%s: degenerate throughput %+v", variant, res)
-		}
-		if res.SettleP50 < res.InitP50 {
-			t.Errorf("%s: settlement p50 %v < initiation p50 %v",
-				variant, res.SettleP50, res.InitP50)
-		}
-		results[variant] = res
+	res, err := RunDistBench(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	b, u := results[VariantBatched], results[VariantUnbatched]
-	if b.FramesPerTxn >= u.FramesPerTxn {
-		t.Errorf("batched frames/txn %.1f >= unbatched %.1f: coalescing bought nothing",
-			b.FramesPerTxn, u.FramesPerTxn)
+	if res.Txns != cfg.Txns {
+		t.Errorf("txns = %d, want %d", res.Txns, cfg.Txns)
 	}
-}
-
-// TestDistBenchRejectsUnknownVariant keeps the CLI surface honest.
-func TestDistBenchRejectsUnknownVariant(t *testing.T) {
-	if _, err := RunDistBench(DistBenchConfig{Variant: "turbo", Txns: 1}); err == nil {
-		t.Fatal("expected error for unknown variant")
+	if !res.Conserved {
+		t.Error("money not conserved")
+	}
+	if res.TPS <= 0 || res.PiecesPerSec <= 0 {
+		t.Errorf("degenerate throughput %+v", res)
+	}
+	if res.SettleP50 < res.InitP50 {
+		t.Errorf("settlement p50 %v < initiation p50 %v", res.SettleP50, res.InitP50)
+	}
+	if res.FramesPerTxn >= res.MsgsPerTxn {
+		t.Errorf("frames/txn %.2f >= msgs/txn %.2f: coalescing bought nothing",
+			res.FramesPerTxn, res.MsgsPerTxn)
 	}
 }
 

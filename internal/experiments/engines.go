@@ -41,15 +41,13 @@ func interestWorkload() (*workload.Workload, error) {
 }
 
 // EngineComparison runs E5, an ablation beyond the paper's prototype:
-// the same workloads under the three divergence-control families its
-// reference [12] describes — lock-based (package dc), optimistic
-// (package rdc's abort policy), and timestamp ordering (package tdc) —
-// plus rdc's repair policies (with and without ε-skip). Locking blocks
-// at conflict time and never redoes work; optimistic and timestamp
-// never block readers but pay aborts (validation failures /
-// timestamp-order violations) under non-commuting write contention;
-// repair re-executes only the stale ops, so contention costs repaired
-// ops instead of whole-piece retries.
+// the same workloads under lock-based divergence control (package dc)
+// and the three policies of package rdc — optimistic (abort), repair
+// and repair with ε-skip. Locking blocks at conflict time and never
+// redoes work; optimistic never blocks readers but pays validation
+// aborts under non-commuting write contention; repair re-executes only
+// the stale ops, so contention costs repaired ops instead of
+// whole-piece retries.
 func EngineComparison(seed int64) (*Report, error) {
 	rep := &Report{
 		ID:    "E5",
@@ -88,7 +86,7 @@ func EngineComparison(seed int64) (*Report, error) {
 			return nil, err
 		}
 		for _, kind := range []core.EngineKind{
-			core.EngineLocking, core.EngineOptimistic, core.EngineTimestamp,
+			core.EngineLocking, core.EngineOptimistic,
 			core.EngineRepair, core.EngineRepairSkip,
 		} {
 			engine := kind.String() + "-dc"
@@ -106,16 +104,11 @@ func EngineComparison(seed int64) (*Report, error) {
 			if err != nil {
 				return nil, fmt.Errorf("%s/%s: %w", wc.name, engine, err)
 			}
-			var absorbed uint64
-			switch kind {
-			case core.EngineLocking:
+			// rdc, any policy: stale reads charged to the budget instead of
+			// aborted or repaired.
+			absorbed := r.RDCStats().Absorbed
+			if kind == core.EngineLocking {
 				absorbed = r.DCStats().Absorbed
-			case core.EngineTimestamp:
-				absorbed = r.TDCStats().Absorbed
-			default:
-				// rdc, any policy: stale reads charged to the budget instead
-				// of aborted or repaired.
-				absorbed = r.RDCStats().Absorbed
 			}
 			rep.Table.AddRow(
 				wc.name, engine,

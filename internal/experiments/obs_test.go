@@ -18,7 +18,6 @@ func distCanonicalTrace(t *testing.T) []byte {
 	tr := obs.NewTracer(0)
 	plane := obs.NewPlane(tr, obs.NewLedger(), nil)
 	res, err := RunDistBench(DistBenchConfig{
-		Variant:    VariantBatched,
 		Latency:    200 * time.Microsecond,
 		Seed:       7,
 		Workers:    2,

@@ -34,7 +34,7 @@ func TestBankConformsAcrossMethods(t *testing.T) {
 }
 
 func TestBankConformsAcrossEngines(t *testing.T) {
-	for _, engine := range []core.EngineKind{core.EngineOptimistic, core.EngineTimestamp} {
+	for _, engine := range []core.EngineKind{core.EngineOptimistic} {
 		for _, method := range []core.Method{core.BaselineESRDC, core.Method1SRChopDC} {
 			sc := BankScenario(method, engine, core.Static, 600)
 			for seed := int64(1); seed <= 5; seed++ {

@@ -184,9 +184,8 @@ func randomScenario(rng *rand.Rand, name string) Scenario {
 	engine := core.EngineLocking
 	if !method.UsesChopping() && rng.Intn(3) == 0 {
 		engine = []core.EngineKind{
-			core.EngineOptimistic, core.EngineTimestamp,
-			core.EngineRepair, core.EngineRepairSkip,
-		}[rng.Intn(4)]
+			core.EngineOptimistic, core.EngineRepair, core.EngineRepairSkip,
+		}[rng.Intn(3)]
 	}
 	dist := core.Static
 	if method.UsesDC() && rng.Intn(2) == 0 {

@@ -67,7 +67,7 @@ func newPairOpts(t *testing.T, netOpts []simnet.Option, mgrOpts ...Option) *pair
 // acks come back cumulatively, not one frame per message.
 func TestBatchCoalescesFrames(t *testing.T) {
 	const n = 64
-	p := newPairOpts(t, nil, WithMaxBatch(64))
+	p := newPairOpts(t, nil)
 	buf := p.ny.Buffer()
 	for i := 0; i < n; i++ {
 		buf.Enqueue("LA", "q", i)
@@ -99,8 +99,8 @@ func TestBatchCoalescesFrames(t *testing.T) {
 	}
 	st := p.net.Stats()
 	// 64 messages + their acks in <= a handful of frames (1 data frame +
-	// 1..2 ack frames + maybe a retransmission); far below the legacy
-	// 64 data + 64 ack frames.
+	// 1..2 ack frames + maybe a retransmission); far below the 64 data +
+	// 64 ack frames of one frame per message.
 	if st.Sent > 16 {
 		t.Errorf("frames sent = %d, want <= 16 for %d messages (batching broken)", st.Sent, n)
 	}
@@ -307,12 +307,12 @@ func TestAdaptiveBackoffCapsResends(t *testing.T) {
 
 // TestRetransmitSoakNotQuadratic pushes 10k one-message commits through
 // a healthy link, flushed by the endpoints' own flushers, and checks
-// the wire cost stayed near-linear in frames: the legacy transport
-// resent the whole outbox per CommitSend, which on this shape goes
-// quadratic in payload-sends.
+// the wire cost stayed near-linear in frames: a transport that resent
+// the whole outbox per CommitSend would go quadratic in payload-sends
+// on this shape.
 func TestRetransmitSoakNotQuadratic(t *testing.T) {
 	const n = 10000
-	p := newPairOpts(t, nil, WithMaxBatch(128))
+	p := newPairOpts(t, nil)
 	go func() {
 		for i := 0; i < n; i++ {
 			buf := p.ny.Buffer()
@@ -342,8 +342,8 @@ func TestRetransmitSoakNotQuadratic(t *testing.T) {
 	if st.Payloads < n {
 		t.Fatalf("payloads = %d, want >= %d", st.Payloads, n)
 	}
-	// ...in a near-linear number of frames. The legacy full-outbox
-	// resend sends O(n * outbox-depth) payloads; this bound fails it.
+	// ...in a near-linear number of frames. A full-outbox resend sends
+	// O(n * outbox-depth) payloads; this bound fails it.
 	if st.Sent > 2*n {
 		t.Errorf("frames = %d for %d messages, wire cost not linear", st.Sent, n)
 	}
@@ -621,62 +621,6 @@ func TestDequeueBatchReturnsUpToMax(t *testing.T) {
 		}
 	}
 	b2.Ack()
-}
-
-// TestLegacyWireInterop checks the compatibility claim: a legacy-wire
-// sender delivers to a batched receiver and vice versa (every endpoint
-// accepts both dialects).
-func TestLegacyWireInterop(t *testing.T) {
-	net := simnet.New()
-	nyInbox, err := net.AddSite("NY")
-	if err != nil {
-		t.Fatal(err)
-	}
-	laInbox, err := net.AddSite("LA")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := &pair{
-		net: net,
-		ny:  NewManager("NY", net, 20*time.Millisecond, WithLegacyWire()),
-		la:  NewManager("LA", net, 20*time.Millisecond), // batched
-	}
-	startRouters(t, p, nyInbox, laInbox)
-	ctx := ctxT(t)
-
-	// legacy -> batched
-	buf := p.ny.Buffer()
-	buf.Enqueue("LA", "q", "old-to-new")
-	p.ny.CommitSend(buf)
-	d, err := p.la.Dequeue(ctx, "q")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Msg.Payload.(string) != "old-to-new" {
-		t.Errorf("payload = %v", d.Msg.Payload)
-	}
-	d.Ack()
-
-	// batched -> legacy
-	buf = p.la.Buffer()
-	buf.Enqueue("NY", "q", "new-to-old")
-	p.la.CommitSend(buf)
-	d, err = p.ny.Dequeue(ctx, "q")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Msg.Payload.(string) != "new-to-old" {
-		t.Errorf("payload = %v", d.Msg.Payload)
-	}
-	d.Ack()
-
-	deadline := time.Now().Add(5 * time.Second)
-	for p.ny.OutboxLen()+p.la.OutboxLen() != 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("outboxes stuck: ny=%d la=%d", p.ny.OutboxLen(), p.la.OutboxLen())
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
 }
 
 // TestWakeHasNoAllocWhenNoWaiter pins the cost of the per-queue wakeup

@@ -35,9 +35,7 @@
 // an image holding them is durable (Persist).
 // Unacknowledged messages are retransmitted per-message on a deadline
 // with exponential backoff (batched by destination when due), instead
-// of re-sending the entire outbox every tick. WithLegacyWire restores
-// the pre-batching transport — one frame per message, one ack per
-// frame, full-outbox retransmission — as an A/B baseline for distbench.
+// of re-sending the entire outbox every tick.
 package queue
 
 import (
@@ -45,8 +43,6 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -62,7 +58,8 @@ type Msg struct {
 	// Seq is the per-(sender, destination) sequence number, 1-based and
 	// gapless in commit order. Receivers dedup on (From, Seq) with a
 	// contiguous-prefix watermark, which is what lets them retire old
-	// entries instead of remembering every ID forever.
+	// entries instead of remembering every ID forever; a message without
+	// one is malformed and dropped unadmitted and unacknowledged.
 	Seq uint64
 	// From is the sending site.
 	From simnet.SiteID
@@ -72,8 +69,8 @@ type Msg struct {
 	Payload any
 	// Ctx is the distributed trace context stamped by the sender at
 	// stage time (zero when tracing is off). It rides the wire inside
-	// BatchFrame/legacy frames like any other Msg field, which is what
-	// lets span trees survive the TCP hop.
+	// the BatchFrame like any other Msg field, which is what lets span
+	// trees survive the TCP hop.
 	Ctx tracectx.Ctx
 	// ArrivedAt is the receiver's wall clock (UnixNano) at first
 	// admission, stamped locally on delivery — never by the sender.
@@ -85,12 +82,6 @@ type Msg struct {
 
 // Message kinds on the wire.
 const (
-	// KindEnqueue carries a single Msg to the destination queue (legacy
-	// wire format; still accepted by every endpoint).
-	KindEnqueue = "queue.enq"
-	// KindAck acknowledges a single received Msg ID back to the sender
-	// (legacy wire format).
-	KindAck = "queue.ack"
 	// KindEnqueueBatch carries a BatchFrame: the coalesced committed
 	// sends for one destination plus piggybacked acks.
 	KindEnqueueBatch = "queue.enq.batch"
@@ -99,16 +90,9 @@ const (
 	KindAckBatch = "queue.ack.batch"
 )
 
-// IsQueueKind reports whether a message kind belongs to the queue layer
-// (site dispatch loops route these to Manager.Handle).
+// IsQueueKind reports whether a message kind belongs to the queue layer:
+// site dispatch loops hand runs of these frames to Manager.HandleAll.
 func IsQueueKind(kind string) bool {
-	return kind == KindEnqueue || kind == KindAck || IsBatchKind(kind)
-}
-
-// IsBatchKind reports whether the kind is of the batched dialect, whose
-// frames a dispatch loop may hand to Manager.HandleAll together. Legacy
-// frames are handled one at a time.
-func IsBatchKind(kind string) bool {
 	return kind == KindEnqueueBatch || kind == KindAckBatch
 }
 
@@ -193,15 +177,12 @@ type seenSet struct {
 
 // has reports whether seq was already delivered here.
 func (s *seenSet) has(seq uint64) bool {
-	if seq == 0 {
-		return false
-	}
 	return seq <= s.prefix || s.sparse[seq]
 }
 
 // add records seq, advancing the watermark over any contiguous run.
 func (s *seenSet) add(seq uint64) {
-	if seq == 0 || s.has(seq) {
+	if s.has(seq) {
 		return
 	}
 	if seq == s.prefix+1 {
@@ -237,6 +218,10 @@ type Observer interface {
 	Delivered(msg Msg)
 }
 
+// maxBatch caps the number of messages coalesced into one
+// queue.enq.batch frame.
+const maxBatch = 64
+
 // Option tunes a Manager.
 type Option func(*Manager)
 
@@ -244,16 +229,6 @@ type Option func(*Manager)
 // default, disables it.
 func WithObserver(o Observer) Option {
 	return func(m *Manager) { m.obs = o }
-}
-
-// WithMaxBatch caps the number of messages coalesced into one
-// queue.enq.batch frame (default 64).
-func WithMaxBatch(n int) Option {
-	return func(m *Manager) {
-		if n > 0 {
-			m.maxBatch = n
-		}
-	}
 }
 
 // WithFlushDelay selects where the coalescing buffers are flushed. d <=
@@ -276,18 +251,6 @@ func WithMaxBackoff(d time.Duration) Option {
 	}
 }
 
-// WithLegacyWire selects the pre-batching transport: one KindEnqueue
-// frame per message, an immediate KindAck per receipt, and
-// full-outbox retransmission every tick with no backoff. Kept as the
-// measured baseline for the batched pipeline (cmd/distbench) and as a
-// compatibility reference — every endpoint accepts both dialects. The
-// legacy dialect keeps its per-commit send: it never holds a message
-// for the persist barrier, so its frames can leave before the image
-// holding them is durable.
-func WithLegacyWire() Option {
-	return func(m *Manager) { m.legacy = true }
-}
-
 // WithFlushCrash installs a fault-injection hook consulted once per
 // batch flush, after the flushed messages are durable in the outbox but
 // before any frame reaches the network (fault.PointPreBatchFlush). A
@@ -305,10 +268,8 @@ type Manager struct {
 	net  simnet.Sender
 
 	interval   time.Duration // base retransmit interval
-	maxBatch   int
-	syncFlush  bool // WithFlushDelay(<= 0)
+	syncFlush  bool          // WithFlushDelay(<= 0)
 	maxBackoff time.Duration
-	legacy     bool
 	flushCrash func() bool
 	persist    func(State) error // receive-side durability barrier (WithPersist)
 	obs        Observer
@@ -367,7 +328,6 @@ func NewManager(site simnet.SiteID, net simnet.Sender, retransmitEvery time.Dura
 		site:        site,
 		net:         net,
 		interval:    retransmitEvery,
-		maxBatch:    64,
 		nextSeq:     make(map[simnet.SiteID]uint64),
 		outbox:      make(map[string]*outMsg),
 		queues:      make(map[string][]Msg),
@@ -421,31 +381,10 @@ func (m *Manager) run(every time.Duration) {
 			runtime.Gosched()
 			m.flush()
 		case <-ticker.C:
-			if m.legacy {
-				m.legacyTransmitOutbox()
-			} else {
-				m.retransmitDue()
-			}
+			m.retransmitDue()
 		case <-m.stop:
 			return
 		}
-	}
-}
-
-// legacyTransmitOutbox is the pre-batching retransmitter: every unacked
-// message, one frame each, every tick.
-func (m *Manager) legacyTransmitOutbox() {
-	m.mu.Lock()
-	pending := make([]outMsg, 0, len(m.outbox))
-	for _, om := range m.outbox {
-		pending = append(pending, *om)
-	}
-	m.mu.Unlock()
-	for _, om := range pending {
-		// Errors are expected while partitioned/down; the tick retries.
-		_ = m.net.Send(simnet.Message{
-			From: m.site, To: om.to, Kind: KindEnqueue, Payload: om.msg,
-		})
 	}
 }
 
@@ -507,8 +446,8 @@ func (m *Manager) framesForLocked(to simnet.SiteID, msgs []Msg, acks []string) [
 			break
 		}
 		n := len(msgs)
-		if n > m.maxBatch {
-			n = m.maxBatch
+		if n > maxBatch {
+			n = maxBatch
 		}
 		frames = append(frames, simnet.Message{
 			From: m.site, To: to, Kind: KindEnqueueBatch,
@@ -535,7 +474,7 @@ func (m *Manager) Buffer() *TxBuffer { return &TxBuffer{} }
 func (m *Manager) CommitSend(b *TxBuffer) {
 	m.mu.Lock()
 	now := time.Now()
-	hold := m.persist != nil && !m.legacy
+	hold := m.persist != nil
 	full := false
 	for _, om := range b.staged {
 		m.nextSeq[om.to]++
@@ -548,24 +487,16 @@ func (m *Manager) CommitSend(b *TxBuffer) {
 		if m.obs != nil {
 			m.obs.Sent(om.to, o.msg)
 		}
-		switch {
-		case m.legacy:
-		case hold:
+		if hold {
 			m.held = append(m.held, o)
-		default:
+		} else {
 			full = m.pendLocked(o) || full
 		}
 	}
 	m.dirtyAt = m.version
-	flushNow := !m.legacy && !hold && m.scheduleLocked(full)
+	flushNow := !hold && m.scheduleLocked(full)
 	m.mu.Unlock()
 	b.staged = nil
-	if m.legacy {
-		// Pre-batching behavior, preserved for the A/B baseline: every
-		// commit re-sends the entire unacked outbox, one frame each.
-		m.legacyTransmitOutbox()
-		return
-	}
 	if flushNow {
 		m.flush()
 	}
@@ -576,7 +507,7 @@ func (m *Manager) CommitSend(b *TxBuffer) {
 // hold m.mu.
 func (m *Manager) pendLocked(o *outMsg) bool {
 	m.pendingOut[o.to] = append(m.pendingOut[o.to], o.msg.ID)
-	return len(m.pendingOut[o.to]) >= m.maxBatch
+	return len(m.pendingOut[o.to]) >= maxBatch
 }
 
 // scheduleLocked arranges for the coalescing buffers to go out: when a
@@ -655,33 +586,19 @@ func (m *Manager) flush() {
 	}
 }
 
-// seqOf recovers a message's dedup sequence, falling back to the ID
-// suffix for messages minted before the Seq field existed.
-func seqOf(qm Msg) uint64 {
-	if qm.Seq != 0 {
-		return qm.Seq
-	}
-	if i := strings.LastIndexByte(qm.ID, '-'); i >= 0 {
-		if n, err := strconv.ParseUint(qm.ID[i+1:], 10, 64); err == nil {
-			return n
-		}
-	}
-	return 0
-}
-
 // admitLocked dedups and enqueues one received message, waking that
-// queue's waiters on first delivery. Callers hold m.mu.
+// queue's waiters on first delivery. Callers hold m.mu and have dropped
+// messages without a Seq.
 func (m *Manager) admitLocked(qm Msg) {
 	ss := m.seen[qm.From]
 	if ss == nil {
 		ss = &seenSet{}
 		m.seen[qm.From] = ss
 	}
-	seq := seqOf(qm)
-	if ss.has(seq) {
+	if ss.has(qm.Seq) {
 		return
 	}
-	ss.add(seq)
+	ss.add(qm.Seq)
 	m.dirtyAt = m.version
 	qm.ArrivedAt = time.Now().UnixNano()
 	m.queues[qm.Queue] = append(m.queues[qm.Queue], qm)
@@ -699,7 +616,8 @@ func (m *Manager) Handle(msg simnet.Message) {
 
 // HandleAll processes queue-layer messages that arrived together (the
 // site's dispatch loop routes Kind == queue.* here, see IsQueueKind;
-// other kinds are ignored). Every frame's messages are admitted and its
+// other kinds are ignored). A message without a Seq is malformed: it is
+// neither admitted nor acknowledged. Every frame's messages are admitted and its
 // piggybacked acks applied under one lock; then ONE image passes the
 // persist barrier (WithPersist, see Persist), and only after it is
 // durable are the frames' acknowledgements staged, frame by frame, so
@@ -714,19 +632,13 @@ func (m *Manager) HandleAll(msgs []simnet.Message) {
 	// acknowledge — duplicates included, since the previous ack may
 	// have been lost.
 	type frameAck struct {
-		to     simnet.SiteID
-		ids    []string
-		legacy bool
+		to  simnet.SiteID
+		ids []string
 	}
 	var acked []frameAck
 	m.mu.Lock()
 	for _, msg := range msgs {
 		switch msg.Kind {
-		case KindEnqueue:
-			if qm, ok := msg.Payload.(Msg); ok {
-				m.admitLocked(qm)
-				acked = append(acked, frameAck{to: msg.From, ids: []string{qm.ID}, legacy: true})
-			}
 		case KindEnqueueBatch:
 			frame, ok := msg.Payload.(BatchFrame)
 			if !ok {
@@ -735,18 +647,16 @@ func (m *Manager) HandleAll(msgs []simnet.Message) {
 			for _, id := range frame.Acks {
 				delete(m.outbox, id)
 			}
-			if len(frame.Msgs) == 0 {
-				continue
-			}
-			ids := make([]string, len(frame.Msgs))
-			for i, qm := range frame.Msgs {
+			ids := make([]string, 0, len(frame.Msgs))
+			for _, qm := range frame.Msgs {
+				if qm.Seq == 0 {
+					continue
+				}
 				m.admitLocked(qm)
-				ids[i] = qm.ID
+				ids = append(ids, qm.ID)
 			}
-			acked = append(acked, frameAck{to: msg.From, ids: ids})
-		case KindAck:
-			if id, ok := msg.Payload.(string); ok {
-				delete(m.outbox, id)
+			if len(ids) > 0 {
+				acked = append(acked, frameAck{to: msg.From, ids: ids})
 			}
 		case KindAckBatch:
 			if frame, ok := msg.Payload.(AckFrame); ok {
@@ -765,24 +675,15 @@ func (m *Manager) HandleAll(msgs []simnet.Message) {
 		m.mu.Unlock()
 		return
 	}
-	// A batch frame's cumulative ack rides the next outgoing batch to
-	// its sender if one is pending at the flush, else a standalone ack
-	// frame. The legacy dialect acks immediately and individually.
-	var legacy []simnet.Message
+	// A frame's cumulative ack rides the next outgoing batch to its
+	// sender if one is pending at the flush, else a standalone ack frame.
 	for _, a := range acked {
-		if a.legacy {
-			legacy = append(legacy, simnet.Message{From: m.site, To: a.to, Kind: KindAck, Payload: a.ids[0]})
-			continue
-		}
 		m.pendingAcks[a.to] = append(m.pendingAcks[a.to], a.ids...)
 	}
-	if len(legacy) < len(acked) && m.scheduleLocked(false) {
+	if m.scheduleLocked(false) {
 		flushNow = true
 	}
 	m.mu.Unlock()
-	for _, ack := range legacy {
-		_ = m.net.Send(ack)
-	}
 	if flushNow {
 		m.flush()
 	}

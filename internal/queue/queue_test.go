@@ -176,6 +176,40 @@ func TestRetransmissionDedupes(t *testing.T) {
 	}
 }
 
+// TestSeqZeroMessageDropped sends one frame twice: a message without a
+// Seq beside a well-formed one. Dedup keys on Seq, so an unnumbered
+// message used to be admitted again on every copy; it is malformed and
+// must be neither admitted nor acknowledged, while its well-formed
+// neighbour is admitted exactly once.
+func TestSeqZeroMessageDropped(t *testing.T) {
+	wire := &capture{}
+	m := NewManager("LA", wire, time.Hour, WithFlushDelay(0))
+	defer m.Close()
+	frame := simnet.Message{From: "NY", To: "LA", Kind: KindEnqueueBatch, Payload: BatchFrame{Msgs: []Msg{
+		{ID: "x", From: "NY", Queue: "bad"},
+		{ID: "NY>LA-1", Seq: 1, From: "NY", Queue: "good"},
+	}}}
+	m.Handle(frame)
+	m.Handle(frame)
+	if got := m.Depth("bad"); got != 0 {
+		t.Errorf("Seq-0 message admitted: depth = %d, want 0", got)
+	}
+	if got := m.Depth("good"); got != 1 {
+		t.Errorf("well-formed message depth = %d, want 1", got)
+	}
+	for _, f := range wire.take() {
+		ack, ok := f.Payload.(AckFrame)
+		if !ok {
+			t.Fatalf("unexpected frame %s", f.Kind)
+		}
+		for _, id := range ack.IDs {
+			if id == "x" {
+				t.Errorf("Seq-0 message acknowledged")
+			}
+		}
+	}
+}
+
 func TestCrashRecoveryRedeliversInflight(t *testing.T) {
 	p := newPair(t)
 	buf := p.ny.Buffer()
@@ -436,7 +470,7 @@ func TestCrashWindowRedelivery(t *testing.T) {
 
 	// The Msg.ID dedup set survived the restore: a retransmitted
 	// duplicate of the consumed message must not re-queue it.
-	fresh.Handle(simnet.Message{From: "NY", To: "LA", Kind: KindEnqueue, Payload: first})
+	fresh.Handle(simnet.Message{From: "NY", To: "LA", Kind: KindEnqueueBatch, Payload: BatchFrame{Msgs: []Msg{first}}})
 	if depth := fresh.Depth("q"); depth != 2 {
 		t.Fatalf("duplicate re-queued after restore: depth %d, want 2", depth)
 	}

@@ -94,7 +94,6 @@ func init() {
 	RegisterPayloadType(Msg{})
 	RegisterPayloadType(BatchFrame{})
 	RegisterPayloadType(AckFrame{})
-	RegisterPayloadType("") // legacy single-message acks carry the Msg ID
 }
 
 // AppendString appends s as a uvarint length and its bytes.

@@ -68,12 +68,9 @@ func TestWithWorkersOptionPlumbs(t *testing.T) {
 	if got := c1.Site("LA").workers; got != 1 {
 		t.Errorf("WithWorkers(1) → workers = %d", got)
 	}
-	c8 := threeSitesOpts(t, 0, WithWorkers(8), WithActivationBatch(4))
+	c8 := threeSitesOpts(t, 0, WithWorkers(8))
 	if got := c8.Site("CHI").workers; got != 8 {
 		t.Errorf("WithWorkers(8) → workers = %d", got)
-	}
-	if got := c8.Site("CHI").actBatch; got != 4 {
-		t.Errorf("WithActivationBatch(4) → actBatch = %d", got)
 	}
 }
 
@@ -123,17 +120,6 @@ func TestWorkerPoolSizesConserve(t *testing.T) {
 		if got := c.Site("CHI").Store.Get("chi:C"); got != 10000+16 {
 			t.Errorf("workers=%d: chi:C = %d, want %d", workers, got, 10000+16)
 		}
-	}
-}
-
-// TestLegacyWireClusterSettles keeps the A/B baseline honest: the
-// pre-batching transport must still settle the same workload.
-func TestLegacyWireClusterSettles(t *testing.T) {
-	c := threeSitesOpts(t, 0, WithLegacyWire())
-	runChains(t, c, 8)
-	conserveChain(t, c)
-	if got := c.Site("CHI").Store.Get("chi:C"); got != 10008 {
-		t.Errorf("chi:C = %d, want 10008", got)
 	}
 }
 
@@ -245,14 +231,5 @@ func TestBatchFlushCrashReplay(t *testing.T) {
 	if got := c.Site("CHI").Store.Get("chi:C"); got != 10500 {
 		t.Errorf("chi:C = %d, want 10500", got)
 	}
-	conserveChain(t, c)
-}
-
-// TestQueueBatchingOptionPlumbs runs chains under WithQueueBatching:
-// with a batch cap past the default they still settle and conserve
-// money.
-func TestQueueBatchingOptionPlumbs(t *testing.T) {
-	c := threeSitesOpts(t, 0, WithQueueBatching(256))
-	runChains(t, c, 4)
 	conserveChain(t, c)
 }

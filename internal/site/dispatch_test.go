@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"asynctp/internal/commit"
 	"asynctp/internal/metric"
 	"asynctp/internal/queue"
 	"asynctp/internal/simnet"
@@ -102,9 +103,9 @@ func TestDispatchDrainsInboxIntoOneBarrier(t *testing.T) {
 }
 
 // TestRouteKeepsOrderAroundOtherMessages: a message that is not a
-// batched queue frame ends the run — it reaches its own handler, in
-// order, and the frames on either side of it get a barrier each. A
-// legacy frame is such a message: it is handled one at a time.
+// queue frame (piece.done, 2PC) ends the run — it reaches its own
+// handler, in order, and the frames on either side of it get a barrier
+// each.
 func TestRouteKeepsOrderAroundOtherMessages(t *testing.T) {
 	c, drv := idleCluster(t)
 	ny := c.Site("NY")
@@ -114,13 +115,12 @@ func TestRouteKeepsOrderAroundOtherMessages(t *testing.T) {
 	c.dist.trackers[inst] = tr
 	c.dist.mu.Unlock()
 
-	legacy := actFrame("CHI", 2).Payload.(queue.BatchFrame).Msgs[0]
 	c.route(ny, []simnet.Message{
 		actFrame("LA", 1),
 		actFrame("CHI", 1),
 		{From: "LA", To: "NY", Kind: KindPieceDone, Payload: pieceDone{Inst: inst, Piece: 0}},
 		actFrame("LA", 2),
-		{From: "CHI", To: "NY", Kind: queue.KindEnqueue, Payload: legacy},
+		{From: "CHI", To: "NY", Kind: commit.KindAck},
 		actFrame("LA", 3),
 	})
 	select {
@@ -128,11 +128,12 @@ func TestRouteKeepsOrderAroundOtherMessages(t *testing.T) {
 	default:
 		t.Error("the piece.done message between two frames never reached its handler")
 	}
-	if got := ny.queues.Depth(pieceQueue); got != 5 {
-		t.Errorf("admitted %d activations, want 5", got)
+	if got := ny.queues.Depth(pieceQueue); got != 4 {
+		t.Errorf("admitted %d activations, want 4", got)
 	}
-	// Runs: [LA1 CHI1] · piece.done · [LA2] · legacy CHI2 · [LA3].
-	if got := drv.count("NY"); got != 4 {
-		t.Errorf("SaveQueues ran %d times, want 4", got)
+	// Runs: [LA1 CHI1] · piece.done · [LA2] · 2pc.ack · [LA3]: three
+	// runs, one SaveQueues each; the two other messages persist nothing.
+	if got := drv.count("NY"); got != 3 {
+		t.Errorf("SaveQueues ran %d times, want 3", got)
 	}
 }

@@ -914,7 +914,7 @@ func (s *Site) doneLoop(stop <-chan struct{}) {
 		}
 	}()
 	for {
-		batch, err := s.queues.DequeueBatch(ctx, doneQueue, s.actBatch)
+		batch, err := s.queues.DequeueBatch(ctx, doneQueue, defaultActivationBatch)
 		if err != nil {
 			return
 		}
@@ -977,11 +977,12 @@ const (
 )
 
 // workerLoop consumes piece activations until stopped, draining them in
-// batches of up to s.actBatch to amortize wakeups, settlement reports
-// (one coalesced done-queue message per origin per batch), and the
-// persist: one image per batch, written after its children and reports
-// are committed and its deliveries acked, makes the batch's pieces
-// durable and releases everything they staged onto the wire.
+// batches of up to defaultActivationBatch to amortize wakeups,
+// settlement reports (one coalesced done-queue message per origin per
+// batch), and the persist: one image per batch, written after its
+// children and reports are committed and its deliveries acked, makes
+// the batch's pieces durable and releases everything they staged onto
+// the wire.
 func (s *Site) workerLoop(stop <-chan struct{}) {
 	defer s.workerWG.Done()
 	select {
@@ -999,7 +1000,7 @@ func (s *Site) workerLoop(stop <-chan struct{}) {
 		}
 	}()
 	for {
-		batch, err := s.queues.DequeueBatch(ctx, pieceQueue, s.actBatch)
+		batch, err := s.queues.DequeueBatch(ctx, pieceQueue, defaultActivationBatch)
 		if err != nil {
 			return // stopped
 		}

@@ -68,10 +68,7 @@ type Option func(*tuning)
 
 // tuning collects the option-settable knobs.
 type tuning struct {
-	workers    int
-	actBatch   int
-	queueOpts  []queue.Option
-	legacyWire bool
+	workers int
 }
 
 // defaultWorkers is the per-site piece-worker pool size (the historical
@@ -94,40 +91,6 @@ func WithWorkers(n int) Option {
 	}
 }
 
-// WithActivationBatch caps the number of activations a worker drains
-// per dequeue (default 32); settlement reports for the drained batch
-// coalesce into one done-queue message per origin.
-func WithActivationBatch(n int) Option {
-	return func(t *tuning) {
-		if n > 0 {
-			t.actBatch = n
-		}
-	}
-}
-
-// WithQueueBatching caps the recoverable-queue wire batching at maxBatch
-// messages per frame (0 keeps the default).
-func WithQueueBatching(maxBatch int) Option {
-	return func(t *tuning) {
-		if maxBatch > 0 {
-			t.queueOpts = append(t.queueOpts, queue.WithMaxBatch(maxBatch))
-		}
-	}
-}
-
-// WithLegacyWire restores the pre-batching pipeline end to end: one
-// network frame per queue message, one ack per frame, full-outbox
-// retransmission every tick, per-activation dequeue, and one settlement
-// report message per piece. It exists as the measured A/B baseline for
-// cmd/distbench.
-func WithLegacyWire() Option {
-	return func(t *tuning) {
-		t.legacyWire = true
-		t.actBatch = 1
-		t.queueOpts = append(t.queueOpts, queue.WithLegacyWire())
-	}
-}
-
 // Site is one simulated site.
 type Site struct {
 	ID    simnet.SiteID
@@ -137,7 +100,6 @@ type Site struct {
 	opDelay     time.Duration
 	lockTimeout time.Duration
 	workers     int
-	actBatch    int
 	mu          sync.Mutex
 	locks       *lock.Manager
 	exec        *txn.Exec
@@ -270,7 +232,7 @@ type Cluster struct {
 
 // NewCluster builds and starts a cluster.
 func NewCluster(cfg Config, opts ...Option) (*Cluster, error) {
-	tune := tuning{workers: defaultWorkers, actBatch: defaultActivationBatch}
+	tune := tuning{workers: defaultWorkers}
 	for _, opt := range opts {
 		opt(&tune)
 	}
@@ -342,7 +304,6 @@ func NewCluster(cfg Config, opts ...Option) (*Cluster, error) {
 			opDelay:     cfg.OpDelay,
 			lockTimeout: lockTimeout,
 			workers:     tune.workers,
-			actBatch:    tune.actBatch,
 			prepared:    make(map[string]*preparedTxn),
 		}
 		var lockOpts []lock.Option
@@ -364,7 +325,7 @@ func NewCluster(cfg Config, opts ...Option) (*Cluster, error) {
 		}
 		s.exec = txn.NewExec(s.Store, s.locks, obs.TeeTxnObserver(recObs, cfg.Obs.ExecObserver()))
 		s.exec.SetOpDelay(cfg.OpDelay)
-		qOpts := append([]queue.Option(nil), tune.queueOpts...)
+		var qOpts []queue.Option
 		if cfg.FaultHook != nil {
 			// Wire the queue layer's batch-flush crash point: when the
 			// hook fires, the flush is dropped (its messages stay durable
@@ -475,35 +436,32 @@ func (c *Cluster) dispatch(s *Site, inbox <-chan simnet.Message) {
 }
 
 // route handles one round of inbox messages in arrival order. A run of
-// batched queue frames goes to the queue manager in one call, so the
-// frames share one persist of the durable queue image (WithPersist)
-// before any of their acks is staged; every other message ends the run
-// and is handled by itself.
+// queue frames goes to the queue manager in one call, so the frames
+// share one persist of the durable queue image (WithPersist) before any
+// of their acks is staged; a piece.done or 2PC message ends the run and
+// is handled by itself.
 func (c *Cluster) route(s *Site, round []simnet.Message) {
-	run := 0 // round[run:i] is the pending run of batched queue frames
+	run := 0 // round[run:i] is the pending run of queue frames
 	for i, msg := range round {
-		if queue.IsBatchKind(msg.Kind) {
+		if queue.IsQueueKind(msg.Kind) {
 			continue
 		}
 		if run < i {
 			s.queues.HandleAll(round[run:i])
 		}
 		run = i + 1
-		switch {
-		case queue.IsQueueKind(msg.Kind):
-			s.queues.Handle(msg)
-		case msg.Kind == KindPieceDone:
+		if msg.Kind == KindPieceDone {
 			c.handleDone(msg)
-		default:
-			// 2PC prepares may block on locks (up to the lock
-			// timeout); handle them off the dispatch loop so
-			// decisions and other traffic keep flowing.
-			c.wg.Add(1)
-			go func(msg simnet.Message) {
-				defer c.wg.Done()
-				s.node.Handle(c.ctx, msg)
-			}(msg)
+			continue
 		}
+		// 2PC prepares may block on locks (up to the lock timeout);
+		// handle them off the dispatch loop so decisions and other
+		// traffic keep flowing.
+		c.wg.Add(1)
+		go func(msg simnet.Message) {
+			defer c.wg.Done()
+			s.node.Handle(c.ctx, msg)
+		}(msg)
 	}
 	if run < len(round) {
 		s.queues.HandleAll(round[run:])
