@@ -4,7 +4,7 @@
 // Usage:
 //
 //	bankbench [-run t1,f1,f2,f3,e1] [-seed N] [-eps 1000,4000,16000]
-//	          [-trace f] [-tracewall f] [-tracetext f]
+//	          [-spans f] [-spanswall f] [-criticalpath N]
 //	          [-metrics addr] [-metricsdump f]
 package main
 

@@ -18,7 +18,7 @@
 //	           [-chains 16] [-amount 5] [-seed 42] [-stagger 10ms] [-json]
 //	           [-driver mem|disk] [-dir path]
 //	           [-kill9] [-kill9-cycles 3]
-//	           [-trace f] [-tracewall f] [-tracetext f]
+//	           [-spans f] [-spanswall f] [-criticalpath N]
 //	           [-metrics addr] [-metricsdump f]
 package main
 

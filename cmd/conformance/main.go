@@ -15,7 +15,7 @@
 //
 //	conformance [-seed 1] [-budget 200] [-seeds 5]
 //	            [-fuzz-choppings 1000] [-fuzz-runs 40] [-json]
-//	            [-trace f] [-tracewall f] [-tracetext f]
+//	            [-spans f] [-spanswall f] [-criticalpath N]
 //	            [-metrics addr] [-metricsdump f]
 //
 // Exits non-zero when any conformance claim fails.

@@ -18,7 +18,7 @@
 //
 //	distbench -quick -out dist.json
 //	distbench -suites pieces -latency 1ms -workers 1,4
-//	distbench -quick -dc -trace trace.json -metricsdump prom.txt
+//	distbench -quick -dc -spans spans.json -metricsdump prom.txt
 //	perfbench -compare BENCH_4.json dist.json
 package main
 

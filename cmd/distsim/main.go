@@ -6,7 +6,7 @@
 // Usage:
 //
 //	distsim [-run e2,e2b,e3] [-latencies 1ms,10ms,40ms] [-n 5]
-//	        [-trace f] [-tracewall f] [-tracetext f]
+//	        [-spans f] [-spanswall f] [-criticalpath N]
 //	        [-metrics addr] [-metricsdump f]
 package main
 

@@ -303,9 +303,9 @@ func run(args []string) error {
 	if *nTenants > 0 {
 		// Multi-tenant serving-layer mode: the per-tenant breakdown in
 		// plane.Summary() is part of the report, so a plane is always
-		// built even when no -trace/-metrics destination was requested.
+		// built even when no -spans/-metrics destination was requested.
 		if plane == nil {
-			plane = obs.NewPlane(nil, nil, obs.NewRegistry())
+			plane = obs.NewPlane(nil, obs.NewRegistry())
 		}
 		row, err := runTenantsMode(tenantsConfig{
 			Tenants:     *nTenants,
@@ -967,7 +967,7 @@ func childMain(stdin io.Reader, stdout io.Writer) error {
 		if shared.MetricsDump != "" {
 			reg = obs.NewRegistry()
 		}
-		plane = obs.NewPlane(nil, nil, reg)
+		plane = obs.NewPlane(nil, reg)
 		if shared.Spans {
 			plane.EnableSpans(string(self), shared.SpanLimit)
 			if shared.StallAfterNS > 0 {

@@ -35,7 +35,7 @@
 //	          [-minpartspeedup X] [-minshedheadroom X]
 //	          [-out BENCH.json] [-opdelay 50us] [-seed N]
 //	          [-cpuprofile f] [-memprofile f] [-mutexprofile f]
-//	          [-trace f] [-tracewall f] [-tracetext f]
+//	          [-spans f] [-spanswall f] [-criticalpath N]
 //	          [-metrics addr] [-metricsdump f]
 //	perfbench -compare BENCH_baseline.json BENCH_new.json
 //

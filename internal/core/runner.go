@@ -402,7 +402,7 @@ func (r *Runner) GroupOf() map[lock.Owner]history.Group {
 }
 
 // enqueueKey carries an upstream admission timestamp through ctx so
-// the tracer can attribute pre-runner queueing (tenant mailbox wait)
+// the span hooks can attribute pre-runner queueing (tenant mailbox wait)
 // to the admit phase of the instance it becomes.
 type enqueueKey struct{}
 
@@ -552,7 +552,7 @@ func (inst *instance) runPiece(ctx context.Context, pi int, budget metric.Spec) 
 		owner := r.gen.Next()
 		if r.cfg.Obs != nil {
 			// Single-process pieces hang directly off the root span.
-			r.cfg.Obs.PieceBegin(int64(owner), int64(inst.group), pi, "", prog.Name, class,
+			r.cfg.Obs.PieceBegin(int64(owner), int64(inst.group), pi, "", prog.Name,
 				obs.PieceSpanID(uint64(inst.group), pi, false), obs.RootSpanID(uint64(inst.group)), "")
 		}
 		if r.rec != nil {

@@ -57,7 +57,7 @@ type ChaosConfig struct {
 	// depend on it — the soak test runs the storm at 1 and 8.
 	Workers int
 	// Plane, when non-nil, observes every scenario cluster (trace spans,
-	// metrics, ε-ledger); cmd/chaosbench wires it from -trace/-metrics
+	// metrics, ε-ledger); cmd/chaosbench wires it from -spans/-metrics
 	// and Chaos folds its summary into the report notes.
 	Plane *obs.Plane
 	// Driver selects the storage driver ("mem" default, "disk" persists

@@ -23,9 +23,9 @@ type ConformanceConfig struct {
 	// FuzzChoppings and FuzzRuns size the fuzz campaign.
 	FuzzChoppings int
 	FuzzRuns      int
-	// Plane, when non-nil, contributes a shared tracer and metrics
+	// Plane, when non-nil, contributes a shared span store and metrics
 	// registry to every swept run (cmd/conformance wires it from
-	// -trace/-metrics). Per-run ε-ledgers are independent of it.
+	// -spans/-metrics). Per-run ε-ledgers are independent of it.
 	Plane *obs.Plane
 }
 

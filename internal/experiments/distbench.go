@@ -53,7 +53,7 @@ type DistBenchConfig struct {
 	Audits int
 	// Plane, when non-nil, observes the whole cluster: trace spans,
 	// metrics, and the ε-provenance ledger all hang off it
-	// (cmd/distbench wires it from -trace/-metrics/-ledger).
+	// (cmd/distbench wires it from -spans/-metrics).
 	Plane *obs.Plane
 }
 

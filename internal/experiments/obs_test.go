@@ -12,11 +12,12 @@ import (
 
 // distCanonicalTrace drives the full distributed pipeline (chopped
 // queues, DC, audits) with a single sequential submitter — the
-// trace-deterministic configuration — and returns the canonical export.
+// trace-deterministic configuration — and returns the canonical span
+// export.
 func distCanonicalTrace(t *testing.T) []byte {
 	t.Helper()
-	tr := obs.NewTracer(0)
-	plane := obs.NewPlane(tr, obs.NewLedger(), nil)
+	plane := obs.NewPlane(obs.NewLedger(), nil)
+	plane.EnableSpans("p0", 0)
 	res, err := RunDistBench(DistBenchConfig{
 		Latency:    200 * time.Microsecond,
 		Seed:       7,
@@ -35,16 +36,16 @@ func distCanonicalTrace(t *testing.T) []byte {
 		t.Fatal("money not conserved")
 	}
 	var buf bytes.Buffer
-	if err := obs.ExportCanonical(&buf, tr.Events()); err != nil {
+	if err := obs.ExportCanonicalSpans(&buf, obs.MergeSpans([]obs.ProcSpans{plane.Spans.Dump()})); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
 }
 
 // TestDistPipelineCanonicalTraceDeterministic checks the acceptance
-// claim end to end: a seeded distbench run's canonical Chrome trace
-// shows the transaction → piece → lock → DC → queue → site span
-// hierarchy and is byte-identical across two same-seed runs.
+// claim end to end: a seeded distbench run's canonical span export
+// shows the root → piece → wire → mailbox → report → ack tree and is
+// byte-identical across two same-seed runs.
 func TestDistPipelineCanonicalTraceDeterministic(t *testing.T) {
 	a := distCanonicalTrace(t)
 	b := distCanonicalTrace(t)
@@ -52,12 +53,12 @@ func TestDistPipelineCanonicalTraceDeterministic(t *testing.T) {
 		t.Fatalf("distributed canonical exports differ across same-seed runs: len %d vs %d", len(a), len(b))
 	}
 	s := string(a)
-	for _, want := range []string{
-		`"cat":"txn"`, `"cat":"piece"`, `"cat":"lock"`,
-		`"cat":"dc"`, `"cat":"queue"`, `"cat":"site"`,
+	for _, kind := range []string{
+		obs.SpanTxn, obs.SpanPiece, obs.SpanWire,
+		obs.SpanMailbox, obs.SpanReportWire, obs.SpanAck,
 	} {
-		if !strings.Contains(s, want) {
-			t.Errorf("distributed canonical export missing %s events", want)
+		if !strings.Contains(s, `"`+kind+`/`) {
+			t.Errorf("distributed canonical export missing %s spans", kind)
 		}
 	}
 }

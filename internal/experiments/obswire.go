@@ -6,7 +6,7 @@ import "asynctp/internal/obs"
 // entry points (Table1, Figure1..3, MethodComparison, EngineComparison,
 // the distributed E2/E3 runs) predate the plane and keep their
 // signatures; the bench CLIs (bankbench, distsim) thread their
-// -trace/-metrics plane through here instead.
+// -spans/-metrics plane through here instead.
 var obsPlane *obs.Plane
 
 // SetObsPlane installs the plane every subsequently built runner or

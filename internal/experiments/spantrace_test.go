@@ -18,7 +18,7 @@ import (
 
 // spanPlane builds a plane with only the distributed span store armed.
 func spanPlane(proc string) *obs.Plane {
-	p := obs.NewPlane(nil, nil, nil)
+	p := obs.NewPlane(nil, nil)
 	p.EnableSpans(proc, 0)
 	return p
 }

@@ -41,10 +41,12 @@ type Scenario struct {
 	// reconciles it against the oracle's verdicts: Result.Reconciliation
 	// then carries the per-query budgeted / charged / measured rows.
 	Ledger bool
-	// Base, when non-nil, contributes a shared tracer and metrics
-	// registry to every run's plane (cmd/conformance wires it from
-	// -trace/-metrics). The ledger stays per-run: reconciliation needs
-	// one run's charges against that run's oracle verdicts.
+	// Base, when non-nil, shares its metrics registry and span store
+	// with every run (cmd/conformance wires it from -spans/-metrics).
+	// Each run records into a span store of its own, grafted into
+	// Base's afterwards, so runs that reuse instance IDs stay separate
+	// traces. The ledger stays per-run: reconciliation needs one run's
+	// charges against that run's oracle verdicts.
 	Base *obs.Plane
 }
 
@@ -108,16 +110,18 @@ func Run(sc Scenario, seed int64, strategy Strategy, ocfg oracle.Config) (*Resul
 	}
 	var plane *obs.Plane
 	if sc.Ledger || sc.Base != nil {
-		var tr *obs.Tracer
 		var reg *obs.Registry
 		if sc.Base != nil {
-			tr, reg = sc.Base.Tracer, sc.Base.Metrics
+			reg = sc.Base.Metrics
 		}
 		var lg *obs.Ledger
 		if sc.Ledger {
 			lg = obs.NewLedger()
 		}
-		plane = obs.NewPlane(tr, lg, reg)
+		plane = obs.NewPlane(lg, reg)
+		if sc.Base.SpansOn() {
+			plane.EnableSpans(sc.Base.Spans.Proc(), 0)
+		}
 	}
 	runner, err := core.NewRunner(core.Config{
 		Method:        sc.Method,
@@ -160,6 +164,9 @@ func Run(sc Scenario, seed int64, strategy Strategy, ocfg oracle.Config) (*Resul
 		return nil, fmt.Errorf("explore: %s seed %d: %w", sc.Name, seed, err)
 	}
 	res.Steps = sched.Steps()
+	if sc.Base.SpansOn() {
+		sc.Base.Spans.Graft(plane.Spans.Spans())
+	}
 
 	// Map each submission's group to its ORIGINAL program for the oracle.
 	groupOf := runner.GroupOf()

@@ -4,22 +4,21 @@ import (
 	"testing"
 
 	"asynctp/internal/metric"
-	"asynctp/internal/txn"
 )
 
 // The whole observability plane is built to be compiled in but free
-// when disabled: a nil *Plane, a nil *Tracer, and nil metric handles
-// must all no-op without boxing an Event or capturing a closure. These
+// when disabled: a nil *Plane, a nil *SpanStore and nil metric handles
+// must all no-op without allocating or capturing a closure. These
 // tests pin that contract with testing.AllocsPerRun so a refactor that
 // accidentally allocates on the disabled path fails CI, not a perf run.
 
 func TestNilPlaneSpanHooksZeroAlloc(t *testing.T) {
 	var p *Plane
-	end := p.ActivationBegin(1, 0, "NY")
+	end := p.ActivationBegin()
 	allocs := testing.AllocsPerRun(1000, func() {
 		p.TxnBegin(1, "xfer")
 		p.BindBudget(1, "xfer", "update", "static", metric.Infinite)
-		p.PieceBegin(2, 1, 0, "NY", "xfer/p1", txn.Update, 0, 0, "")
+		p.PieceBegin(2, 1, 0, "NY", "xfer/p1", 0, 0, "")
 		p.PieceSettle(2, 0, 0)
 		p.TxnEnd(1, true)
 		end()
@@ -38,7 +37,7 @@ func TestDisabledSpanHooksZeroAlloc(t *testing.T) {
 		plane *Plane
 	}{
 		{"nil-plane", nil},
-		{"plane-without-spans", NewPlane(nil, nil, nil)},
+		{"plane-without-spans", NewPlane(nil, nil)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			p := tc.plane
@@ -117,14 +116,14 @@ func TestEnabledVecSteadyStateZeroAlloc(t *testing.T) {
 func TestNilPlaneObserverConstructorsCollapse(t *testing.T) {
 	var p *Plane
 	if p.ExecObserver() != nil || p.WaitObserver() != nil || p.DCObserver() != nil ||
-		p.QueueObserver("NY") != nil || p.CommitObserver("NY") != nil {
+		p.QueueObserver() != nil || p.CommitObserver("NY") != nil {
 		t.Fatal("nil plane must hand out nil observers so call sites skip the hook entirely")
 	}
 	allocs := testing.AllocsPerRun(1000, func() {
 		_ = p.ExecObserver()
 		_ = p.WaitObserver()
 		_ = p.DCObserver()
-		_ = p.QueueObserver("NY")
+		_ = p.QueueObserver()
 		_ = p.CommitObserver("NY")
 	})
 	if allocs > 0 {
@@ -152,19 +151,6 @@ func TestTeeHelpersCollapseToNil(t *testing.T) {
 	}
 }
 
-func TestNilTracerEmitZeroAlloc(t *testing.T) {
-	var tr *Tracer
-	allocs := testing.AllocsPerRun(1000, func() {
-		tr.Emit(Event{Kind: EvLockAcquire, Owner: 7, Key: "x"})
-	})
-	if allocs > 0 {
-		t.Errorf("nil tracer Emit: %.1f allocs/op, want 0", allocs)
-	}
-	if tr.Len() != 0 || tr.Dropped() != 0 || tr.Events() != nil {
-		t.Error("nil tracer accessors must report empty")
-	}
-}
-
 func TestNilMetricHandlesZeroAlloc(t *testing.T) {
 	var c *Counter
 	var g *Gauge
@@ -178,22 +164,5 @@ func TestNilMetricHandlesZeroAlloc(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Errorf("nil metric handles: %.1f allocs/op, want 0", allocs)
-	}
-}
-
-// Enabled-tracer steady state: once the ring has grown, Emit is a slot
-// write behind a mutex — no per-event allocation.
-func TestEnabledTracerSteadyStateZeroAlloc(t *testing.T) {
-	tr := NewTracer(1 << 16)
-	for i := 0; i < 4096; i++ { // pre-grow the buffer
-		tr.Emit(Event{Kind: EvLockAcquire, Owner: int64(i)})
-	}
-	allocs := testing.AllocsPerRun(1000, func() {
-		tr.Emit(Event{Kind: EvLockAcquire, Owner: 1, Key: "x"})
-	})
-	// Amortized slice growth can surface as <1 alloc/op; the guard is
-	// against per-event boxing (>=1 every call).
-	if allocs >= 1 {
-		t.Errorf("enabled tracer steady-state Emit: %.1f allocs/op, want < 1", allocs)
 	}
 }

@@ -7,27 +7,20 @@ import (
 	"time"
 )
 
-// Flags is the shared -trace/-metrics CLI surface every bench command
+// Flags is the shared -spans/-metrics CLI surface every bench command
 // registers (cmd/perfbench, distbench, chaosbench, conformance,
-// bankbench, distsim). All destinations are optional; with none set,
-// Build returns a nil plane and the instrumented pipeline keeps its
-// zero-cost disabled paths.
+// bankbench, distsim, loadbench). All destinations are optional; with
+// none set, Build returns a nil plane and the instrumented pipeline
+// keeps its zero-cost disabled paths.
 type Flags struct {
-	// Trace is the canonical (seed-deterministic) Chrome trace-event
-	// JSON destination.
-	Trace string
-	// TraceWall is the wall-clock Chrome trace-event JSON destination.
-	TraceWall string
-	// TraceText is the human text timeline destination.
-	TraceText string
 	// Metrics is the Prometheus exposition listen address (e.g.
 	// "127.0.0.1:9090"); empty disables the listener.
 	Metrics string
 	// MetricsDump is a file to write one final Prometheus exposition
 	// snapshot to at stop time (usable without the listener).
 	MetricsDump string
-	// Ledger forces the ε-provenance ledger on even when no trace
-	// destination is set (the conformance harness reads it directly).
+	// Ledger turns the plane's ε-provenance ledger on. No flag sets it;
+	// a caller that reads the ledger sets it before Build.
 	Ledger bool
 	// Spans is the canonical (deterministic) merged span export
 	// destination; SpansWall is the wall-clock Chrome export. Either
@@ -53,9 +46,6 @@ type Flags struct {
 // they populate.
 func Register(fs *flag.FlagSet) *Flags {
 	f := &Flags{}
-	fs.StringVar(&f.Trace, "trace", "", "write canonical (deterministic) Chrome trace-event JSON to file")
-	fs.StringVar(&f.TraceWall, "tracewall", "", "write wall-clock Chrome trace-event JSON to file")
-	fs.StringVar(&f.TraceText, "tracetext", "", "write human trace timeline to file")
 	fs.StringVar(&f.Metrics, "metrics", "", "serve Prometheus metrics on this address (e.g. 127.0.0.1:9090)")
 	fs.StringVar(&f.MetricsDump, "metricsdump", "", "write a final Prometheus exposition snapshot to file")
 	fs.StringVar(&f.Spans, "spans", "", "write canonical (deterministic) merged distributed-span export to file")
@@ -75,8 +65,7 @@ func (f *Flags) SpansEnabled() bool {
 
 // enabled reports whether any observability consumer was requested.
 func (f *Flags) enabled() bool {
-	return f.Trace != "" || f.TraceWall != "" || f.TraceText != "" ||
-		f.Metrics != "" || f.MetricsDump != "" || f.Ledger || f.SpansEnabled()
+	return f.Metrics != "" || f.MetricsDump != "" || f.Ledger || f.SpansEnabled()
 }
 
 // Build assembles the requested plane and starts the metrics listener
@@ -88,12 +77,8 @@ func (f *Flags) Build() (*Plane, func() error, error) {
 	if !f.enabled() {
 		return nil, func() error { return nil }, nil
 	}
-	var tr *Tracer
-	if f.Trace != "" || f.TraceWall != "" || f.TraceText != "" {
-		tr = NewTracer(0)
-	}
 	var lg *Ledger
-	if f.Ledger || tr != nil {
+	if f.Ledger {
 		lg = NewLedger()
 	}
 	var reg *Registry
@@ -109,7 +94,7 @@ func (f *Flags) Build() (*Plane, func() error, error) {
 		closeHTTP = closeFn
 		fmt.Fprintf(os.Stderr, "obs: serving metrics on http://%s/metrics\n", addr)
 	}
-	p := NewPlane(tr, lg, reg)
+	p := NewPlane(lg, reg)
 	stopWatch := func() {}
 	if f.SpansEnabled() {
 		proc := f.SpanProc
@@ -142,10 +127,6 @@ func (f *Flags) Build() (*Plane, func() error, error) {
 				firstErr = err
 			}
 		}
-		events := tr.Events()
-		writeFile(f.Trace, func(out *os.File) error { return ExportCanonical(out, events) })
-		writeFile(f.TraceWall, func(out *os.File) error { return ExportWall(out, events) })
-		writeFile(f.TraceText, func(out *os.File) error { return WriteText(out, events) })
 		writeFile(f.MetricsDump, func(out *os.File) error { return reg.WriteProm(out) })
 		if p.Spans != nil {
 			m := MergeSpans([]ProcSpans{p.Spans.Dump()})
@@ -158,9 +139,6 @@ func (f *Flags) Build() (*Plane, func() error, error) {
 				r.FeedMetrics(reg)
 				r.WriteText(os.Stderr)
 			}
-		}
-		if tr != nil && tr.Dropped() > 0 {
-			fmt.Fprintf(os.Stderr, "obs: trace buffer overflow, %d events dropped\n", tr.Dropped())
 		}
 		if closeHTTP != nil {
 			if err := closeHTTP(); err != nil && firstErr == nil {

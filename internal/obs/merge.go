@@ -279,3 +279,59 @@ func ExportWallSpans(w io.Writer, m *Merged) error {
 	}
 	return e.finish(w)
 }
+
+// emitter accumulates Chrome trace-event JSON objects.
+type emitter struct {
+	b     strings.Builder
+	first bool
+}
+
+func newEmitter() *emitter {
+	e := &emitter{first: true}
+	e.b.WriteString(`{"traceEvents":[`)
+	return e
+}
+
+func (e *emitter) raw(s string) {
+	if !e.first {
+		e.b.WriteByte(',')
+	}
+	e.first = false
+	e.b.WriteString(s)
+}
+
+// span emits one "X" complete event.
+func (e *emitter) span(name, cat string, pid, tid int, ts, dur int64, args string) {
+	var b strings.Builder
+	b.WriteString(`{"name":`)
+	b.WriteString(strconv.Quote(name))
+	b.WriteString(`,"cat":`)
+	b.WriteString(strconv.Quote(cat))
+	b.WriteString(`,"ph":"X","pid":`)
+	b.WriteString(strconv.Itoa(pid))
+	b.WriteString(`,"tid":`)
+	b.WriteString(strconv.Itoa(tid))
+	b.WriteString(`,"ts":`)
+	b.WriteString(strconv.FormatInt(ts, 10))
+	b.WriteString(`,"dur":`)
+	b.WriteString(strconv.FormatInt(dur, 10))
+	if args != "" {
+		b.WriteString(`,"args":{`)
+		b.WriteString(args)
+		b.WriteByte('}')
+	}
+	b.WriteByte('}')
+	e.raw(b.String())
+}
+
+// meta emits one "M" metadata event (process/thread naming).
+func (e *emitter) meta(kind string, pid, tid int, name string) {
+	e.raw(fmt.Sprintf(`{"ph":"M","pid":%d,"tid":%d,"name":%q,"args":{"name":%q}}`,
+		pid, tid, kind, name))
+}
+
+func (e *emitter) finish(w io.Writer) error {
+	e.b.WriteString("]}\n")
+	_, err := io.WriteString(w, e.b.String())
+	return err
+}

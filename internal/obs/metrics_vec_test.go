@@ -91,7 +91,7 @@ func TestNilVecsCollapse(t *testing.T) {
 }
 
 func TestPlaneTenantHooksAndSummary(t *testing.T) {
-	p := NewPlane(nil, nil, NewRegistry())
+	p := NewPlane(nil, NewRegistry())
 	p.TenantAdmit("t1")
 	p.TenantAdmit("t1")
 	p.TenantDegrade("t1", metric.Fuzz(500))
@@ -119,7 +119,7 @@ func TestPlaneTenantHooksAndSummary(t *testing.T) {
 }
 
 func TestSummaryOmitsTenantLinesWhenUnused(t *testing.T) {
-	p := NewPlane(nil, nil, NewRegistry())
+	p := NewPlane(nil, NewRegistry())
 	for _, line := range p.Summary() {
 		if strings.Contains(line, "tenant ") {
 			t.Errorf("unexpected tenant line in single-workload summary: %q", line)

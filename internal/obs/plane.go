@@ -1,3 +1,17 @@
+// Package obs is the observability plane of the chopped-transaction
+// pipeline: a distributed span store that records each transaction as
+// its tree of pieces and hops (root → piece → wire → mailbox → report →
+// ack), merged across processes and read by the critical-path
+// analyzer; an ε-provenance ledger that accounts every fuzziness debit
+// back to its source conflict; and a lightweight metrics registry with
+// Prometheus text exposition.
+//
+// The package sits ABOVE the engine packages in the import graph: it
+// implements their observer seams (txn.StepHook, txn.Observer,
+// lock.WaitObserver, the dc observer callback, queue.Observer,
+// commit.Observer) but none of them import obs — when no Plane is
+// configured, the engines keep their nil-observer fast paths and the
+// whole subsystem costs nothing (proved by AllocsPerRun pins).
 package obs
 
 import (
@@ -21,14 +35,13 @@ import (
 	"asynctp/internal/txn"
 )
 
-// Plane bundles the three observability consumers — tracer, ε-ledger,
-// metrics registry — behind the hook shims the engine packages expose.
-// Any of the three may be nil; a nil *Plane disables everything, and
+// Plane bundles the observability consumers — ε-ledger, metrics
+// registry, span store — behind the hook shims the engine packages
+// expose. Any of them may be nil; a nil *Plane disables everything, and
 // the engines keep their nil-observer fast paths because the wiring
 // layers (core, site, the bench CLIs) only install the shims when a
 // plane exists.
 type Plane struct {
-	Tracer  *Tracer
 	Ledger  *Ledger
 	Metrics *Registry
 
@@ -125,8 +138,8 @@ type planeMetrics struct {
 }
 
 // NewPlane assembles a plane from its (individually optional) parts.
-func NewPlane(tr *Tracer, lg *Ledger, reg *Registry) *Plane {
-	p := &Plane{Tracer: tr, Ledger: lg, Metrics: reg, waitAt: make(map[int64]time.Time)}
+func NewPlane(lg *Ledger, reg *Registry) *Plane {
+	p := &Plane{Ledger: lg, Metrics: reg, waitAt: make(map[int64]time.Time)}
 	if reg != nil {
 		batchBuckets := []float64{1, 2, 4, 8, 16, 32, 64, 128, 256}
 		p.m = planeMetrics{
@@ -440,10 +453,6 @@ func (p *Plane) Summary() []string {
 			}
 		}
 	}
-	if p.Tracer != nil {
-		out = append(out, fmt.Sprintf("trace: %d events (%d dropped)",
-			p.Tracer.Len(), p.Tracer.Dropped()))
-	}
 	if p.Spans != nil {
 		out = append(out, fmt.Sprintf("spans: %d recorded, %d buffered, %d evicted (evictions orphan children in the merge)",
 			p.Spans.Total(), p.Spans.Len(), p.Spans.Evicted()))
@@ -462,14 +471,6 @@ func (p *Plane) Summary() []string {
 	return out
 }
 
-// emit forwards one event to the tracer (nil-safe on both levels).
-func (p *Plane) emit(ev Event) {
-	if p == nil {
-		return
-	}
-	p.Tracer.Emit(ev)
-}
-
 // TxnBegin marks a transaction instance submission and opens the root
 // span when distributed tracing is on.
 func (p *Plane) TxnBegin(group int64, name string) {
@@ -482,7 +483,6 @@ func (p *Plane) TxnBegin(group int64, name string) {
 		p.openRoots[uint64(group)] = &openRoot{start: time.Now().UnixNano(), name: name}
 		p.spanMu.Unlock()
 	}
-	p.emit(Event{Kind: EvTxnBegin, Group: uint64(group), Piece: -1, Name: name})
 }
 
 // TxnEnd marks an instance settlement and closes the root span. The
@@ -515,11 +515,6 @@ func (p *Plane) TxnEnd(group int64, committed bool) {
 			})
 		}
 	}
-	aux := int64(0)
-	if committed {
-		aux = 1
-	}
-	p.emit(Event{Kind: EvTxnEnd, Group: uint64(group), Piece: -1, Aux: aux})
 }
 
 // BindBudget declares an instance's identity and ORIGINAL ε budget to
@@ -546,7 +541,7 @@ func (p *Plane) BindBudget(group int64, name, class, mode string, budget metric.
 // for origin and single-process pieces, the mailbox span for
 // activation-delivered ones; the span is recorded when the attempt
 // commits (aborted attempts leave no span, the retry re-begins).
-func (p *Plane) PieceBegin(owner int64, group int64, piece int, site, name string, class txn.Class,
+func (p *Plane) PieceBegin(owner int64, group int64, piece int, site, name string,
 	span, parent uint64, parentProc string) {
 	if p == nil {
 		return
@@ -561,10 +556,6 @@ func (p *Plane) PieceBegin(owner int64, group int64, piece int, site, name strin
 		p.spanMu.Unlock()
 	}
 	p.Ledger.BindPiece(owner, group, int32(piece))
-	p.emit(Event{
-		Kind: EvPieceBegin, Owner: owner, Group: uint64(group), Piece: int32(piece),
-		Site: site, Name: name, Arg: class.String(),
-	})
 }
 
 // PieceSettle marks a piece attempt's fuzziness account settling at
@@ -576,21 +567,18 @@ func (p *Plane) PieceSettle(owner int64, imported, exported metric.Fuzz) {
 	p.m.dcImported.Add(int64(imported))
 	p.m.dcExported.Add(int64(exported))
 	p.Ledger.Settle(owner, imported, exported)
-	p.emit(Event{Kind: EvDCAccount, Owner: owner, Piece: -1, Aux: int64(imported), Aux2: int64(exported)})
 }
 
 // ActivationBegin marks a site worker starting a queued piece
 // activation; the returned function marks it processed.
-func (p *Plane) ActivationBegin(group int64, piece int, site string) func() {
+func (p *Plane) ActivationBegin() func() {
 	if p == nil {
 		return func() {}
 	}
-	p.emit(Event{Kind: EvActivationBegin, Group: uint64(group), Piece: int32(piece), Site: site})
 	start := time.Now()
 	return func() {
 		p.m.activations.Inc()
 		p.m.activationDur.ObserveDuration(time.Since(start))
-		p.emit(Event{Kind: EvActivationEnd, Group: uint64(group), Piece: int32(piece), Site: site})
 	}
 }
 
@@ -612,7 +600,6 @@ func (p *Plane) TenantDegrade(tenant string, charged metric.Fuzz) {
 	}
 	p.m.tenantDegraded.With(tenant).Inc()
 	p.m.tenantEps.With(tenant).Add(int64(charged))
-	p.emit(Event{Kind: EvDCDebit, Piece: -1, Name: tenant, Arg: "degrade", Aux: int64(charged)})
 }
 
 // TenantShed marks one request shed after the degrade path was
@@ -666,9 +653,9 @@ func (p *Plane) WatchQueue(site string, m *queue.Manager) {
 
 // --- txn.Observer shim -------------------------------------------------
 
-// execObserver adapts the plane to the executor's Observer seam: each
-// admitted operation becomes a lock.acquire leaf, commit/abort settle
-// the piece attempt.
+// execObserver adapts the plane to the executor's Observer seam:
+// commit/abort settle the piece attempt. Per-key grants are the history
+// recorder's business, not the plane's.
 type execObserver struct{ p *Plane }
 
 // ExecObserver returns the txn.Observer shim (nil when disabled, so
@@ -682,12 +669,9 @@ func (p *Plane) ExecObserver() txn.Observer {
 
 func (o execObserver) Begin(owner lock.Owner, name string, class txn.Class) {}
 
-func (o execObserver) Read(owner lock.Owner, key storage.Key, value metric.Value) {
-	o.p.emit(Event{Kind: EvLockAcquire, Owner: int64(owner), Piece: -1, Key: string(key)})
-}
+func (o execObserver) Read(owner lock.Owner, key storage.Key, value metric.Value) {}
 
 func (o execObserver) Write(owner lock.Owner, key storage.Key, old, new metric.Value, commutative bool) {
-	o.p.emit(Event{Kind: EvLockAcquire, Owner: int64(owner), Piece: -1, Key: string(key), Aux: 1})
 }
 
 func (o execObserver) Commit(owner lock.Owner) {
@@ -706,7 +690,6 @@ func (o execObserver) Commit(owner lock.Owner) {
 			})
 		}
 	}
-	o.p.emit(Event{Kind: EvPieceCommit, Owner: int64(owner), Piece: -1})
 }
 
 func (o execObserver) Abort(owner lock.Owner, reason error) {
@@ -725,13 +708,10 @@ func (o execObserver) Abort(owner lock.Owner, reason error) {
 	switch {
 	case errors.Is(reason, lock.ErrDeadlock):
 		o.p.m.pieceAbortDeadlock.Inc()
-		o.p.emit(Event{Kind: EvPieceAbort, Owner: int64(owner), Piece: -1, Arg: "deadlock"})
 	case errors.Is(reason, txn.ErrRollback):
 		o.p.m.pieceAbortRollback.Inc()
-		o.p.emit(Event{Kind: EvPieceAbort, Owner: int64(owner), Piece: -1, Arg: "rollback"})
 	default:
 		o.p.m.pieceAbortOther.Inc()
-		o.p.emit(Event{Kind: EvPieceAbort, Owner: int64(owner), Piece: -1, Arg: "other"})
 	}
 }
 
@@ -752,7 +732,6 @@ func (o waitObserver) Blocked(owner lock.Owner, key storage.Key) {
 	o.p.waitMu.Lock()
 	o.p.waitAt[int64(owner)] = time.Now()
 	o.p.waitMu.Unlock()
-	o.p.emit(Event{Kind: EvLockBlocked, Owner: int64(owner), Piece: -1, Key: string(key)})
 }
 
 func (o waitObserver) Woken(owner lock.Owner) {}
@@ -780,14 +759,13 @@ func (o waitObserver) Resumed(owner lock.Owner) {
 			})
 		}
 	}
-	o.p.emit(Event{Kind: EvLockResumed, Owner: int64(owner), Piece: -1, Dur: int64(d)})
 }
 
 // --- dc observer shim --------------------------------------------------
 
 // DCObserver returns the divergence-control observer shim: debits feed
-// the trace, the metrics, and — pair by pair — the ε-provenance ledger.
-// Nil when disabled.
+// the metrics and, pair by pair, the ε-provenance ledger. Nil when
+// disabled.
 func (p *Plane) DCObserver() func(dc.Event) {
 	if p == nil {
 		return nil
@@ -795,12 +773,10 @@ func (p *Plane) DCObserver() func(dc.Event) {
 	return func(ev dc.Event) {
 		if !ev.Absorbed {
 			p.m.dcRefused.Inc()
-			p.emit(Event{Kind: EvDCRefuse, Owner: int64(ev.Requester), Piece: -1, Key: string(ev.Key)})
 			return
 		}
 		p.m.dcAbsorbed.Inc()
 		p.m.dcCharged.Add(int64(ev.Cost))
-		p.emit(Event{Kind: EvDCDebit, Owner: int64(ev.Requester), Piece: -1, Key: string(ev.Key), Aux: int64(ev.Cost)})
 		if p.Ledger != nil && len(ev.Pairs) > 0 {
 			pairs := make([]DebitPair, len(ev.Pairs))
 			for i, pr := range ev.Pairs {
@@ -813,51 +789,31 @@ func (p *Plane) DCObserver() func(dc.Event) {
 
 // --- queue.Observer shim -----------------------------------------------
 
-type queueObserver struct {
-	p    *Plane
-	site string
-}
+type queueObserver struct{ p *Plane }
 
-// QueueObserver returns the transport observer shim for one site's
-// queue endpoint. Nil when disabled.
-func (p *Plane) QueueObserver(site simnet.SiteID) queue.Observer {
+// QueueObserver returns the transport observer shim for a site's queue
+// endpoint. Nil when disabled.
+func (p *Plane) QueueObserver() queue.Observer {
 	if p == nil {
 		return nil
 	}
-	return queueObserver{p: p, site: string(site)}
+	return queueObserver{p: p}
 }
 
-func (o queueObserver) Sent(to simnet.SiteID, msg queue.Msg) {
-	o.p.m.queueSent.Inc()
-	o.p.emit(Event{
-		Kind: EvQueueSend, Piece: -1, Site: string(msg.From), Arg: string(to),
-		Name: msg.Queue, Key: msg.ID, Aux: int64(msg.Seq),
-	})
-}
+func (o queueObserver) Sent(to simnet.SiteID, msg queue.Msg) { o.p.m.queueSent.Inc() }
 
 func (o queueObserver) Flushed(to simnet.SiteID, msgs, acks int) {
 	o.p.m.queueFlushes.Inc()
 	if msgs > 0 {
 		o.p.m.queueBatchSize.Observe(float64(msgs))
 	}
-	o.p.emit(Event{
-		Kind: EvQueueFlush, Piece: -1, Site: o.site, Arg: string(to),
-		Aux: int64(msgs), Aux2: int64(acks),
-	})
 }
 
 func (o queueObserver) Retransmitted(to simnet.SiteID, msgs int) {
 	o.p.m.queueRetransmits.Add(int64(msgs))
-	o.p.emit(Event{Kind: EvQueueRetransmit, Piece: -1, Site: o.site, Arg: string(to), Aux: int64(msgs)})
 }
 
-func (o queueObserver) Delivered(msg queue.Msg) {
-	o.p.m.queueDelivered.Inc()
-	o.p.emit(Event{
-		Kind: EvQueueDeliver, Piece: -1, Site: o.site, Arg: string(msg.From),
-		Name: msg.Queue, Key: msg.ID, Aux: int64(msg.Seq),
-	})
-}
+func (o queueObserver) Delivered(msg queue.Msg) { o.p.m.queueDelivered.Inc() }
 
 // --- storage driver.Observer shim --------------------------------------
 
@@ -914,8 +870,9 @@ func (o commitObserver) Round(txid, kind string, attempts int, d time.Duration) 
 	} else {
 		o.p.m.commitRoundAck.ObserveDuration(d)
 	}
-	// 2PC round spans hang off the root: txids are "name-inst", so the
-	// trace recovers from the suffix.
+	// 2PC round spans hang off the root: every attempt's txid ends in
+	// "-inst" ("name-inst", retries "name-rN-inst"), so the trace
+	// recovers from the suffix.
 	if o.p.Spans != nil && d > 0 {
 		if i := strings.LastIndexByte(txid, '-'); i >= 0 {
 			if trace, err := strconv.ParseUint(txid[i+1:], 10, 64); err == nil && trace != 0 {
@@ -928,21 +885,14 @@ func (o commitObserver) Round(txid, kind string, attempts int, d time.Duration) 
 			}
 		}
 	}
-	o.p.emit(Event{
-		Kind: EvCommitRound, Piece: -1, Site: o.site, Name: txid, Arg: kind,
-		Aux: int64(attempts), Dur: int64(d),
-	})
 }
 
 func (o commitObserver) Decision(txid string, committed bool) {
-	aux := int64(0)
 	if committed {
-		aux = 1
 		o.p.m.commitCommits.Inc()
 	} else {
 		o.p.m.commitAborts.Inc()
 	}
-	o.p.emit(Event{Kind: EvCommitDecision, Piece: -1, Site: o.site, Name: txid, Aux: aux})
 }
 
 // --- tee helpers -------------------------------------------------------

@@ -187,6 +187,8 @@ type SpanStore struct {
 	total   uint64
 	clock   uint64
 	counter uint64
+	// traces is the highest trace ID recorded (Graft's next offset).
+	traces uint64
 }
 
 // NewSpanStore creates a store identified as proc (the process/shard
@@ -255,6 +257,9 @@ func (s *SpanStore) Add(sp Span) {
 	s.clock++
 	sp.Clock = s.clock
 	s.total++
+	if sp.Trace > s.traces {
+		s.traces = sp.Trace
+	}
 	if len(s.buf) < s.limit {
 		s.buf = append(s.buf, sp)
 	} else {
@@ -262,6 +267,33 @@ func (s *SpanStore) Add(sp Span) {
 		s.next = (s.next + 1) % s.limit
 	}
 	s.mu.Unlock()
+}
+
+// Graft records spans taken from another store, moving them past
+// every trace s holds: trace t becomes base+t, where base is the
+// highest trace recorded so far, and structural IDs (trace<<16 |
+// low16) move by base<<16 with it. Counter IDs are store-local and stay
+// put; a trace never mixes two sources. A sweep of runners that each
+// number their transactions from 1 grafts every run into one shared
+// store so their traces stay apart. Trace IDs must stay below 2^47.
+func (s *SpanStore) Graft(spans []Span) {
+	if s == nil || len(spans) == 0 {
+		return
+	}
+	s.mu.Lock()
+	base := s.traces
+	s.mu.Unlock()
+	move := func(id uint64) uint64 {
+		if id == 0 || id&spanCounterBit != 0 {
+			return id
+		}
+		return id + base<<16
+	}
+	for _, sp := range spans {
+		sp.Trace += base
+		sp.ID, sp.Parent = move(sp.ID), move(sp.Parent)
+		s.Add(sp)
+	}
 }
 
 // Len returns the number of buffered spans.

@@ -716,7 +716,7 @@ func TestAbsorptionChargedOnceInLedger(t *testing.T) {
 			continue // never absorbs
 		}
 		t.Run(tc.name, func(t *testing.T) {
-			plane := obs.NewPlane(nil, obs.NewLedger(), nil)
+			plane := obs.NewPlane(obs.NewLedger(), nil)
 			e := NewEngine(storage.NewFrom(map[storage.Key]metric.Value{"x": 1000}),
 				plane.ExecObserver(), tc.policy)
 			var events []dc.Event
@@ -731,7 +731,7 @@ func TestAbsorptionChargedOnceInLedger(t *testing.T) {
 
 			runAudit := func(attempt int, importL metric.Limit) result {
 				owner := int64(auditOwner + attempt)
-				plane.PieceBegin(owner, auditGroup, 0, "local", "audit", txn.Query, 0, 0, "")
+				plane.PieceBegin(owner, auditGroup, 0, "local", "audit", 0, 0, "")
 				at := newPause("y")
 				audit := txn.MustProgram("audit", txn.ReadOp("x"), at.op)
 				r := interleave(e, lock.Owner(owner), audit, metric.Spec{Import: importL, Export: metric.Zero}, txn.Query, at, func() {

@@ -399,7 +399,7 @@ func (c *Cluster) submit2PC(ctx context.Context, dp *distProgram) (*Result, erro
 	c.obs.BindBudget(int64(inst), dp.program.Name, dp.program.Class().String(),
 		c.Strategy.String(), dp.program.Spec.Import)
 
-	for {
+	for attempt := 1; ; attempt++ {
 		results, err := origin.node.Execute(ctx, txid, payloads)
 		elapsed := time.Since(start)
 		res := &Result{Initiation: elapsed, Settlement: elapsed}
@@ -419,8 +419,9 @@ func (c *Cluster) submit2PC(ctx context.Context, dp *distProgram) (*Result, erro
 			return res, nil
 		case errors.Is(err, commit.ErrSystemAbort) && ctx.Err() == nil:
 			// Distributed deadlock or divergence refusal: retry with a
-			// fresh transaction id.
-			txid = fmt.Sprintf("%s-%d", dp.program.Name, c.nextInstID())
+			// fresh transaction id. It keeps the "-inst" suffix, which
+			// is what puts the attempt's rounds in the instance's trace.
+			txid = fmt.Sprintf("%s-r%d-%d", dp.program.Name, attempt+1, inst)
 			continue
 		default:
 			c.obs.TxnEnd(int64(inst), false)
@@ -454,7 +455,7 @@ func (s *Site) prepare2PC(ctx context.Context, txid string, payload any) (any, e
 	}
 	rec := obs.TeeTxnObserver(recObs, s.cluster.obs.ExecObserver())
 	s.cluster.obs.PieceBegin(int64(owner), int64(st.Inst), st.Piece,
-		string(s.ID), st.Name+"@"+string(s.ID), st.Class,
+		string(s.ID), st.Name+"@"+string(s.ID),
 		obs.PieceSpanID(st.Inst, st.Piece, false), obs.RootSpanID(st.Inst), "")
 	if rec != nil {
 		rec.Begin(owner, st.Name+"@"+string(s.ID), st.Class)
@@ -836,7 +837,7 @@ func (s *Site) runPiece(ctx context.Context, act activation, dp *distProgram) (p
 		owner := s.cluster.gen.Next()
 		s.cluster.recordGroup(owner, act.Inst)
 		s.cluster.obs.PieceBegin(int64(owner), int64(act.Inst), act.Piece,
-			string(s.ID), prog.Name, class, pieceSpan, parentSpan, "")
+			string(s.ID), prog.Name, pieceSpan, parentSpan, "")
 		if ctl != nil {
 			if err := ctl.Register(owner, dc.Info{
 				Class:   class,
@@ -1103,7 +1104,7 @@ func (s *Site) processActivation(ctx context.Context, act activation, reports ma
 		s.stageRollback(act, dp, reports)
 		return actDone
 	}
-	endAct := s.cluster.obs.ActivationBegin(int64(act.Inst), act.Piece, string(s.ID))
+	endAct := s.cluster.obs.ActivationBegin()
 	defer endAct()
 	done, err := s.runPiece(ctx, act, dp)
 	if err == nil {

@@ -340,7 +340,7 @@ func NewCluster(cfg Config, opts ...Option) (*Cluster, error) {
 				return true
 			}))
 		}
-		if qObs := cfg.Obs.QueueObserver(id); qObs != nil {
+		if qObs := cfg.Obs.QueueObserver(); qObs != nil {
 			qOpts = append(qOpts, queue.WithObserver(qObs))
 		}
 		// Persist before ack and before send: the endpoint's durable image

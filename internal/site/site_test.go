@@ -8,7 +8,9 @@ import (
 	"testing"
 	"time"
 
+	"asynctp/internal/lock"
 	"asynctp/internal/metric"
+	"asynctp/internal/obs"
 	"asynctp/internal/simnet"
 	"asynctp/internal/storage"
 	"asynctp/internal/txn"
@@ -18,7 +20,17 @@ import (
 // branch, account Y at the LA branch.
 func twoBranches(t *testing.T, strategy Strategy, useDC bool, latency time.Duration) *Cluster {
 	t.Helper()
-	c, err := NewCluster(Config{
+	c, err := NewCluster(twoBranchConfig(strategy, useDC, latency))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	return c
+}
+
+// twoBranchConfig is twoBranches' cluster configuration.
+func twoBranchConfig(strategy Strategy, useDC bool, latency time.Duration) Config {
+	return Config{
 		Strategy: strategy,
 		UseDC:    useDC,
 		Latency:  latency,
@@ -34,12 +46,7 @@ func twoBranches(t *testing.T, strategy Strategy, useDC bool, latency time.Durat
 			"LA": {"la:Y": 100000},
 		},
 		RetransmitEvery: 20 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
-	t.Cleanup(c.Close)
-	return c
 }
 
 // bankPrograms returns (transfer NY→LA, audit over both branches).
@@ -86,6 +93,54 @@ func TestTwoPCTransferCommits(t *testing.T) {
 	// one-way messages.
 	if sent := c.Net.Stats().Sent; sent < 8 {
 		t.Errorf("messages sent = %d, want >= 8", sent)
+	}
+}
+
+// A 2PC transaction that a system abort retries is still one trace:
+// every attempt's vote and ack rounds hang off the transaction's root,
+// so the merged spans form one connected tree.
+func TestTwoPCRetryRoundsStayInTheirTrace(t *testing.T) {
+	plane := obs.NewPlane(nil, nil)
+	plane.EnableSpans("p0", 0)
+	cfg := twoBranchConfig(TwoPhaseCommit, false, 0)
+	cfg.LockTimeout = 30 * time.Millisecond
+	cfg.Obs = plane
+	c, err := NewCluster(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	if err := c.RegisterPrograms(bankPrograms(5000, metric.Strict)); err != nil {
+		t.Fatal(err)
+	}
+	// A foreign owner holds la:Y past several lock timeouts, so LA votes
+	// a system abort and the coordinator retries until it lets go.
+	ctx := ctxT(t, 10*time.Second)
+	const foreign = lock.Owner(1 << 40)
+	locks := c.Site("LA").locks
+	if err := locks.Acquire(ctx, foreign, "la:Y", lock.Exclusive); err != nil {
+		t.Fatal(err)
+	}
+	time.AfterFunc(100*time.Millisecond, func() { locks.ReleaseAll(foreign) })
+	res, err := c.Submit(ctx, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Committed {
+		t.Fatalf("result = %+v", res)
+	}
+	m := obs.MergeSpans([]obs.ProcSpans{plane.Spans.Dump()})
+	if len(m.Traces) != 1 || m.Orphans != 0 {
+		t.Fatalf("merged %d traces with %d orphans, want 1 trace and 0 orphans", len(m.Traces), m.Orphans)
+	}
+	rounds := 0
+	for _, sp := range m.Traces[0].Spans {
+		if sp.Kind == obs.Span2PC {
+			rounds++
+		}
+	}
+	if rounds < 4 {
+		t.Errorf("trace holds %d 2PC round spans, want the vote and ack rounds of at least two attempts", rounds)
 	}
 }
 

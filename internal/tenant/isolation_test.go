@@ -13,7 +13,7 @@ import (
 )
 
 // The partitions share one observability plane — one ledger, one
-// tracer. What keeps tenant A's ε accounting out of tenant B's books is
+// span store. What keeps tenant A's ε accounting out of tenant B's books is
 // core.Config.IDBase: partition k mints owner and group IDs from
 // (k+1)<<40, so two runners can never bind the same ledger page. These
 // tests pin that seam: heavy conflict-and-retry traffic on A's
@@ -43,7 +43,7 @@ func contendedTenant(name string, eps metric.Fuzz) Tenant {
 
 func TestLedgerIsolationAcrossPartitions(t *testing.T) {
 	ledger := obs.NewLedger()
-	plane := obs.NewPlane(nil, ledger, nil)
+	plane := obs.NewPlane(ledger, nil)
 	s, err := New(Config{
 		Partitions: 2,
 		Pools:      2,
@@ -126,7 +126,7 @@ func TestTenantEpsChargesStayWithTheirTenant(t *testing.T) {
 	ta.Rate, ta.Burst = 1000, 1
 	tb := contendedTenant("t1", 100)
 	now, _ := frozenClock()
-	plane := obs.NewPlane(nil, nil, obs.NewRegistry())
+	plane := obs.NewPlane(nil, obs.NewRegistry())
 	s, err := New(Config{Partitions: 2, Obs: plane, Assign: modAssign(2), Now: now}, []Tenant{ta, tb})
 	if err != nil {
 		t.Fatal(err)

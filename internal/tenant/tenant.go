@@ -389,7 +389,7 @@ func New(cfg Config, tenants []Tenant) (*Serve, error) {
 			OpDelay:      cfg.OpDelay,
 			Obs:          cfg.Obs,
 			// Disjoint owner/group ID ranges per partition: the plane's
-			// ledger and tracer are shared, and colliding groups would
+			// ledger and span store are shared, and colliding groups would
 			// merge two tenants' ε accounts (the isolation the layer
 			// exists to provide).
 			IDBase: int64(k+1) << 40,
@@ -491,7 +491,7 @@ func (s *Serve) execute(p *partition, req *request) {
 	if err := req.ctx.Err(); err != nil {
 		d.err = err
 	} else {
-		// Thread the enqueue instant through so the tracer can charge
+		// Thread the enqueue instant through so the span hooks can charge
 		// the mailbox wait to the instance's admit phase.
 		d.res, d.err = p.runner.Submit(core.WithEnqueueTime(req.ctx, req.enq), req.ti)
 	}
