@@ -1,0 +1,47 @@
+//go:build !race
+
+package site
+
+import (
+	"context"
+	"testing"
+
+	"asynctp/internal/metric"
+)
+
+// TestRunPieceAllocs pins the allocations of one piece attempt at a
+// site — the dedup lookup, the piece program with its marker, the
+// engine attempt under divergence control and its commit batch — the
+// way core's TestSubmitAllocs pins a local submission. The workers are
+// stopped and every iteration runs the transfer's LA piece (no
+// children to stage) under a fresh instance, so dedup never
+// short-circuits the attempt. The race detector allocates on its own
+// account, so the file builds without it only.
+func TestRunPieceAllocs(t *testing.T) {
+	c := twoBranches(t, ChoppedQueues, true, 0)
+	if err := c.RegisterPrograms(bankPrograms(1, metric.SpecOf(1000))); err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range c.sites {
+		s.stopWorkersAndWait()
+	}
+	la := c.Site("LA")
+	dp := c.dist.programs[0]
+	if len(dp.children[1]) != 0 {
+		t.Fatalf("xfer's LA piece has children %v; the test wants a leaf", dp.children[1])
+	}
+	ctx := context.Background()
+	inst := uint64(1 << 32)
+	const pin = 22
+	allocs := testing.AllocsPerRun(500, func() {
+		inst++
+		done, err := la.runPiece(ctx, activation{Inst: inst, Origin: "NY", Piece: 1}, dp)
+		if err != nil || done.Inst != inst {
+			t.Fatalf("runPiece: done=%+v err=%v", done, err)
+		}
+	})
+	t.Logf("runPiece: %.1f allocs", allocs)
+	if allocs > pin {
+		t.Errorf("runPiece: %.1f allocs, pinned at %d", allocs, pin)
+	}
+}
