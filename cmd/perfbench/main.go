@@ -270,7 +270,9 @@ func measureWorkload(suite, variant string, method core.Method, engine core.Engi
 	cfg := workload.ConfigFor(w, method, core.Static, false)
 	cfg.OpDelay = opDelay
 	cfg.Engine = engine
-	cfg.Obs = plane
+	// Every runner of the sweep records into the one plane: each takes
+	// its own ID range so the traces of different runs stay apart.
+	cfg.Obs, cfg.IDBase = plane, plane.IDBase()
 	r, err := core.NewRunner(cfg)
 	if err != nil {
 		return Result{}, err
@@ -496,6 +498,7 @@ func runAbsorbOnce(workers, total int, plane *obs.Plane) (Result, error) {
 		Method: asynctp.BaselineESRDC,
 		Store:  store,
 		Obs:    plane,
+		IDBase: plane.IDBase(),
 		Programs: []*asynctp.Program{
 			asynctp.MustProgram("xfer",
 				asynctp.AddOp("x", -1), asynctp.AddOp("y", 1)).WithSpec(asynctp.Unbounded),

@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"asynctp/internal/obs"
 )
 
 func TestCheckMinRatio(t *testing.T) {
@@ -100,5 +102,31 @@ func TestCompareFailsOnCollapse(t *testing.T) {
 	writeBenchFile(t, newPath, []Result{{Suite: "e1", Variant: "base", Workers: 8, TPS: 400}})
 	if _, err := captureStdout(t, func() error { return compareFiles(oldPath, newPath) }); err == nil {
 		t.Error("a >2x collapse must fail the comparison")
+	}
+}
+
+// TestRunnersSharingAPlaneKeepTheirTraces runs E1's three runners on
+// one plane, as a sweep with -spans does, and checks that the merged
+// spans hold one trace per submitted instance with none orphaned: each
+// runner numbers its transactions from its own base, so no two runs
+// share a trace ID.
+func TestRunnersSharingAPlaneKeepTheirTraces(t *testing.T) {
+	plane := obs.NewPlane(nil, nil)
+	plane.EnableSpans("perfbench", 0)
+	res, err := runE1(1, true, 0, 1, plane)
+	if err != nil {
+		t.Fatal(err)
+	}
+	submitted := 0
+	for _, r := range res {
+		submitted += r.Txns
+	}
+	if len(res) != 3 || submitted == 0 {
+		t.Fatalf("%d runners committed %d instances", len(res), submitted)
+	}
+	m := obs.MergeSpans([]obs.ProcSpans{plane.Spans.Dump()})
+	if len(m.Traces) != submitted || m.Orphans != 0 {
+		t.Errorf("merged %d traces with %d orphans, want %d traces (one per instance) and 0 orphans",
+			len(m.Traces), m.Orphans, submitted)
 	}
 }

@@ -114,6 +114,42 @@ func (c *Chopped) PieceOps(i int) []txn.Op {
 	return c.Original.Ops[start:end]
 }
 
+// DependencyParents returns the parent of each piece in the dependency
+// graph DG(CHOP(t)) derived from the program text: piece q's parent is
+// the latest earlier sibling that conflicts with q, or p1 when none
+// does. p1 has parent -1. The result is a tree rooted at p1, as Figure 2
+// assumes.
+func (c *Chopped) DependencyParents() []int {
+	n := c.NumPieces()
+	parents := make([]int, n)
+	parents[0] = -1
+	for q := 1; q < n; q++ {
+		parent := 0
+		qOps := c.PieceOps(q)
+		for p := q - 1; p >= 1; p-- {
+			if opsListsConflict(c.PieceOps(p), qOps) {
+				parent = p
+				break
+			}
+		}
+		parents[q] = parent
+	}
+	return parents
+}
+
+// DependencyChildren inverts DependencyParents: the children of each
+// piece of the dependency tree, in piece order.
+func (c *Chopped) DependencyChildren() [][]int {
+	parents := c.DependencyParents()
+	kids := make([][]int, len(parents))
+	for q, parent := range parents {
+		if parent >= 0 {
+			kids[parent] = append(kids[parent], q)
+		}
+	}
+	return kids
+}
+
 // pieceSpan returns [start, end) op indices of piece i.
 func (c *Chopped) pieceSpan(i int) (start, end int) {
 	start = 0
@@ -252,30 +288,6 @@ func (s *Set) ReplaceChopping(ti int, c *Chopped) (*Set, error) {
 	copy(next, s.chopped)
 	next[ti] = c
 	return NewSet(next...)
-}
-
-// DependencyParents returns, for transaction ti, the parent of each piece
-// in the dependency graph DG(CHOP(t)) derived from the program text: piece
-// q's parent is the latest earlier sibling that conflicts with q, or p1
-// when none does. p1 has parent -1. The result is a tree rooted at p1, as
-// Figure 2 assumes.
-func (s *Set) DependencyParents(ti int) []int {
-	c := s.chopped[ti]
-	n := c.NumPieces()
-	parents := make([]int, n)
-	parents[0] = -1
-	for q := 1; q < n; q++ {
-		parent := 0
-		qOps := c.PieceOps(q)
-		for p := q - 1; p >= 1; p-- {
-			if opsListsConflict(c.PieceOps(p), qOps) {
-				parent = p
-				break
-			}
-		}
-		parents[q] = parent
-	}
-	return parents
 }
 
 // opsListsConflict reports whether any op pair across the lists conflicts.

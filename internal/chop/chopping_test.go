@@ -165,7 +165,7 @@ func TestDependencyParentsChainAndTree(t *testing.T) {
 	// piece 3 (W[B]) conflicts with no earlier sibling, parent = p1.
 	p := txn.MustProgram("t", txn.AddOp("A", 1), txn.AddOp("A", 2), txn.AddOp("B", 3))
 	s := MustSet(Finest(p))
-	parents := s.DependencyParents(0)
+	parents := s.Chopping(0).DependencyParents()
 	want := []int{-1, 0, 0}
 	if len(parents) != 3 || parents[0] != want[0] || parents[1] != want[1] || parents[2] != want[2] {
 		t.Errorf("parents = %v, want %v", parents, want)
@@ -177,7 +177,7 @@ func TestDependencyParentsChainAndTree(t *testing.T) {
 		txn.ReadOp("B"),
 	)
 	s2 := MustSet(Finest(q))
-	parents2 := s2.DependencyParents(0)
+	parents2 := s2.Chopping(0).DependencyParents()
 	if parents2[2] != 1 {
 		t.Errorf("chain parents = %v, want piece 2 under piece 1", parents2)
 	}

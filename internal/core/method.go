@@ -75,8 +75,8 @@ func Methods() []Method {
 	}
 }
 
-// usesDC reports whether the method runs under divergence control.
-func (m Method) usesDC() bool {
+// UsesDC reports whether the method runs under divergence control.
+func (m Method) UsesDC() bool {
 	switch m {
 	case BaselineESRDC, Method1SRChopDC, Method3ESRChopDC:
 		return true
@@ -85,8 +85,8 @@ func (m Method) usesDC() bool {
 	}
 }
 
-// usesChopping reports whether the method chops at all.
-func (m Method) usesChopping() bool {
+// UsesChopping reports whether the method chops at all.
+func (m Method) UsesChopping() bool {
 	switch m {
 	case BaselineSRCC, BaselineESRDC:
 		return false
@@ -99,15 +99,6 @@ func (m Method) usesChopping() bool {
 func (m Method) usesESRChopping() bool {
 	return m == Method2ESRChopCC || m == Method3ESRChopDC
 }
-
-// UsesDC reports whether the method runs under divergence control.
-// Exported for the conformance harness (package explore), which picks
-// distribution policies and engines per method.
-func (m Method) UsesDC() bool { return m.usesDC() }
-
-// UsesChopping reports whether the method chops at all. Exported for
-// the conformance harness.
-func (m Method) UsesChopping() bool { return m.usesChopping() }
 
 // Distribution selects the ε-spec distribution policy for DC methods.
 type Distribution int

@@ -167,19 +167,14 @@ type Runner struct {
 	set     *chop.Set       // runtime set: one instance of each type
 	assign  [][]metric.Spec // static per-(type, piece) specs (DC methods)
 	dcSpecs []metric.Spec   // per-type spec used by DC (Method 3 shrinks it)
-	locks   *lock.Manager
-	ctl     *dc.Controller
-	engine  *rdc.Engine // nil for the locking engine
-	exec    *txn.Exec
+	engine  *Engine
 	rec     *history.Recorder
 	gen     txn.IDGen
 
 	// children[ti][pi] lists the dependency-tree children of piece pi of
-	// type ti; numPieces[ti] is the piece count. Both are precomputed at
-	// construction because Submit is the hot path and DependencyParents
-	// allocates a fresh slice per call.
-	children  [][][]int
-	numPieces []int
+	// type ti, precomputed because Submit is the hot path and
+	// DependencyChildren allocates per call.
+	children [][][]int
 
 	nextGroup atomic.Int64
 	mu        sync.Mutex
@@ -217,7 +212,7 @@ func NewRunner(cfg Config) (*Runner, error) {
 	}
 	var err error
 	switch {
-	case !cfg.Method.usesChopping():
+	case !cfg.Method.UsesChopping():
 		chopped := make([]*chop.Chopped, len(cfg.Programs))
 		for i, p := range cfg.Programs {
 			chopped[i] = chop.Whole(p)
@@ -238,38 +233,10 @@ func NewRunner(cfg Config) (*Runner, error) {
 		return nil, err
 	}
 	r.children = make([][][]int, r.set.NumTxns())
-	r.numPieces = make([]int, r.set.NumTxns())
-	for ti := 0; ti < r.set.NumTxns(); ti++ {
-		parents := r.set.DependencyParents(ti)
-		kids := make([][]int, len(parents))
-		for pi, parent := range parents {
-			if parent >= 0 {
-				kids[parent] = append(kids[parent], pi)
-			}
-		}
-		r.children[ti] = kids
-		r.numPieces[ti] = len(parents)
+	for ti := range r.children {
+		r.children[ti] = r.set.Chopping(ti).DependencyChildren()
 	}
-
-	var lockOpts []lock.Option
-	if wo := obs.TeeWaitObserver(cfg.WaitObserver, cfg.Obs.WaitObserver()); wo != nil {
-		lockOpts = append(lockOpts, lock.WithWaitObserver(wo))
-	}
-	if cfg.LockStripes > 0 {
-		lockOpts = append(lockOpts, lock.WithStripes(cfg.LockStripes))
-	}
-	switch {
-	case cfg.Engine != EngineLocking:
-		// Alternative engines replace locks entirely; the lock manager
-		// stays around only for API completeness (stats read as zero).
-		r.locks = lock.NewManager(lockOpts...)
-	case cfg.Method.usesDC():
-		r.ctl = dc.NewController()
-		r.locks = lock.NewManager(append(lockOpts, lock.WithArbiter(r.ctl))...)
-	default:
-		r.locks = lock.NewManager(lockOpts...)
-	}
-	if cfg.Method.usesDC() {
+	if cfg.Method.UsesDC() {
 		// Per-transaction budget the engine works with: Method 3 reserves
 		// the inter-sibling fuzziness (Equation 6); others use the full
 		// ε-spec.
@@ -306,39 +273,7 @@ func NewRunner(cfg Config) (*Runner, error) {
 	if cfg.Record {
 		r.rec = history.NewRecorder()
 	}
-	// A nil *Recorder must not become a non-nil Observer interface, and
-	// the tee collapses back to nil when neither the recorder nor the
-	// plane is live, so engines keep their nil fast paths.
-	var recObs txn.Observer
-	if r.rec != nil {
-		recObs = r.rec
-	}
-	txnObs := obs.TeeTxnObserver(recObs, cfg.Obs.ExecObserver())
-	if r.ctl != nil {
-		if dcObs := cfg.Obs.DCObserver(); dcObs != nil {
-			r.ctl.SetObserver(dcObs)
-		}
-	}
-	if policy, ok := rdcPolicies[cfg.Engine]; ok {
-		eng := rdc.NewEngine(cfg.Store, txnObs, policy)
-		eng.SetVerify(cfg.VerifyRepairs)
-		// Absorbed conflicts are charged like DC absorptions: through the
-		// plane's DC-event observer into the ledger and metrics.
-		eng.SetDCObserver(cfg.Obs.DCObserver())
-		if cfg.Obs.SpansOn() {
-			eng.SetRepairObserver(func(owner lock.Owner, d time.Duration) {
-				cfg.Obs.SpanRepair(int64(owner), d)
-			})
-		}
-		r.engine = eng
-	}
-	r.exec = txn.NewExec(cfg.Store, r.locks, txnObs)
-	r.exec.SetOpDelay(cfg.OpDelay)
-	r.exec.SetStepHook(cfg.StepHook)
-	if r.engine != nil {
-		r.engine.SetOpDelay(cfg.OpDelay)
-		r.engine.SetStepHook(cfg.StepHook)
-	}
+	r.engine = NewEngine(cfg, cfg.Method.UsesDC(), r.rec)
 	return r, nil
 }
 
@@ -350,20 +285,20 @@ func scaleSpec(s metric.Spec, n int) metric.Spec {
 // RDCStats returns the optimistic and repair engines' counters (zero
 // otherwise).
 func (r *Runner) RDCStats() rdc.Stats {
-	if r.engine == nil {
+	if r.engine.rdc == nil {
 		return rdc.Stats{}
 	}
-	return r.engine.Stats()
+	return r.engine.rdc.Stats()
 }
 
 // RepairVerifyFailure returns the rdc engine's first self-check
 // mismatch ("" when clean or not an rdc engine); see
 // Config.VerifyRepairs.
 func (r *Runner) RepairVerifyFailure() string {
-	if r.engine == nil {
+	if r.engine.rdc == nil {
 		return ""
 	}
-	return r.engine.VerifyFailure()
+	return r.engine.rdc.VerifyFailure()
 }
 
 // Set returns the prepared chopping (one instance per program type).
@@ -379,14 +314,14 @@ func (r *Runner) Analysis() *chop.Analysis { return r.sa.Analysis }
 func (r *Runner) Recorder() *history.Recorder { return r.rec }
 
 // LockStats returns the lock manager counters.
-func (r *Runner) LockStats() lock.Stats { return r.locks.Stats() }
+func (r *Runner) LockStats() lock.Stats { return r.engine.locks.Stats() }
 
 // DCStats returns divergence-control counters (zero for CC methods).
 func (r *Runner) DCStats() dc.Stats {
-	if r.ctl == nil {
+	if r.engine.ctl == nil {
 		return dc.Stats{}
 	}
-	return r.ctl.Stats()
+	return r.engine.ctl.Stats()
 }
 
 // GroupOf returns the owner→original-transaction grouping for grouped
@@ -434,7 +369,7 @@ func (r *Runner) Submit(ctx context.Context, ti int) (*InstanceResult, error) {
 		group:  group,
 		result: &InstanceResult{
 			Program:  orig.Name,
-			Outcomes: make([]*txn.Outcome, r.numPieces[ti]),
+			Outcomes: make([]*txn.Outcome, len(r.children[ti])),
 		},
 	}
 	if r.cfg.Obs != nil {
@@ -474,7 +409,7 @@ func (inst *instance) run(ctx context.Context) error {
 	// The whole-transaction budget enters at the root (Figure 2:
 	// DynamicExecution assigns Limit_t to p1's schedule).
 	rootSpec := metric.Unbounded
-	if r.cfg.Method.usesDC() {
+	if r.cfg.Method.UsesDC() {
 		rootSpec = r.dcSpecs[inst.ti]
 	}
 	out, spent, err := inst.runPiece(ctx, 0, rootSpec)
@@ -486,7 +421,7 @@ func (inst *instance) run(ctx context.Context) error {
 		}
 		return err
 	}
-	if r.numPieces[inst.ti] > 1 { // unchopped programs skip the context allocation
+	if len(r.children[inst.ti]) > 1 { // unchopped programs skip the context allocation
 		if err := inst.walk(context.WithoutCancel(ctx), 0, spent); err != nil {
 			return err
 		}
@@ -530,13 +465,11 @@ func (inst *instance) runPiece(ctx context.Context, pi int, budget metric.Spec) 
 	piece := r.set.Piece(v)
 	prog := piece.Program
 
-	useDC := r.cfg.Method.usesDC()
+	useDC := r.cfg.Method.UsesDC()
 	unrestricted := useDC && !r.sa.Restricted(inst.ti, pi)
 	runSpec := budget
 	switch {
-	case !useDC:
-		runSpec = metric.Unbounded // unused
-	case unrestricted:
+	case !useDC, unrestricted:
 		runSpec = metric.Unbounded
 	case r.cfg.Distribution != Dynamic:
 		// Static and naive policies ignore the propagated budget and use
@@ -564,35 +497,7 @@ func (inst *instance) runPiece(ctx context.Context, pi int, budget metric.Spec) 
 			r.mu.Unlock()
 		}
 
-		var (
-			out                *txn.Outcome
-			err                error
-			imported, exported metric.Fuzz
-		)
-		if r.engine != nil {
-			// Non-locking engine: CC methods validate with a strict spec
-			// (plain OCC); DC methods absorb within the piece's budget.
-			engineSpec := metric.Strict
-			if useDC {
-				engineSpec = runSpec
-			}
-			out, imported, err = r.engine.Run(ctx, owner, prog, engineSpec, class)
-		} else {
-			if useDC {
-				if regErr := r.ctl.Register(owner, dc.Info{
-					Class:   class,
-					Import:  runSpec.Import,
-					Export:  runSpec.Export,
-					Program: prog,
-				}); regErr != nil {
-					return nil, budget, regErr
-				}
-			}
-			out, err = r.exec.Run(ctx, owner, prog)
-			if useDC {
-				imported, exported = r.ctl.Unregister(owner)
-			}
-		}
+		out, imported, exported, err := r.engine.Attempt(ctx, owner, prog, runSpec, class)
 		if r.cfg.Obs != nil {
 			// Settle every attempt (aborted ones included) so ledger
 			// piece binds never leak; canonical exports drop aborted
@@ -616,11 +521,7 @@ func (inst *instance) runPiece(ctx context.Context, pi int, budget metric.Spec) 
 			}
 			return out, leftover, nil
 		}
-		retryable := txn.Retryable(err)
-		if r.engine != nil {
-			retryable = r.engine.Retryable(err)
-		}
-		if !retryable || ctx.Err() != nil {
+		if !r.engine.Retryable(err) || ctx.Err() != nil {
 			return out, budget, err
 		}
 		inst.result.Retries++

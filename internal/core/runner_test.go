@@ -389,7 +389,7 @@ func TestCancelAfterFirstPieceStillSettles(t *testing.T) {
 		t.Fatalf("transfer chopped into %d pieces, want 2", got)
 	}
 	const foreign = lock.Owner(1 << 40)
-	if err := r.locks.Acquire(context.Background(), foreign, "b", lock.Exclusive); err != nil {
+	if err := r.engine.Locks().Acquire(context.Background(), foreign, "b", lock.Exclusive); err != nil {
 		t.Fatal(err)
 	}
 
@@ -411,7 +411,7 @@ func TestCancelAfterFirstPieceStillSettles(t *testing.T) {
 		t.Fatalf("Submit returned while piece 2 waited: err=%v a=%d b=%d", s.err, store.Get("a"), store.Get("b"))
 	case <-time.After(50 * time.Millisecond):
 	}
-	r.locks.ReleaseAll(foreign)
+	r.engine.Locks().ReleaseAll(foreign)
 	s := <-done
 	if s.err != nil || !s.res.Committed {
 		t.Fatalf("committed=%v err=%v", s.res != nil && s.res.Committed, s.err)

@@ -31,12 +31,15 @@ func newBranchCluster(strategy site.Strategy, useDC bool, oneWay time.Duration) 
 // overlap and runtime conflicts actually form.
 func newBranchClusterDelay(strategy site.Strategy, useDC bool, oneWay, opDelay time.Duration) (*site.Cluster, error) {
 	return site.NewCluster(site.Config{
-		Strategy:  strategy,
-		UseDC:     useDC,
-		Obs:       obsPlane,
-		Latency:   oneWay,
-		Seed:      1,
-		Placement: nyLAPlacement,
+		Strategy: strategy,
+		UseDC:    useDC,
+		Obs:      obsPlane,
+		// A cluster's instance IDs are its trace IDs: clusters sharing
+		// the plane need disjoint ranges too.
+		InstanceBase: uint64(obsPlane.IDBase()),
+		Latency:      oneWay,
+		Seed:         1,
+		Placement:    nyLAPlacement,
 		Initial: map[simnet.SiteID]map[storage.Key]metric.Value{
 			"NY": {"ny:X": 10000000},
 			"LA": {"la:Y": 10000000},

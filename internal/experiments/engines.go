@@ -93,7 +93,7 @@ func EngineComparison(seed int64) (*Report, error) {
 			cfg := workload.ConfigFor(w, core.BaselineESRDC, core.Static, false)
 			cfg.OpDelay = 100 * time.Microsecond
 			cfg.Engine = kind
-			cfg.Obs = obsPlane
+			cfg.Obs, cfg.IDBase = obsPlane, obsPlane.IDBase()
 			r, err := core.NewRunner(cfg)
 			if err != nil {
 				return nil, err

@@ -128,7 +128,7 @@ func Figure2Distribution(seed int64) (*Report, error) {
 	for i := range rows {
 		cfg := workload.ConfigFor(w, core.Method1SRChopDC, rows[i].dist, false)
 		cfg.OpDelay = 100 * time.Microsecond
-		cfg.Obs = obsPlane
+		cfg.Obs, cfg.IDBase = obsPlane, obsPlane.IDBase()
 		r, err := core.NewRunner(cfg)
 		if err != nil {
 			return nil, err

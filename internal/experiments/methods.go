@@ -43,7 +43,7 @@ func MethodComparison(seed int64, epsilons []metric.Fuzz) (*Report, error) {
 		for _, method := range core.Methods() {
 			cfg := workload.ConfigFor(w, method, core.Static, false)
 			cfg.OpDelay = 100 * time.Microsecond
-			cfg.Obs = obsPlane
+			cfg.Obs, cfg.IDBase = obsPlane, obsPlane.IDBase()
 			r, err := core.NewRunner(cfg)
 			if err != nil {
 				return nil, err

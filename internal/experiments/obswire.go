@@ -12,5 +12,7 @@ var obsPlane *obs.Plane
 // SetObsPlane installs the plane every subsequently built runner or
 // cluster in this package observes. Call it once, before running
 // experiments, from the main goroutine. A nil plane (the default) keeps
-// the instrumented pipeline's zero-cost disabled paths.
+// the instrumented pipeline's zero-cost disabled paths. Every runner and
+// cluster built on the plane takes its own ID range (obs.Plane.IDBase),
+// so their traces stay apart in one span store.
 func SetObsPlane(p *obs.Plane) { obsPlane = p }

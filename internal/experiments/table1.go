@@ -57,7 +57,7 @@ func Table1(seed int64) (*Report, error) {
 		// Operations take time while locks are held, so concurrent
 		// interleavings (and hence fuzzy reads under DC) actually occur.
 		cfg.OpDelay = 200 * time.Microsecond
-		cfg.Obs = obsPlane
+		cfg.Obs, cfg.IDBase = obsPlane, obsPlane.IDBase()
 		r, err := core.NewRunner(cfg)
 		if err != nil {
 			return nil, err

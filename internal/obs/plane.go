@@ -21,6 +21,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"asynctp/internal/commit"
@@ -64,6 +65,9 @@ type Plane struct {
 	openPieces map[int64]*openPiece
 
 	flight *FlightRecorder
+
+	// idBases counts the ID ranges IDBase has handed out.
+	idBases atomic.Int64
 }
 
 // openRoot is an unsettled transaction's root span under assembly.
@@ -263,6 +267,20 @@ func (p *Plane) Flight() *FlightRecorder {
 // (nil-safe), so call sites can gate span-only work like timing the
 // persistence path.
 func (p *Plane) SpansOn() bool { return p != nil && p.Spans != nil }
+
+// IDBase hands out a fresh base for the owner and group (instance) IDs
+// of one runner or cluster that records into the plane: each numbers its
+// transactions from base+1, and groups are trace IDs, so runners that
+// share a plane without disjoint bases fold their traces into each
+// other's. Ranges are 2^32 IDs apart and stay below the span store's
+// 2^47 trace limit for 2^15 runners. A nil plane returns 0, the dense
+// default.
+func (p *Plane) IDBase() int64 {
+	if p == nil {
+		return 0
+	}
+	return p.idBases.Add(1) << 32
+}
 
 // SpanCtx mints the trace context to stamp on an outgoing message:
 // trace plus the parent span (a deterministic structural ID recorded

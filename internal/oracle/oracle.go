@@ -40,7 +40,7 @@
 // dependency tree depth-first in pre-order, so a group's pieces never
 // overlap and commit in walk order. The walk is program order unless
 // some piece sits between a later piece and that piece's parent (its
-// latest earlier conflicting piece, chop.Set.DependencyParents) without
+// latest earlier conflicting piece, chop.Chopped.DependencyParents) without
 // descending from the parent: `read a | write x | read y | read x` runs
 // its fourth piece before its third. Only for such a chopping is the
 // positional comparison a conservative over-approximation.

@@ -12,9 +12,8 @@ import (
 
 	"asynctp/internal/chop"
 	"asynctp/internal/commit"
-	"asynctp/internal/dc"
+	"asynctp/internal/core"
 	"asynctp/internal/fault"
-	"asynctp/internal/lock"
 	"asynctp/internal/metric"
 	"asynctp/internal/obs"
 	"asynctp/internal/simnet"
@@ -253,30 +252,16 @@ func (c *Cluster) RegisterPrograms(programs []*txn.Program) error {
 				Export: p.Spec.Export.Div(n),
 			}
 		}
-		// Dependency tree (Figure 2): parent = latest conflicting earlier
-		// sibling, else the first piece. Compensable programs run as a
+		// Dependency tree (Figure 2). Compensable programs run as a
 		// strict chain so that a rollback at piece k implies exactly
 		// pieces 0..k-1 committed.
-		parents := make([]int, n)
-		parents[0] = -1
-		dp.children = make([][]int, n)
 		if dp.compensable {
+			dp.children = make([][]int, n)
 			for q := 1; q < n; q++ {
-				parents[q] = q - 1
-				dp.children[q-1] = append(dp.children[q-1], q)
+				dp.children[q-1] = []int{q}
 			}
 		} else {
-			for q := 1; q < n; q++ {
-				parent := 0
-				for pi := q - 1; pi >= 1; pi-- {
-					if opsConflictAcross(chopped.PieceOps(pi), chopped.PieceOps(q)) {
-						parent = pi
-						break
-					}
-				}
-				parents[q] = parent
-				dp.children[parent] = append(dp.children[parent], q)
-			}
+			dp.children = chopped.DependencyChildren()
 		}
 		c.dist.mu.Lock()
 		c.dist.programs = append(c.dist.programs, dp)
@@ -312,18 +297,6 @@ func inverseOps(ops []txn.Op) []txn.Op {
 		out = append(out, txn.AddOp(op.Key, -delta))
 	}
 	return out
-}
-
-// opsConflictAcross reports whether any op pair conflicts.
-func opsConflictAcross(a, b []txn.Op) bool {
-	for _, x := range a {
-		for _, y := range b {
-			if txn.OpsConflict(x, y) {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // Submit runs one instance of registered program ti and waits for
@@ -373,21 +346,11 @@ func (c *Cluster) submit2PC(ctx context.Context, dp *distProgram) (*Result, erro
 	for i, siteID := range siteIDs {
 		ordinal[siteID] = i
 	}
+	inst := c.nextInstID()
 	payloads := make(map[simnet.SiteID]any, len(bySite))
 	for siteID, ops := range bySite {
-		payloads[siteID] = subTxn{
-			Ops:   ops,
-			Class: dp.program.Class(),
-			Spec:  spec,
-			Name:  dp.program.Name,
-			Piece: ordinal[siteID],
-		}
-	}
-	inst := c.nextInstID()
-	for siteID, payload := range payloads {
-		st := payload.(subTxn)
-		st.Inst = inst
-		payloads[siteID] = st
+		payloads[siteID] = subTxn{Ops: ops, Class: dp.program.Class(), Spec: spec,
+			Name: dp.program.Name, Inst: inst, Piece: ordinal[siteID]}
 	}
 	origin := c.sites[c.placement(dp.program.Ops[0].Key)]
 	if origin == nil {
@@ -430,168 +393,67 @@ func (c *Cluster) submit2PC(ctx context.Context, dp *distProgram) (*Result, erro
 	}
 }
 
-// prepare2PC is the participant hook: execute the subtransaction, keep
-// its locks, vote.
+// prepare2PC is the participant hook: run the subtransaction to its
+// commit point, keep it held (locks, DC account, uncommitted writes),
+// vote.
 func (s *Site) prepare2PC(ctx context.Context, txid string, payload any) (any, error) {
 	st, ok := payload.(subTxn)
 	if !ok {
 		return nil, errors.New("site: bad prepare payload")
 	}
-	s.mu.Lock()
-	locks := s.locks
-	store := s.Store
-	ctl := s.ctl
-	s.mu.Unlock()
-
 	// Bound lock waits: distributed deadlocks are invisible to per-site
 	// detectors; a timeout converts them into retryable system votes.
 	ctx, cancel := context.WithTimeout(ctx, s.lockTimeout)
 	defer cancel()
 	owner := s.cluster.gen.Next()
 	s.cluster.recordGroup(owner, st.Inst)
-	var recObs txn.Observer
-	if s.cluster.rec != nil {
-		recObs = s.cluster.rec
-	}
-	rec := obs.TeeTxnObserver(recObs, s.cluster.obs.ExecObserver())
-	s.cluster.obs.PieceBegin(int64(owner), int64(st.Inst), st.Piece,
-		string(s.ID), st.Name+"@"+string(s.ID),
+	prog := &txn.Program{Name: st.Name + "@" + string(s.ID), Ops: st.Ops, Spec: st.Spec}
+	s.cluster.obs.PieceBegin(int64(owner), int64(st.Inst), st.Piece, string(s.ID), prog.Name,
 		obs.PieceSpanID(st.Inst, st.Piece, false), obs.RootSpanID(st.Inst), "")
-	if rec != nil {
-		rec.Begin(owner, st.Name+"@"+string(s.ID), st.Class)
+	pt, err := s.currentEngine().Prepare(ctx, owner, prog, st.Spec, st.Class)
+	if errors.Is(err, txn.ErrRollback) {
+		return nil, fmt.Errorf("site: rollback statement: %w", commit.ErrBusinessVote)
 	}
-	if ctl != nil {
-		prog := &txn.Program{Name: st.Name + "@" + string(s.ID), Ops: st.Ops, Spec: st.Spec}
-		if err := ctl.Register(owner, dc.Info{
-			Class:   st.Class,
-			Import:  st.Spec.Import,
-			Export:  st.Spec.Export,
-			Program: prog,
-		}); err != nil {
-			return nil, err
-		}
-	}
-	pt := &preparedTxn{owner: owner, undo: make(map[storage.Key]metric.Value)}
-	var reads []txn.ReadRec
-	fail := func(err error) (any, error) {
-		for k, v := range pt.undo {
-			store.Set(k, v)
-		}
-		locks.ReleaseAll(owner)
-		if ctl != nil {
-			ctl.Unregister(owner)
-		}
-		if rec != nil {
-			rec.Abort(owner, err)
-		}
+	if err != nil {
 		return nil, err
-	}
-	for _, op := range st.Ops {
-		mode := lock.Shared
-		if op.Kind == txn.OpWrite {
-			mode = lock.Exclusive
-		}
-		if err := locks.Acquire(ctx, owner, op.Key, mode); err != nil {
-			return fail(err)
-		}
-		if s.opDelay > 0 {
-			txn.SimWork(s.opDelay)
-		}
-		old := store.Get(op.Key)
-		if op.AbortIf != nil && op.AbortIf(old) {
-			return fail(fmt.Errorf("site: rollback statement: %w", commit.ErrBusinessVote))
-		}
-		switch op.Kind {
-		case txn.OpRead:
-			reads = append(reads, txn.ReadRec{Key: op.Key, Value: old})
-			if rec != nil {
-				rec.Read(owner, op.Key, old)
-			}
-		case txn.OpWrite:
-			if _, seen := pt.undo[op.Key]; !seen {
-				pt.undo[op.Key] = old
-			}
-			val := op.Update(old)
-			store.Set(op.Key, val)
-			if rec != nil {
-				rec.Write(owner, op.Key, old, val, op.Commutative)
-			}
-		}
-	}
-	finals := make(map[storage.Key]metric.Value)
-	for k := range pt.undo {
-		finals[k] = store.Get(k)
-	}
-	for k, v := range finals {
-		pt.batch = append(pt.batch, storage.Write{Key: k, Value: v})
 	}
 	s.mu.Lock()
 	s.prepared[txid] = pt
 	s.mu.Unlock()
-	return subResult{Reads: reads}, nil
+	return subResult{Reads: pt.Out.Reads}, nil
 }
 
-// commit2PC finalizes a prepared subtransaction.
-func (s *Site) commit2PC(txid string) {
+// takePrepared removes and returns the subtransaction prepared as txid.
+func (s *Site) takePrepared(txid string) *core.Prepared {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	pt := s.prepared[txid]
 	delete(s.prepared, txid)
-	locks := s.locks
-	ctl := s.ctl
-	s.mu.Unlock()
+	return pt
+}
+
+// commit2PC finalizes a prepared subtransaction: its writes are already
+// in place, so it commits them as a batch and waits for them to be
+// durable before releasing its locks and acknowledging the decision (no
+// queue image follows a 2PC commit). A store that can do neither has
+// crashed.
+func (s *Site) commit2PC(txid string) {
+	pt := s.takePrepared(txid)
 	if pt == nil {
 		return
 	}
-	// The writes are already in place; commit them as a batch and
-	// wait for them to be durable before the decision is acknowledged: no
-	// queue image follows a 2PC commit. A store that can do neither has
-	// crashed.
-	err := s.Store.Apply(pt.batch)
-	if err == nil {
-		err = s.Store.Sync()
-	}
+	imported, exported, err := pt.Commit(s.Store.Sync)
 	if err != nil {
 		s.crashFromWorker()
 	}
-	locks.ReleaseAll(pt.owner)
-	var imported, exported metric.Fuzz
-	if ctl != nil {
-		imported, exported = ctl.Unregister(pt.owner)
-	}
-	s.cluster.obs.PieceSettle(int64(pt.owner), imported, exported)
-	if s.cluster.rec != nil {
-		s.cluster.rec.Commit(pt.owner)
-	}
-	if eo := s.cluster.obs.ExecObserver(); eo != nil {
-		eo.Commit(pt.owner)
-	}
+	s.cluster.obs.PieceSettle(int64(pt.Owner), imported, exported)
 }
 
 // abort2PC rolls back a prepared subtransaction.
 func (s *Site) abort2PC(txid string) {
-	s.mu.Lock()
-	pt := s.prepared[txid]
-	delete(s.prepared, txid)
-	locks := s.locks
-	ctl := s.ctl
-	s.mu.Unlock()
-	if pt == nil {
-		return
-	}
-	for k, v := range pt.undo {
-		s.Store.Set(k, v)
-	}
-	locks.ReleaseAll(pt.owner)
-	var imported, exported metric.Fuzz
-	if ctl != nil {
-		imported, exported = ctl.Unregister(pt.owner)
-	}
-	s.cluster.obs.PieceSettle(int64(pt.owner), imported, exported)
-	if s.cluster.rec != nil {
-		s.cluster.rec.Abort(pt.owner, commit.ErrAborted)
-	}
-	if eo := s.cluster.obs.ExecObserver(); eo != nil {
-		eo.Abort(pt.owner, commit.ErrAborted)
+	if pt := s.takePrepared(txid); pt != nil {
+		imported, exported := pt.Abort(commit.ErrAborted)
+		s.cluster.obs.PieceSettle(int64(pt.Owner), imported, exported)
 	}
 }
 
@@ -801,24 +663,18 @@ func (s *Site) runPiece(ctx context.Context, act activation, dp *distProgram) (p
 		}
 		return pieceDone{Inst: act.Inst, Piece: act.Piece, Comp: act.Compensate}, nil
 	}
-	marker := key.marker()
-	var body []txn.Op
+	ops := dp.chopped.PieceOps(act.Piece)
 	name := fmt.Sprintf("%s/p%d", dp.program.Name, act.Piece+1)
 	if act.Compensate {
-		body = inverseOps(dp.chopped.PieceOps(act.Piece))
+		ops = inverseOps(ops)
 		name = fmt.Sprintf("%s/p%d~undo", dp.program.Name, act.Piece+1)
-	} else {
-		body = append(body, dp.chopped.PieceOps(act.Piece)...)
 	}
 	// The marker value encodes the program type (TxType+1, so it is
 	// never zero): recovery can read it back and re-stage an origin
-	// piece's successors without any volatile context.
-	ops := append(append([]txn.Op(nil), body...), txn.SetOp(marker, metric.Value(act.TxType+1)))
-	prog := &txn.Program{
-		Name: name,
-		Ops:  ops,
-		Spec: dp.pieceSpecs[act.Piece],
-	}
+	// piece's successors without any volatile context. The full slice
+	// expression makes append copy instead of writing into the program.
+	ops = append(ops[:len(ops):len(ops)], txn.SetOp(key.marker(), metric.Value(act.TxType+1)))
+	prog := &txn.Program{Name: name, Ops: ops, Spec: dp.pieceSpecs[act.Piece]}
 	class := dp.program.Class()
 	// The piece span's tree edge: origin pieces hang off the root span
 	// (opened in this process by submitChopped); activation-delivered
@@ -830,29 +686,12 @@ func (s *Site) runPiece(ctx context.Context, act activation, dp *distProgram) (p
 		parentSpan = obs.MailboxSpanID(act.Inst, act.Piece, act.Compensate)
 	}
 	for {
-		s.mu.Lock()
-		exec := s.exec
-		ctl := s.ctl
-		s.mu.Unlock()
+		eng := s.currentEngine()
 		owner := s.cluster.gen.Next()
 		s.cluster.recordGroup(owner, act.Inst)
 		s.cluster.obs.PieceBegin(int64(owner), int64(act.Inst), act.Piece,
 			string(s.ID), prog.Name, pieceSpan, parentSpan, "")
-		if ctl != nil {
-			if err := ctl.Register(owner, dc.Info{
-				Class:   class,
-				Import:  prog.Spec.Import,
-				Export:  prog.Spec.Export,
-				Program: prog,
-			}); err != nil {
-				return pieceDone{}, err
-			}
-		}
-		out, err := exec.Run(ctx, owner, prog)
-		var imported, exported metric.Fuzz
-		if ctl != nil {
-			imported, exported = ctl.Unregister(owner)
-		}
+		out, imported, exported, err := eng.Attempt(ctx, owner, prog, prog.Spec, class)
 		s.cluster.obs.PieceSettle(int64(owner), imported, exported)
 		if err == nil {
 			s.applied.record(key)
@@ -870,16 +709,10 @@ func (s *Site) runPiece(ctx context.Context, act activation, dp *distProgram) (p
 			if !act.Compensate {
 				s.stageChildren(act, dp)
 			}
-			return pieceDone{
-				Inst:     act.Inst,
-				Piece:    act.Piece,
-				Comp:     act.Compensate,
-				Reads:    out.Reads,
-				Imported: imported,
-				Exported: exported,
-			}, nil
+			return pieceDone{Inst: act.Inst, Piece: act.Piece, Comp: act.Compensate,
+				Reads: out.Reads, Imported: imported, Exported: exported}, nil
 		}
-		if !txn.Retryable(err) || ctx.Err() != nil {
+		if !eng.Retryable(err) || ctx.Err() != nil {
 			return pieceDone{}, err
 		}
 	}
@@ -900,13 +733,10 @@ func (s *Site) startWorkers() {
 	go s.doneLoop(stop)
 }
 
-// doneLoop consumes settlement reports addressed to this site's
-// submissions, draining them in batches (reports arrive both singly and
-// as coalesced doneBatch payloads).
-func (s *Site) doneLoop(stop <-chan struct{}) {
-	defer s.workerWG.Done()
+// stopContext returns a context cancelled when stop closes (or cancel
+// is called).
+func stopContext(stop <-chan struct{}) (context.Context, context.CancelFunc) {
 	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
 	go func() {
 		select {
 		case <-stop:
@@ -914,6 +744,16 @@ func (s *Site) doneLoop(stop <-chan struct{}) {
 		case <-ctx.Done():
 		}
 	}()
+	return ctx, cancel
+}
+
+// doneLoop consumes settlement reports addressed to this site's
+// submissions, draining them in batches (reports arrive both singly and
+// as coalesced doneBatch payloads).
+func (s *Site) doneLoop(stop <-chan struct{}) {
+	defer s.workerWG.Done()
+	ctx, cancel := stopContext(stop)
+	defer cancel()
 	for {
 		batch, err := s.queues.DequeueBatch(ctx, doneQueue, defaultActivationBatch)
 		if err != nil {
@@ -950,13 +790,7 @@ func (s *Site) recordReportHop(done pieceDone, arrivedNS int64) {
 // stopWorkersAndWait signals the workers and waits for them.
 func (s *Site) stopWorkersAndWait() {
 	s.mu.Lock()
-	if s.stopWorkers != nil {
-		select {
-		case <-s.stopWorkers:
-		default:
-			close(s.stopWorkers)
-		}
-	}
+	s.signalStopLocked()
 	s.mu.Unlock()
 	s.workerWG.Wait()
 }
@@ -991,15 +825,8 @@ func (s *Site) workerLoop(stop <-chan struct{}) {
 	case <-stop:
 		return
 	}
-	ctx, cancel := context.WithCancel(context.Background())
+	ctx, cancel := stopContext(stop)
 	defer cancel()
-	go func() {
-		select {
-		case <-stop:
-			cancel()
-		case <-ctx.Done():
-		}
-	}()
 	for {
 		batch, err := s.queues.DequeueBatch(ctx, pieceQueue, defaultActivationBatch)
 		if err != nil {

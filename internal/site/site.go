@@ -1,7 +1,8 @@
 // Package site simulates multi-site distributed transaction processing:
-// each site owns a partition of the keys and runs its own store, lock
-// manager, executor, optional divergence controller, recoverable-queue
-// endpoint, and 2PC node, all connected by the simulated network.
+// each site owns a partition of the keys and runs its own store, piece
+// engine (core.Engine: locks, executor, optional divergence control),
+// recoverable-queue endpoint, and 2PC node, all connected by the
+// simulated network.
 //
 // Two execution strategies implement Section 4's comparison:
 //
@@ -25,7 +26,7 @@ import (
 	"time"
 
 	"asynctp/internal/commit"
-	"asynctp/internal/dc"
+	"asynctp/internal/core"
 	"asynctp/internal/fault"
 	"asynctp/internal/history"
 	"asynctp/internal/lock"
@@ -101,14 +102,14 @@ type Site struct {
 	lockTimeout time.Duration
 	workers     int
 	mu          sync.Mutex
-	locks       *lock.Manager
-	exec        *txn.Exec
-	ctl         *dc.Controller
-	queues      *queue.Manager
-	node        *commit.Node
+	// engine runs every piece attempt at the site; Recover swaps in a
+	// fresh one (volatile locks and DC accounts) under mu.
+	engine *core.Engine
+	queues *queue.Manager
+	node   *commit.Node
 	// prepared holds participant-side 2PC subtransactions awaiting the
-	// decision: owner + undo images.
-	prepared map[string]*preparedTxn
+	// decision, held at their commit point.
+	prepared map[string]*core.Prepared
 	// applied dedups piece applications on (inst, pieceIdx): redelivered
 	// activations (at-least-once queues) must not double-apply.
 	applied *dedupTable
@@ -124,13 +125,6 @@ type Site struct {
 
 	stopWorkers chan struct{}
 	workerWG    sync.WaitGroup
-}
-
-// preparedTxn is a participant-side subtransaction holding locks.
-type preparedTxn struct {
-	owner lock.Owner
-	undo  map[storage.Key]metric.Value
-	batch []storage.Write
 }
 
 // Config configures a cluster.
@@ -304,27 +298,9 @@ func NewCluster(cfg Config, opts ...Option) (*Cluster, error) {
 			opDelay:     cfg.OpDelay,
 			lockTimeout: lockTimeout,
 			workers:     tune.workers,
-			prepared:    make(map[string]*preparedTxn),
+			prepared:    make(map[string]*core.Prepared),
 		}
-		var lockOpts []lock.Option
-		if wo := cfg.Obs.WaitObserver(); wo != nil {
-			lockOpts = append(lockOpts, lock.WithWaitObserver(wo))
-		}
-		if cfg.UseDC {
-			s.ctl = dc.NewController()
-			s.locks = lock.NewManager(append(lockOpts, lock.WithArbiter(s.ctl))...)
-			if dcObs := cfg.Obs.DCObserver(); dcObs != nil {
-				s.ctl.SetObserver(dcObs)
-			}
-		} else {
-			s.locks = lock.NewManager(lockOpts...)
-		}
-		var recObs txn.Observer
-		if c.rec != nil {
-			recObs = c.rec
-		}
-		s.exec = txn.NewExec(s.Store, s.locks, obs.TeeTxnObserver(recObs, cfg.Obs.ExecObserver()))
-		s.exec.SetOpDelay(cfg.OpDelay)
+		s.engine = s.newEngine()
 		var qOpts []queue.Option
 		if cfg.FaultHook != nil {
 			// Wire the queue layer's batch-flush crash point: when the
@@ -504,6 +480,13 @@ func (s *Site) crashFromWorker() {
 		return
 	}
 	s.crashed = true
+	s.signalStopLocked()
+	s.mu.Unlock()
+	s.cluster.Net.SetDown(s.ID, true)
+}
+
+// signalStopLocked tells the workers to stop (once). Callers hold s.mu.
+func (s *Site) signalStopLocked() {
 	if s.stopWorkers != nil {
 		select {
 		case <-s.stopWorkers:
@@ -511,8 +494,6 @@ func (s *Site) crashFromWorker() {
 			close(s.stopWorkers)
 		}
 	}
-	s.mu.Unlock()
-	s.cluster.Net.SetDown(s.ID, true)
 }
 
 // Recover restarts a crashed site from durable state.
@@ -551,27 +532,10 @@ func (s *Site) Recover() {
 	// `__comp` markers in the recovered store keep answering lookups,
 	// so redelivered activations stay exactly-once.
 	s.applied.reset(s.Store)
-	// Volatile state: fresh locks (and DC accounts), no prepared txns.
-	var lockOpts []lock.Option
-	if wo := s.cluster.obs.WaitObserver(); wo != nil {
-		lockOpts = append(lockOpts, lock.WithWaitObserver(wo))
-	}
-	if s.ctl != nil {
-		s.ctl = dc.NewController()
-		s.locks = lock.NewManager(append(lockOpts, lock.WithArbiter(s.ctl))...)
-		if dcObs := s.cluster.obs.DCObserver(); dcObs != nil {
-			s.ctl.SetObserver(dcObs)
-		}
-	} else {
-		s.locks = lock.NewManager(lockOpts...)
-	}
-	var recObs txn.Observer
-	if s.cluster.rec != nil {
-		recObs = s.cluster.rec
-	}
-	s.exec = txn.NewExec(s.Store, s.locks, obs.TeeTxnObserver(recObs, s.cluster.obs.ExecObserver()))
-	s.exec.SetOpDelay(s.opDelay)
-	s.prepared = make(map[string]*preparedTxn)
+	// Volatile state: a fresh engine (locks, DC accounts), no prepared
+	// txns.
+	s.engine = s.newEngine()
+	s.prepared = make(map[string]*core.Prepared)
 	s.crashed = false
 	s.mu.Unlock()
 
@@ -619,26 +583,21 @@ func (s *Site) QueuesIdle() bool {
 		s.queues.Depth(doneQueue) == 0
 }
 
-// Exec returns the site's executor (fresh after recovery).
-func (s *Site) Exec() *txn.Exec {
+// newEngine builds the site's piece engine over its current store.
+func (s *Site) newEngine() *core.Engine {
+	cfg := core.Config{Store: s.Store, OpDelay: s.opDelay, Obs: s.cluster.obs}
+	return core.NewEngine(cfg, s.cluster.UseDC, s.cluster.rec)
+}
+
+// currentEngine returns the site's piece engine (fresh after recovery).
+func (s *Site) currentEngine() *core.Engine {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.exec
+	return s.engine
 }
 
 // Locks returns the site's lock manager (fresh after recovery).
-func (s *Site) Locks() *lock.Manager {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.locks
-}
-
-// Controller returns the site's divergence controller (nil without DC).
-func (s *Site) Controller() *dc.Controller {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.ctl
-}
+func (s *Site) Locks() *lock.Manager { return s.currentEngine().Locks() }
 
 // PreparedCount exposes the 2PC blocked-window size.
 func (s *Site) PreparedCount() int { return s.node.PreparedCount() }

@@ -117,7 +117,7 @@ func TestTwoPCRetryRoundsStayInTheirTrace(t *testing.T) {
 	// a system abort and the coordinator retries until it lets go.
 	ctx := ctxT(t, 10*time.Second)
 	const foreign = lock.Owner(1 << 40)
-	locks := c.Site("LA").locks
+	locks := c.Site("LA").Locks()
 	if err := locks.Acquire(ctx, foreign, "la:Y", lock.Exclusive); err != nil {
 		t.Fatal(err)
 	}

@@ -145,34 +145,40 @@ func findWrite(recs []writeRec, key storage.Key) int {
 	return -1
 }
 
-// abort undoes writes (last before-images win in reverse), releases
-// owner's locks, and reports the abort.
-func (e *Exec) abort(owner lock.Owner, writes []writeRec, reason error) {
-	for i := len(writes) - 1; i >= 0; i-- {
-		e.store.Set(writes[i].key, writes[i].old)
+// Run executes p atomically as owner: Hold, then Commit. On failure all
+// effects are undone and the error tells the caller whether to retry:
+// lock.ErrDeadlock and context errors are system aborts (retryable);
+// ErrRollback is a business rollback (final).
+func (e *Exec) Run(ctx context.Context, owner lock.Owner, p *Program) (*Outcome, error) {
+	h, err := e.Hold(ctx, owner, p)
+	if err != nil {
+		return h.Out, err
 	}
-	e.locks.ReleaseAll(owner)
-	if e.obs != nil {
-		e.obs.Abort(owner, reason)
-	}
+	return h.Commit(nil)
 }
 
-// Run executes p atomically as owner. On success the outcome is committed
-// to the store as one batch. On failure all effects are undone and the error tells the
-// caller whether to retry: lock.ErrDeadlock and context errors are system
-// aborts (retryable); ErrRollback is a business rollback (final).
-func (e *Exec) Run(ctx context.Context, owner lock.Owner, p *Program) (*Outcome, error) {
+// Held is an attempt stopped at its commit point: its writes are in the
+// store, uncommitted, and it holds every lock it took until Commit or
+// Abort.
+type Held struct {
+	Out    *Outcome // the reads so far
+	e      *Exec
+	p      *Program
+	writes []writeRec
+}
+
+// Hold runs p as owner under strict two-phase locking up to its commit
+// point. On error the attempt is already undone and its locks released,
+// and the error classifies as for Run.
+func (e *Exec) Hold(ctx context.Context, owner lock.Owner, p *Program) (Held, error) {
 	if err := p.Validate(); err != nil {
-		return nil, err
+		return Held{}, err
 	}
 	if e.obs != nil {
 		e.obs.Begin(owner, p.Name, p.Class())
 	}
 	out := &Outcome{Owner: owner}
-	// Per-key write records (before-image + final value), allocated on
-	// the first write so read-only transactions stay allocation-light.
-	var writes []writeRec
-
+	var writes []writeRec // Held is built when the attempt stops: the loop stays in locals
 	for i, op := range p.Ops {
 		mode := lock.Shared
 		if op.Kind == OpWrite {
@@ -180,8 +186,9 @@ func (e *Exec) Run(ctx context.Context, owner lock.Owner, p *Program) (*Outcome,
 		}
 		e.stepTo(owner, p, i, StepAcquire, op.Key, op.Kind == OpWrite)
 		if err := e.locks.Acquire(ctx, owner, op.Key, mode); err != nil {
-			e.abort(owner, writes, err)
-			return out, fmt.Errorf("op %d on %q: %w", i, op.Key, err)
+			h := Held{Out: out, e: e, p: p, writes: writes}
+			h.Abort(err)
+			return h, fmt.Errorf("op %d on %q: %w", i, op.Key, err)
 		}
 		e.stepTo(owner, p, i, StepApply, op.Key, op.Kind == OpWrite)
 		if e.opDelay > 0 {
@@ -189,8 +196,9 @@ func (e *Exec) Run(ctx context.Context, owner lock.Owner, p *Program) (*Outcome,
 		}
 		old := e.store.Get(op.Key)
 		if op.AbortIf != nil && op.AbortIf(old) {
-			e.abort(owner, writes, ErrRollback)
-			return out, fmt.Errorf("op %d on %q: %w", i, op.Key, ErrRollback)
+			h := Held{Out: out, e: e, p: p, writes: writes}
+			h.Abort(ErrRollback)
+			return h, fmt.Errorf("op %d on %q: %w", i, op.Key, ErrRollback)
 		}
 		switch op.Kind {
 		case OpRead:
@@ -202,6 +210,7 @@ func (e *Exec) Run(ctx context.Context, owner lock.Owner, p *Program) (*Outcome,
 				e.obs.Read(owner, op.Key, old)
 			}
 		case OpWrite:
+			// Allocated on the first write: read-only attempts stay light.
 			if writes == nil {
 				writes = make([]writeRec, 0, len(p.Ops)-i)
 			}
@@ -217,28 +226,50 @@ func (e *Exec) Run(ctx context.Context, owner lock.Owner, p *Program) (*Outcome,
 			}
 		}
 	}
+	return Held{Out: out, e: e, p: p, writes: writes}, nil
+}
 
-	// Commit: apply the batch, then release (strict 2PL holds all locks
-	// to this point).
-	e.stepTo(owner, p, -1, StepCommit, "", false)
+// Commit applies the held writes as one store batch, calls durable when
+// non-nil, then releases the locks. A failed Apply aborts the attempt; a
+// durable error is returned with the attempt committed.
+func (h *Held) Commit(durable func() error) (*Outcome, error) {
+	e, owner := h.e, h.Out.Owner
+	e.stepTo(owner, h.p, -1, StepCommit, "", false)
 	var batch []storage.Write
-	if len(writes) > 0 {
-		batch = make([]storage.Write, len(writes))
-		for i, w := range writes {
+	if len(h.writes) > 0 {
+		batch = make([]storage.Write, len(h.writes))
+		for i, w := range h.writes {
 			batch[i] = storage.Write{Key: w.key, Value: w.final}
 		}
 	}
 	if err := e.store.Apply(batch); err != nil {
-		e.abort(owner, writes, err)
-		return out, fmt.Errorf("commit %q: %w", p.Name, err)
+		h.Abort(err)
+		return h.Out, fmt.Errorf("commit %q: %w", h.p.Name, err)
 	}
-	out.Writes = batch
-	out.Committed = true
+	var err error
+	if durable != nil {
+		err = durable()
+	}
+	h.Out.Writes = batch
+	h.Out.Committed = true
 	e.locks.ReleaseAll(owner)
 	if e.obs != nil {
 		e.obs.Commit(owner)
 	}
-	return out, nil
+	return h.Out, err
+}
+
+// Abort undoes the held writes (last before-images win in reverse),
+// releases the locks, and reports the abort.
+func (h *Held) Abort(reason error) {
+	e, owner := h.e, h.Out.Owner
+	for i := len(h.writes) - 1; i >= 0; i-- {
+		e.store.Set(h.writes[i].key, h.writes[i].old)
+	}
+	e.locks.ReleaseAll(owner)
+	if e.obs != nil {
+		e.obs.Abort(owner, reason)
+	}
 }
 
 // Retryable reports whether an execution error is a system abort worth
@@ -246,23 +277,4 @@ func (e *Exec) Run(ctx context.Context, owner lock.Owner, p *Program) (*Outcome,
 // rollback or context end.
 func Retryable(err error) bool {
 	return errors.Is(err, lock.ErrDeadlock)
-}
-
-// RunWithRetry runs p, resubmitting on system aborts until it commits, the
-// context ends, or a business rollback fires. It returns the number of
-// aborted attempts alongside the final outcome. Each attempt uses a fresh
-// owner from gen, matching the paper's process handler that "resubmits the
-// piece until it commits".
-func (e *Exec) RunWithRetry(ctx context.Context, gen *IDGen, p *Program) (*Outcome, int, error) {
-	retries := 0
-	for {
-		out, err := e.Run(ctx, gen.Next(), p)
-		if err == nil {
-			return out, retries, nil
-		}
-		if !Retryable(err) || ctx.Err() != nil {
-			return out, retries, err
-		}
-		retries++
-	}
 }

@@ -195,53 +195,44 @@ func TestDeadlockAbortUndoesAndIsRetryable(t *testing.T) {
 	}
 }
 
-func TestRunWithRetryEventuallyCommits(t *testing.T) {
-	store := storage.NewFrom(map[storage.Key]metric.Value{"a": 0, "b": 0})
-	locks := lock.NewManager()
-	e := NewExec(store, locks, nil)
-	gen := &IDGen{}
+// TestHoldThenCommitOrAbort: a held attempt keeps its locks and its
+// uncommitted writes; Commit runs durable after the store commit and
+// before the release, and Abort restores the before-images.
+func TestHoldThenCommitOrAbort(t *testing.T) {
+	e, rec := newExecT(map[storage.Key]metric.Value{"x": 10, "y": 0})
+	locks := e.Locks()
+	ctx := context.Background()
+	xfer := MustProgram("xfer", AddOp("x", -3), AddOp("y", 3), ReadOp("y"))
 
-	// Two goroutines run opposite-order transfers; deadlocks resolve via
-	// retry and both eventually commit.
-	p1 := MustProgram("fwd", AddOp("a", 1), AddOp("b", 1))
-	p2 := MustProgram("rev", AddOp("b", 1), AddOp("a", 1))
-	var wg sync.WaitGroup
-	errCh := make(chan error, 2)
-	for _, p := range []*Program{p1, p2} {
-		wg.Add(1)
-		go func(p *Program) {
-			defer wg.Done()
-			for i := 0; i < 25; i++ {
-				if _, _, err := e.RunWithRetry(context.Background(), gen, p); err != nil {
-					errCh <- err
-					return
-				}
-			}
-		}(p)
-	}
-	wg.Wait()
-	close(errCh)
-	for err := range errCh {
+	h, err := e.Hold(ctx, 1, xfer)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := store.Get("a"); got != 50 {
-		t.Errorf("a = %d, want 50", got)
+	if !locks.HoldsLock(1, "y", lock.Exclusive) || h.Out.Committed || len(h.Out.Reads) != 1 {
+		t.Fatalf("held: locks %v, outcome %+v", locks.HeldKeys(1), h.Out)
 	}
-	if got := store.Get("b"); got != 50 {
-		t.Errorf("b = %d, want 50", got)
+	durable := errors.New("sync failed")
+	out, err := h.Commit(func() error {
+		if !locks.HoldsLock(1, "x", lock.Exclusive) {
+			t.Error("durable ran after the locks were released")
+		}
+		return durable
+	})
+	if !errors.Is(err, durable) || !out.Committed || len(locks.HeldKeys(1)) != 0 {
+		t.Fatalf("commit: err=%v committed=%v held=%v", err, out.Committed, locks.HeldKeys(1))
 	}
-}
 
-func TestRunWithRetryStopsOnRollback(t *testing.T) {
-	e, _ := newExecT(map[storage.Key]metric.Value{"x": 0})
-	gen := &IDGen{}
-	p := MustProgram("t", WithAbortIf(ReadOp("x"), func(metric.Value) bool { return true }))
-	_, retries, err := e.RunWithRetry(context.Background(), gen, p)
-	if !errors.Is(err, ErrRollback) {
-		t.Fatalf("err = %v, want ErrRollback", err)
+	h, err = e.Hold(ctx, 2, xfer)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if retries != 0 {
-		t.Errorf("retries = %d, want 0", retries)
+	h.Abort(errors.New("no"))
+	if x, y := e.Store().Get("x"), e.Store().Get("y"); x != 7 || y != 3 || len(locks.HeldKeys(2)) != 0 {
+		t.Errorf("after abort: x=%d y=%d held=%v, want 7, 3 and no locks", x, y, locks.HeldKeys(2))
+	}
+	want := []string{"begin", "write", "write", "read", "commit", "begin", "write", "write", "read", "abort"}
+	if got := rec.kinds(); !slices.Equal(got, want) {
+		t.Errorf("events = %v, want %v", got, want)
 	}
 }
 
