@@ -37,8 +37,8 @@ func TestSubmitAllocs(t *testing.T) {
 		pieces int
 		pin    float64
 	}{
-		{"transfer", core.Method3ESRChopDC, core.EngineLocking, 0, 2, 17},
-		{"audit", core.Method3ESRChopDC, core.EngineLocking, audit, 8, 35},
+		{"transfer", core.Method3ESRChopDC, core.EngineLocking, 0, 2, 10},
+		{"audit", core.Method3ESRChopDC, core.EngineLocking, audit, 8, 19},
 		{"repair-transfer", core.BaselineESRDC, core.EngineRepair, 0, 1, 14},
 		{"repair-audit", core.BaselineESRDC, core.EngineRepair, audit, 1, 9},
 	} {

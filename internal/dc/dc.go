@@ -27,11 +27,12 @@
 //
 // The owner→account lookup is a sharded read-mostly map (shard RWMutex,
 // read path takes only a read lock), and each account carries its own
-// mutex over the fuzziness ledger. Absorb locks exactly the accounts a
-// conflict involves, in owner order, so fuzziness accounting of
-// unrelated ETs never serializes. Counters are atomics and the observer
-// is an atomic pointer with a nil fast path, so an idle hook costs one
-// atomic load per arbitration.
+// mutex over the fuzziness ledger; Register reuses the accounts that
+// Unregister closed. Absorb locks exactly the accounts a conflict
+// involves, in owner order, so fuzziness accounting of unrelated ETs
+// never serializes. Counters are atomics and the observer is an atomic
+// pointer with a nil fast path, so an idle hook costs one atomic load
+// per arbitration.
 package dc
 
 import (
@@ -59,7 +60,9 @@ type Info struct {
 	Program *txn.Program
 }
 
-// account is the runtime fuzziness ledger of one registered transaction.
+// account is the runtime fuzziness ledger of one registered
+// transaction. Unregister hands a closed account to its shard's free
+// list and Register reuses it, so an attempt allocates no account.
 type account struct {
 	owner lock.Owner
 	info  Info
@@ -106,10 +109,12 @@ type Event struct {
 	Pairs []Pair
 }
 
-// acctShard is one shard of the owner→account map.
+// acctShard is one shard of the owner→account map, with the closed
+// accounts Register reuses.
 type acctShard struct {
-	mu sync.RWMutex
-	m  map[lock.Owner]*account
+	mu   sync.RWMutex
+	m    map[lock.Owner]*account
+	free []*account
 }
 
 // shardCount is the owner→account shard count (power of two).
@@ -196,7 +201,14 @@ func (c *Controller) Register(owner lock.Owner, info Info) error {
 	if _, dup := sh.m[owner]; dup {
 		return fmt.Errorf("dc: owner %d already registered", owner)
 	}
-	sh.m[owner] = &account{owner: owner, info: info}
+	var acct *account
+	if n := len(sh.free); n > 0 {
+		acct, sh.free = sh.free[n-1], sh.free[:n-1]
+	} else {
+		acct = new(account)
+	}
+	acct.owner, acct.info, acct.imported, acct.exported = owner, info, 0, 0
+	sh.m[owner] = acct
 	return nil
 }
 
@@ -205,25 +217,36 @@ func (c *Controller) Register(owner lock.Owner, info Info) error {
 //
 // The caller must have released owner's locks-layer presence first (the
 // executor unregisters only after ReleaseAll), so no concurrent Absorb
-// can still involve the account.
+// can still involve the account, and the account can go back to the
+// free list at once. Absorb reaches an account only through a lookup
+// made while it holds the stripe mutex of a key the account's owner
+// holds or is requesting, and ReleaseAll needs that mutex, so every
+// Absorb that looked this account up has returned before Unregister
+// starts; lookups after it miss the map. Fuzz reads under the shard
+// lock that Unregister takes, so it never reads a reused account.
 func (c *Controller) Unregister(owner lock.Owner) (imported, exported metric.Fuzz) {
 	sh := c.shardFor(owner)
 	sh.mu.Lock()
+	defer sh.mu.Unlock()
 	acct := sh.m[owner]
 	if acct == nil {
-		sh.mu.Unlock()
 		return 0, 0
 	}
 	delete(sh.m, owner)
-	sh.mu.Unlock()
 	acct.mu.Lock()
-	defer acct.mu.Unlock()
-	return acct.imported, acct.exported
+	imported, exported = acct.imported, acct.exported
+	acct.mu.Unlock()
+	acct.info = Info{} // drop the program before the account is reused
+	sh.free = append(sh.free, acct)
+	return imported, exported
 }
 
 // Fuzz returns owner's current (imported, exported) fuzziness.
 func (c *Controller) Fuzz(owner lock.Owner) (imported, exported metric.Fuzz) {
-	acct := c.lookup(owner)
+	sh := c.shardFor(owner)
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	acct := sh.m[owner]
 	if acct == nil {
 		return 0, 0
 	}
@@ -373,21 +396,6 @@ func (c *Controller) Absorb(ci lock.ConflictInfo) bool {
 	}
 	unlock()
 	return true
-}
-
-// ChargeImport adds fuzziness directly to owner's import account. The
-// distributed runtime uses it to carry fuzziness across sites with a
-// piece's inputs (the paper's "distribution of actual inconsistency").
-// It reports whether the account stays within its limit.
-func (c *Controller) ChargeImport(owner lock.Owner, f metric.Fuzz) bool {
-	acct := c.lookup(owner)
-	if acct == nil {
-		return false
-	}
-	acct.mu.Lock()
-	defer acct.mu.Unlock()
-	acct.imported = acct.imported.Add(f)
-	return acct.info.Import.Allows(acct.imported)
 }
 
 // Key is re-exported for documentation completeness.

@@ -2,6 +2,8 @@ package dc
 
 import (
 	"context"
+	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -178,23 +180,6 @@ func TestUnregisterReturnsFinalFuzz(t *testing.T) {
 	}
 }
 
-func TestChargeImport(t *testing.T) {
-	c := NewController()
-	register(t, c, 1, queryInfo(100))
-	if !c.ChargeImport(1, 60) {
-		t.Error("first charge within limit reported overflow")
-	}
-	if !c.ChargeImport(1, 40) {
-		t.Error("charge at exactly the limit reported overflow")
-	}
-	if c.ChargeImport(1, 1) {
-		t.Error("charge beyond the limit reported ok")
-	}
-	if c.ChargeImport(99, 1) {
-		t.Error("charge on unknown owner reported ok")
-	}
-}
-
 func TestIntegrationWithLockManager(t *testing.T) {
 	// End to end: with DC as arbiter, a query's conflicting read is
 	// granted while budgets last, then blocks.
@@ -228,5 +213,60 @@ func TestIntegrationWithLockManager(t *testing.T) {
 	}
 	if got := m.Stats().FuzzyGrants; got != 1 {
 		t.Errorf("FuzzyGrants = %d, want 1", got)
+	}
+}
+
+// TestAbsorbReusedAccountsBalance runs queries and transfers on a lock
+// manager with the controller as its arbiter from several goroutines,
+// each attempt under a fresh owner, so Register keeps reusing accounts
+// that Unregister closed while other attempts absorb. Every charge
+// lands on one query and one update, so the imports and the exports
+// that Unregister returns must each sum to TotalCharged: an account
+// reused with a stale ledger, or read after reuse, breaks the sums.
+func TestAbsorbReusedAccountsBalance(t *testing.T) {
+	c := NewController()
+	m := lock.NewManager(lock.WithArbiter(c), lock.WithStripes(2))
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	const workers, rounds = 8, 300
+	var mu sync.Mutex
+	var imported, exported metric.Fuzz
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				owner := lock.Owner(g*rounds + r + 1)
+				info, mode := updateInfo(200), lock.Exclusive
+				if (g+r)%2 == 0 {
+					info, mode = queryInfo(300), lock.Shared
+				}
+				if err := c.Register(owner, info); err != nil {
+					t.Error(err)
+					return
+				}
+				for _, k := range []Key{"x", "y"} {
+					if err := m.Acquire(ctx, owner, k, mode); err != nil {
+						t.Error(err)
+						break
+					}
+					runtime.Gosched() // let the other attempts interleave
+				}
+				m.ReleaseAll(owner)
+				imp, exp := c.Unregister(owner)
+				mu.Lock()
+				imported, exported = imported.Add(imp), exported.Add(exp)
+				mu.Unlock()
+			}
+		}(g)
+	}
+	wg.Wait()
+	st := c.Stats()
+	if st.Absorbed == 0 {
+		t.Fatal("no conflict was absorbed")
+	}
+	if imported != st.TotalCharged || exported != st.TotalCharged {
+		t.Errorf("unregistered imports %d and exports %d, want both = total charged %d", imported, exported, st.TotalCharged)
 	}
 }

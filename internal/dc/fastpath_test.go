@@ -149,3 +149,25 @@ func TestAbsorbParallelDisjointAccounts(t *testing.T) {
 		}
 	}
 }
+
+// TestRegisterUnregisterZeroAlloc pins the per-attempt account cost:
+// Register reuses the account Unregister closed, so a steady
+// register/unregister cycle under fresh owners allocates nothing.
+func TestRegisterUnregisterZeroAlloc(t *testing.T) {
+	c := NewController()
+	info := Info{Class: txn.Query, Import: metric.Infinite, Export: metric.Infinite}
+	owner := lock.Owner(0)
+	cycle := func() {
+		owner++
+		if err := c.Register(owner, info); err != nil {
+			t.Fatal(err)
+		}
+		c.Unregister(owner)
+	}
+	for i := 0; i < 1000; i++ {
+		cycle() // warm the shards' maps and free lists
+	}
+	if allocs := testing.AllocsPerRun(1000, cycle); allocs > 0 {
+		t.Errorf("register/unregister: %.1f allocs/op, want 0", allocs)
+	}
+}

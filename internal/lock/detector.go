@@ -1,6 +1,9 @@
 package lock
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // detector is the dedicated waits-for deadlock detector shared by every
 // stripe of the lock table.
@@ -30,9 +33,20 @@ import "sync"
 //
 // Lock ordering: stripe.mu → detector.mu. The detector never calls back
 // into any stripe.
+//
+// The mutex is shared by every stripe, so clear skips it while no owner
+// has edges: an uncontended transaction never touches it. The skip is
+// safe because an owner's edges are set, and its edged increment made,
+// under the stripe mutex of the key it waits on, and every clear that
+// can find them (grant, absorb or cancellation of that wait) runs under
+// the same stripe mutex, so it reads a count of at least one. A victim's
+// edges are dropped inside setEdges itself; ReleaseAll's clear finds
+// edges only if the owner's wait ended some other way, which none does.
 type detector struct {
 	mu    sync.Mutex
 	waits map[Owner]map[Owner]struct{}
+	// edged counts the owners in waits; it changes only under mu.
+	edged atomic.Int64
 }
 
 func newDetector() *detector {
@@ -50,19 +64,34 @@ func (d *detector) setEdges(owner Owner, targets []HolderInfo) bool {
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	if _, ok := d.waits[owner]; !ok {
+		d.edged.Add(1)
+	}
 	d.waits[owner] = edges
 	if d.cycleFromLocked(owner) {
-		delete(d.waits, owner)
+		d.clearLocked(owner)
 		return true
 	}
 	return false
 }
 
 // clear removes owner's outgoing edges (its wait ended or it released).
+// It takes the mutex only while some owner has edges.
 func (d *detector) clear(owner Owner) {
+	if d.edged.Load() == 0 {
+		return
+	}
 	d.mu.Lock()
-	delete(d.waits, owner)
+	d.clearLocked(owner)
 	d.mu.Unlock()
+}
+
+// clearLocked removes owner's edges under d.mu.
+func (d *detector) clearLocked(owner Owner) {
+	if _, ok := d.waits[owner]; ok {
+		delete(d.waits, owner)
+		d.edged.Add(-1)
+	}
 }
 
 // cycleFromLocked reports whether owner can reach itself.

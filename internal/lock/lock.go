@@ -18,7 +18,11 @@
 // the same mutex. Per-owner held-key sets live in a separate shard
 // layer keyed by owner, and the waits-for deadlock detector is a
 // dedicated component (see detector.go) that stripes push edges into
-// synchronously. Counters are atomics. The observable semantics —
+// synchronously; its mutex is taken only while some owner waits.
+// Counters live in the stripes, under their mutexes. An uncontended
+// acquire/release cycle allocates nothing: holder slices, held-key
+// slices and table rows are reused.
+// The observable semantics —
 // grant/block/absorb decisions, the deadlock victim policy, and the
 // WaitObserver event order under a serial scheduler — are identical to
 // the previous process-global implementation; only the contention
@@ -30,7 +34,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"asynctp/internal/storage"
 )
@@ -132,33 +135,50 @@ type waiter struct {
 	done bool
 }
 
-// entry is the lock table row for one key.
+// entry is the lock table row for one key. Holders are kept in grant
+// order (an upgrade keeps its place), so the arbiter sees conflicting
+// holders in the same order in every run.
 type entry struct {
-	holders map[Owner]Mode
+	holders []HolderInfo
 	queue   []*waiter
 }
 
+// holder returns owner's index in e.holders, or -1.
+func (e *entry) holder(owner Owner) int {
+	for i, h := range e.holders {
+		if h.Owner == owner {
+			return i
+		}
+	}
+	return -1
+}
+
 // stripe is one shard of the lock table: the keys hashing to it, their
-// holders, and their wait queues, under one mutex.
+// holders, their wait queues and its share of the counters, under one
+// mutex.
 type stripe struct {
 	mu    sync.Mutex
 	table map[storage.Key]*entry
+	stats Stats
 }
 
 // ownerShard is one shard of the per-owner held-key index. Held keys
 // are kept as a sorted slice: transactions hold few keys, membership is
-// a binary search, and ReleaseAll walks the slice directly — no map
-// allocation per transaction and no sort at release time.
+// a binary search, and ReleaseAll walks the slice directly — no sort at
+// release time. ReleaseAll hands its emptied slice to free, and the
+// shard's next new owner takes it from there, so the index allocates
+// only while the number of concurrent owners grows.
 type ownerShard struct {
 	mu   sync.Mutex
 	held map[Owner][]storage.Key
+	free [][]storage.Key
 }
 
 // DefaultStripes is the default lock-table stripe count.
 const DefaultStripes = 16
 
 // entryCacheCap bounds how many empty entries a stripe keeps cached to
-// avoid re-allocating the table row (and its holder map) for hot keys.
+// avoid re-allocating the table row (and its holder slice) for hot keys.
 // Beyond the cap, entries with no holders and no waiters are deleted,
 // so key-churn workloads do not grow the table without bound.
 const entryCacheCap = 1024
@@ -170,11 +190,6 @@ type Manager struct {
 	det     *detector
 	arbiter Arbiter
 	waitObs WaitObserver
-
-	grants      atomic.Uint64
-	fuzzyGrants atomic.Uint64
-	blocks      atomic.Uint64
-	deadlocks   atomic.Uint64
 }
 
 // Option configures a Manager.
@@ -252,27 +267,29 @@ func (m *Manager) ownerShardFor(owner Owner) *ownerShard {
 
 // Stats returns a snapshot of the counters.
 func (m *Manager) Stats() Stats {
-	return Stats{
-		Grants:      m.grants.Load(),
-		FuzzyGrants: m.fuzzyGrants.Load(),
-		Blocks:      m.blocks.Load(),
-		Deadlocks:   m.deadlocks.Load(),
+	var st Stats
+	for _, s := range m.stripes {
+		s.mu.Lock()
+		st.Grants += s.stats.Grants
+		st.FuzzyGrants += s.stats.FuzzyGrants
+		st.Blocks += s.stats.Blocks
+		st.Deadlocks += s.stats.Deadlocks
+		s.mu.Unlock()
 	}
+	return st
 }
 
 // WaitGraph returns a copy of the current waits-for edges (tests and
 // debugging).
 func (m *Manager) WaitGraph() map[Owner][]Owner { return m.det.WaitGraph() }
 
-// conflicts returns the holders incompatible with owner requesting mode.
+// conflicts returns the holders incompatible with owner requesting
+// mode, in grant order. It allocates only when there is a conflict.
 func (e *entry) conflicts(owner Owner, mode Mode) []HolderInfo {
 	var out []HolderInfo
-	for h, hm := range e.holders {
-		if h == owner {
-			continue
-		}
-		if !Compatible(mode, hm) {
-			out = append(out, HolderInfo{Owner: h, Mode: hm})
+	for _, h := range e.holders {
+		if h.Owner != owner && !Compatible(mode, h.Mode) {
+			out = append(out, h)
 		}
 	}
 	return out
@@ -281,12 +298,20 @@ func (e *entry) conflicts(owner Owner, mode Mode) []HolderInfo {
 // grantLocked records owner holding key in at least mode. The key's
 // stripe mutex is held; the owner shard mutex nests inside it.
 func (m *Manager) grantLocked(e *entry, key storage.Key, owner Owner, mode Mode) {
-	if cur, ok := e.holders[owner]; !ok || mode > cur {
-		e.holders[owner] = mode
+	if i := e.holder(owner); i >= 0 {
+		if mode > e.holders[i].Mode {
+			e.holders[i].Mode = mode // an upgrade keeps its grant position
+		}
+		return // key is already in owner's held slice
 	}
+	e.holders = append(e.holders, HolderInfo{Owner: owner, Mode: mode})
 	os := m.ownerShardFor(owner)
 	os.mu.Lock()
-	os.held[owner] = insertKey(os.held[owner], key)
+	keys, ok := os.held[owner]
+	if n := len(os.free); !ok && n > 0 {
+		keys, os.free = os.free[n-1], os.free[:n-1]
+	}
+	os.held[owner] = insertKey(keys, key)
 	os.mu.Unlock()
 }
 
@@ -320,17 +345,17 @@ func (m *Manager) Acquire(ctx context.Context, owner Owner, key storage.Key, mod
 	s.mu.Lock()
 	e := s.table[key]
 	if e == nil {
-		e = &entry{holders: make(map[Owner]Mode)}
+		e = &entry{}
 		s.table[key] = e
 	}
-	if cur, ok := e.holders[owner]; ok && cur >= mode {
+	if i := e.holder(owner); i >= 0 && e.holders[i].Mode >= mode {
 		s.mu.Unlock()
 		return nil // already held in a sufficient mode
 	}
 	conf := e.conflicts(owner, mode)
 	if len(conf) == 0 {
 		m.grantLocked(e, key, owner, mode)
-		m.grants.Add(1)
+		s.stats.Grants++
 		s.mu.Unlock()
 		return nil
 	}
@@ -338,7 +363,7 @@ func (m *Manager) Acquire(ctx context.Context, owner Owner, key storage.Key, mod
 		Key: key, Requester: owner, Mode: mode, Holders: conf,
 	}) {
 		m.grantLocked(e, key, owner, mode)
-		m.fuzzyGrants.Add(1)
+		s.stats.FuzzyGrants++
 		s.mu.Unlock()
 		return nil
 	}
@@ -347,13 +372,13 @@ func (m *Manager) Acquire(ctx context.Context, owner Owner, key storage.Key, mod
 	// release key concurrently (that needs this stripe's mutex), so the
 	// edges are live when set.
 	if m.det.setEdges(owner, conf) {
-		m.deadlocks.Add(1)
+		s.stats.Deadlocks++
 		s.mu.Unlock()
 		return ErrDeadlock
 	}
 	w := &waiter{owner: owner, mode: mode, grant: make(chan error, 1)}
 	e.queue = append(e.queue, w)
-	m.blocks.Add(1)
+	s.stats.Blocks++
 	if m.waitObs != nil {
 		m.waitObs.Blocked(owner, key)
 	}
@@ -406,29 +431,34 @@ func removeWaiter(e *entry, w *waiter) {
 // Keys are processed in sorted order (the held slice's invariant), one
 // stripe lock at a time, so the wake/absorb sequence a release triggers
 // is a deterministic function of the held set (the process-global
-// implementation iterated a map).
+// implementation iterated a map). The emptied held slice goes back to
+// the owner shard's free list for the next owner.
 func (m *Manager) ReleaseAll(owner Owner) {
 	os := m.ownerShardFor(owner)
 	os.mu.Lock()
-	keys := os.held[owner]
+	keys, ok := os.held[owner]
 	delete(os.held, owner)
 	os.mu.Unlock()
 	m.det.clear(owner)
+	if !ok {
+		return
+	}
 	for _, key := range keys {
 		s := m.stripeFor(key)
 		s.mu.Lock()
-		e := s.table[key]
-		if e == nil {
-			s.mu.Unlock()
-			continue
-		}
-		delete(e.holders, owner)
+		e := s.table[key] // owner holds key, so its entry is there
+		i := e.holder(owner)
+		e.holders = append(e.holders[:i], e.holders[i+1:]...)
 		m.wakeLocked(s, e, key)
 		if len(e.holders) == 0 && len(e.queue) == 0 && len(s.table) > entryCacheCap {
 			delete(s.table, key)
 		}
 		s.mu.Unlock()
 	}
+	clear(keys) // drop the key strings before the slice is reused
+	os.mu.Lock()
+	os.free = append(os.free, keys[:0])
+	os.mu.Unlock()
 }
 
 // wakeLocked re-evaluates e's wait queue in order, granting every waiter
@@ -436,7 +466,10 @@ func (m *Manager) ReleaseAll(owner Owner) {
 // those that remain blocked. A waiter whose refreshed edges close a cycle
 // is aborted as a deadlock victim. The stripe mutex is held.
 func (m *Manager) wakeLocked(s *stripe, e *entry, key storage.Key) {
-	var remaining []*waiter
+	if len(e.queue) == 0 {
+		return
+	}
+	remaining := e.queue[:0] // filtered in place
 	for _, w := range e.queue {
 		if w.done {
 			continue
@@ -455,7 +488,7 @@ func (m *Manager) wakeLocked(s *stripe, e *entry, key storage.Key) {
 			Key: key, Requester: w.owner, Mode: w.mode, Holders: conf,
 		}):
 			m.grantLocked(e, key, w.owner, w.mode)
-			m.fuzzyGrants.Add(1)
+			s.stats.FuzzyGrants++
 			m.det.clear(w.owner)
 			w.done = true
 			if m.waitObs != nil {
@@ -464,7 +497,7 @@ func (m *Manager) wakeLocked(s *stripe, e *entry, key storage.Key) {
 			w.grant <- nil
 		default:
 			if m.det.setEdges(w.owner, conf) {
-				m.deadlocks.Add(1)
+				s.stats.Deadlocks++
 				w.done = true
 				if m.waitObs != nil {
 					m.waitObs.Woken(w.owner)
@@ -475,6 +508,7 @@ func (m *Manager) wakeLocked(s *stripe, e *entry, key storage.Key) {
 			remaining = append(remaining, w)
 		}
 	}
+	clear(e.queue[len(remaining):])
 	e.queue = remaining
 }
 
@@ -487,8 +521,8 @@ func (m *Manager) HoldsLock(owner Owner, key storage.Key, mode Mode) bool {
 	if e == nil {
 		return false
 	}
-	cur, ok := e.holders[owner]
-	return ok && cur >= mode
+	i := e.holder(owner)
+	return i >= 0 && e.holders[i].Mode >= mode
 }
 
 // HeldKeys returns the keys owner currently holds (any mode).

@@ -3,7 +3,9 @@ package lock
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -212,6 +214,52 @@ func TestArbiterAbsorbsConflict(t *testing.T) {
 	}
 }
 
+// TestConflictHoldersInGrantOrder pins the order the arbiter sees
+// conflicting holders in: grant order, in every fresh manager. The dc
+// controller prices the holders in that order and its observer's
+// Event.Pairs follow it, so a holder order drawn from map iteration
+// made the ε ledger and the conformance log vary run to run. It kills
+// scripts/mutants/11-conflicts-map-order.patch.
+func TestConflictHoldersInGrantOrder(t *testing.T) {
+	ctx := ctxT(t)
+	holders := func(ci ConflictInfo) []Owner {
+		var out []Owner
+		for _, h := range ci.Holders {
+			out = append(out, h.Owner)
+		}
+		return out
+	}
+	for run := 0; run < 50; run++ {
+		arb := &absorbAll{}
+		m := NewManager(WithArbiter(arb))
+		for _, o := range []Owner{1, 2, 3} {
+			if err := m.Acquire(ctx, o, "k", Shared); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := m.Acquire(ctx, 4, "k", Exclusive); err != nil {
+			t.Fatal(err)
+		}
+		// Owner 2 leaves and comes back: it is now the latest grant.
+		m.ReleaseAll(2)
+		if err := m.Acquire(ctx, 2, "k", Shared); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Acquire(ctx, 5, "k", Exclusive); err != nil {
+			t.Fatal(err)
+		}
+		arb.mu.Lock()
+		got := [][]Owner{holders(arb.calls[0]), holders(arb.calls[1]), holders(arb.calls[2])}
+		arb.mu.Unlock()
+		want := [][]Owner{{1, 2, 3}, {4}, {1, 3, 4, 2}}
+		for i := range want {
+			if fmt.Sprint(got[i]) != fmt.Sprint(want[i]) {
+				t.Fatalf("run %d: arbiter call %d saw holders %v, want %v (grant order)", run, i, got[i], want[i])
+			}
+		}
+	}
+}
+
 // absorbNth absorbs only from the nth call on.
 type absorbNth struct {
 	mu   sync.Mutex
@@ -347,9 +395,14 @@ func TestStressNoLostGrantsOrLeaks(t *testing.T) {
 	}
 }
 
+// TestStressWithDeadlocksResolves runs random (unordered) acquisition
+// across few keys with retries: the detector must keep the system live.
+// Afterwards the waits-for graph and the lock table must be empty. That
+// guards the detector's gated clear, which skips the detector mutex
+// while no owner has edges: a waiter whose edges outlive its wait
+// (granted, victim or released) would leak into the graph here. The run
+// must wait and deadlock for the guard to mean anything.
 func TestStressWithDeadlocksResolves(t *testing.T) {
-	// Random (unordered) acquisition across few keys with retries: the
-	// detector must keep the system live.
 	m := NewManager()
 	keys := []storage.Key{"a", "b", "c"}
 	var wg sync.WaitGroup
@@ -371,6 +424,9 @@ func TestStressWithDeadlocksResolves(t *testing.T) {
 							ok = false
 							break
 						}
+						// Yield while holding: without it the goroutines
+						// run one after another and nothing ever waits.
+						runtime.Gosched()
 					}
 					if ok {
 						break retry
@@ -387,5 +443,20 @@ func TestStressWithDeadlocksResolves(t *testing.T) {
 	case <-ok:
 	case <-time.After(20 * time.Second):
 		t.Fatal("stress with deadlocks did not finish: likely lost wakeup")
+	}
+	if st := m.Stats(); st.Blocks == 0 || st.Deadlocks == 0 {
+		t.Errorf("stats %+v: the run never waited or never deadlocked", st)
+	}
+	if wf := m.WaitGraph(); len(wf) != 0 {
+		t.Errorf("waits-for graph not drained: %v", wf)
+	}
+	for _, s := range m.stripes {
+		s.mu.Lock()
+		for k, e := range s.table {
+			if len(e.holders) != 0 || len(e.queue) != 0 {
+				t.Errorf("lock entry %q not drained: %d holders, %d waiters", k, len(e.holders), len(e.queue))
+			}
+		}
+		s.mu.Unlock()
 	}
 }
