@@ -18,8 +18,9 @@ import (
 // ESR-chopped under locking divergence control, as local-lock runs it,
 // so per-piece goroutines, closures or channels on the walk cannot
 // return unnoticed; and unchopped on the repair engine, as local-repair
-// runs it, so a per-key side table or second write per key on rdc's
-// install cannot either. A drop below a pin is welcome: lower the pin.
+// runs it, so a per-key side table, a second write per key or a
+// validation window on rdc's Repair path cannot either. A drop below a
+// pin is welcome: lower the pin.
 func TestSubmitAllocs(t *testing.T) {
 	w, err := workload.NewContention(workload.ContentionConfig{
 		Keys: 8, Theta: 0.99, TransferTypes: 8, TransferCount: 1000, AuditCount: 1000 / 7,
@@ -39,8 +40,8 @@ func TestSubmitAllocs(t *testing.T) {
 	}{
 		{"transfer", core.Method3ESRChopDC, core.EngineLocking, 0, 2, 10},
 		{"audit", core.Method3ESRChopDC, core.EngineLocking, audit, 8, 19},
-		{"repair-transfer", core.BaselineESRDC, core.EngineRepair, 0, 1, 14},
-		{"repair-audit", core.BaselineESRDC, core.EngineRepair, audit, 1, 9},
+		{"repair-transfer", core.BaselineESRDC, core.EngineRepair, 0, 1, 6},
+		{"repair-audit", core.BaselineESRDC, core.EngineRepair, audit, 1, 5},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := workload.ConfigFor(w, tc.method, core.Static, false)

@@ -139,7 +139,7 @@ func TestServeExposesPprof(t *testing.T) {
 		"/metrics":                       "asynctp_test_up",
 		"/debug/pprof/cmdline":           "obs.test", // argv[0] of the test binary
 		"/debug/pprof/symbol":            "num_symbols",
-		"/debug/pprof/profile?seconds=0": "", // parameter error is fine; just must answer
+		"/debug/pprof/profile?seconds=1": "", // the shortest profile; it must answer, not 404
 	} {
 		body, status := httpGet(t, "http://"+addr+path)
 		if status == 404 {

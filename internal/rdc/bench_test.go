@@ -16,8 +16,13 @@ import (
 // the window, then each iteration validates a one-read transaction on
 // an uncontended key. With a linear window scan this is O(depth) per
 // validation; with the store's per-key versions it is O(readSet).
+// Repair keeps no window to pin (TestRepairKeepsNoWindow), so only the
+// policies that price absorptions are measured.
 func BenchmarkValidateDeepWindow(b *testing.B) {
 	for _, pc := range policies {
+		if pc.policy == Repair {
+			continue
+		}
 		for _, depth := range []int{64, 1024, 4096} {
 			b.Run(fmt.Sprintf("%s/window=%d", pc.name, depth), func(b *testing.B) {
 				e := NewEngine(storage.NewFrom(map[storage.Key]metric.Value{"probe": 1}), nil, pc.policy)

@@ -47,6 +47,11 @@
 //   - RepairSkip: Repair, plus absorption priced by the exact distance
 //     between the stale value and the committed one (the "ε-skip").
 //
+// Validation reads versions from the store cells alone. Only the two
+// policies that absorb keep a validation window (per-key chains of the
+// committed writes, their records, the active set) to price it; Repair
+// keeps none.
+//
 // Under the repair policies observer events (reads, writes) are emitted
 // inside the install critical section with the final post-repair
 // values, so the recorded history — and hence the serial-replay oracle
@@ -121,6 +126,19 @@ type opRec struct {
 	// in and out are the input value used and the value produced (the
 	// written value, or the input itself for reads).
 	in, out metric.Value
+	// dirty marks a stale op during validation; slot is a write's index in
+	// the install batch (a rewrite shares its key's first write's slot).
+	dirty bool
+	slot  int
+}
+
+// window is the validation window of a policy that prices absorptions:
+// each key's chain of the committed writes still in it, their records
+// in seq order, and the active transactions' start seqs for GC.
+type window struct {
+	index  map[storage.Key][]verEntry
+	recs   []*commitRec
+	active map[lock.Owner]int64
 }
 
 // commitRec is one committed transaction's validation-window record; the
@@ -128,23 +146,16 @@ type opRec struct {
 type commitRec struct {
 	seq         int64
 	owner       lock.Owner
-	writes      []written
+	recs        []opRec // its provenance records: the keys and bounds written
 	exported    metric.Fuzz
 	exportLimit metric.Limit
 }
 
-// written is one key a committed transaction wrote, with the bound it
-// declared for the key (on its last write to it).
-type written struct {
-	key   storage.Key
-	bound metric.Limit
-}
-
-// boundOf returns the bound c declared for key, which it wrote.
+// boundOf returns the bound c's last write of key declared.
 func (c *commitRec) boundOf(key storage.Key) metric.Limit {
-	for _, w := range c.writes {
-		if w.key == key {
-			return w.bound
+	for i := len(c.recs) - 1; i >= 0; i-- {
+		if op := &c.recs[i].op; op.Kind == txn.OpWrite && op.Key == key {
+			return op.Bound
 		}
 	}
 	panic("rdc: version chain names a writer that did not write the key")
@@ -182,7 +193,8 @@ type Stats struct {
 	// VerifyFailures counts self-check mismatches (verify mode only):
 	// repaired outcomes that differ from a fresh full re-execution.
 	VerifyFailures uint64
-	// GCRetained is the current validation-window size.
+	// GCRetained is the current validation-window size; always 0 under
+	// Repair, which validates against the store cells alone.
 	GCRetained int
 }
 
@@ -203,10 +215,9 @@ type Engine struct {
 	// seq is the last commit's sequence number; an install stamps its
 	// writes in the store with it, so the store's cells are the per-key
 	// version index validation reads.
-	seq       int64
-	index     map[storage.Key][]verEntry
-	window    []*commitRec
-	active    map[lock.Owner]int64 // owner → start seq (for GC)
+	seq int64
+	// win is nil under Repair: its one reader is absorbLocked.
+	win       *window
 	stats     Stats
 	verifyMsg string
 }
@@ -214,16 +225,12 @@ type Engine struct {
 // NewEngine builds an engine over store under policy; obs may be nil.
 // Its sequence starts past every version already in the store.
 func NewEngine(store *storage.Store, obs txn.Observer, policy Policy) *Engine {
-	e := &Engine{
-		store:  store,
-		obs:    obs,
-		policy: policy,
-		seq:    store.MaxVersion(),
-		index:  make(map[storage.Key][]verEntry),
-		active: make(map[lock.Owner]int64),
-	}
+	e := &Engine{store: store, obs: obs, policy: policy, seq: store.MaxVersion()}
 	if policy != Abort {
 		e.inline, e.rounds = repairInline, repairRounds
+	}
+	if policy != Repair {
+		e.win = &window{index: make(map[storage.Key][]verEntry), active: make(map[lock.Owner]int64)}
 	}
 	return e
 }
@@ -266,14 +273,10 @@ func (e *Engine) Stats() Stats {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	st := e.stats
-	st.GCRetained = len(e.window)
+	if e.win != nil {
+		st.GCRetained = len(e.win.recs)
+	}
 	return st
-}
-
-// verOf returns the version k's store cell holds now.
-func (e *Engine) verOf(k storage.Key) int64 {
-	_, ver := e.store.GetVersioned(k)
-	return ver
 }
 
 // Run executes p once under the given ε-spec and class, returning the
@@ -297,8 +300,16 @@ func (e *Engine) Run(
 	if e.obs != nil {
 		e.obs.Begin(owner, p.Name, class)
 	}
-	start := e.begin(owner)
-	defer e.end(owner)
+	// start is the abort policy's snapshot point, and while owner is
+	// active the window keeps every commit since it. Repair keeps no
+	// window, so an attempt takes e.mu only to validate and install.
+	var start int64
+	if e.win != nil {
+		e.mu.Lock()
+		start, e.win.active[owner] = e.seq, e.seq
+		e.mu.Unlock()
+		defer e.end(owner)
+	}
 
 	// The abort policy never repairs, so a read is final the moment it
 	// is made and is reported there: the recorded history then places the
@@ -362,55 +373,47 @@ func (e *Engine) Run(
 	return out, imported, nil
 }
 
-// begin registers an active transaction for window GC and returns its
-// start sequence (the abort policy's snapshot point).
-func (e *Engine) begin(owner lock.Owner) int64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.active[owner] = e.seq
-	return e.seq
-}
-
 // end unregisters and garbage-collects the validation window: committed
 // records no active transaction can conflict with are dropped, and the
 // per-key version chains are pruned alongside.
 func (e *Engine) end(owner lock.Owner) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	delete(e.active, owner)
+	win := e.win
+	delete(win.active, owner)
 	min := e.seq
-	for _, s := range e.active {
+	for _, s := range win.active {
 		if s < min {
 			min = s
 		}
 	}
-	// window is sorted by seq: when even the oldest record is still
+	// recs is sorted by seq: when even the oldest record is still
 	// needed, skip the rebuild so a pinned window costs O(1) per end.
-	if len(e.window) == 0 || e.window[0].seq > min {
+	if len(win.recs) == 0 || win.recs[0].seq > min {
 		return
 	}
-	keep := e.window[:0]
-	for _, c := range e.window {
+	keep := win.recs[:0]
+	for _, c := range win.recs {
 		if c.seq > min {
 			keep = append(keep, c)
 			continue
 		}
-		for _, w := range c.writes {
-			k := w.key
-			ent := e.index[k]
-			n := 0
-			for n < len(ent) && ent[n].seq <= min {
-				n++
+		// Chains are in seq order too, so c's entry heads the chain of each
+		// key it wrote (a key's first write has no local producer).
+		for i := range c.recs {
+			op := &c.recs[i].op
+			if op.Kind != txn.OpWrite || c.recs[i].local >= 0 {
+				continue
 			}
-			switch {
-			case n == len(ent):
-				delete(e.index, k)
-			case n > 0:
-				e.index[k] = append(ent[:0:0], ent[n:]...)
+			if ent := win.index[op.Key]; len(ent) > 1 {
+				ent[0] = verEntry{}
+				win.index[op.Key] = ent[1:]
+			} else {
+				delete(win.index, op.Key)
 			}
 		}
 	}
-	e.window = keep
+	win.recs = keep
 }
 
 // commit validates, absorbs or repairs as the policy allows, and
@@ -423,7 +426,6 @@ func (e *Engine) commit(
 	recs []opRec,
 	out *txn.Outcome,
 ) (metric.Fuzz, error) {
-	dirty := make([]bool, len(recs))
 	var repairedOps uint64
 	for round := 0; ; round++ {
 		e.mu.Lock()
@@ -433,18 +435,18 @@ func (e *Engine) commit(
 			if rec.local >= 0 {
 				// A repaired producer changes its output, so consumers of
 				// the local workspace inherit its dirtiness.
-				dirty[i] = dirty[rec.local]
+				rec.dirty = recs[rec.local].dirty
 			} else {
-				ver := e.verOf(rec.op.Key)
+				_, ver := e.store.GetVersioned(rec.op.Key)
 				moved := ver != rec.ver
 				if e.policy == Abort {
 					// Snapshot at begin: a commit since then conflicts even
 					// if this op happened to read after it.
 					moved = moved || ver > start
 				}
-				dirty[i] = moved && !reappliable(recs, i)
+				rec.dirty = moved && !reappliable(recs, i)
 			}
-			if dirty[i] {
+			if rec.dirty {
 				nDirty++
 			}
 		}
@@ -454,7 +456,7 @@ func (e *Engine) commit(
 			return 0, err
 		}
 		if e.policy != Repair && class == txn.Query {
-			if imported, ok := e.absorbLocked(owner, spec, start, recs, dirty); ok {
+			if imported, ok := e.absorbLocked(owner, spec, start, recs); ok {
 				// Commit the stale values as-is; the conflicts are charged.
 				err := e.installLocked(owner, spec, recs, out, repairedOps, true)
 				e.mu.Unlock()
@@ -464,7 +466,7 @@ func (e *Engine) commit(
 		if nDirty <= e.inline && time.Duration(nDirty)*e.opDelay <= inlineWorkBudget {
 			// Short repair inside the critical section: the committed
 			// state is frozen by e.mu, so one pass settles it.
-			n, err := e.timedRepairPass(owner, recs, dirty)
+			n, err := e.repairPass(owner, recs)
 			repairedOps += n
 			if err != nil {
 				e.stats.RepairedOps += repairedOps
@@ -485,7 +487,7 @@ func (e *Engine) commit(
 		e.mu.Unlock()
 		// Long repair outside the lock: re-execute the dirty ops against
 		// a racing store, then loop to re-validate what we produced.
-		n, err := e.timedRepairPass(owner, recs, dirty)
+		n, err := e.repairPass(owner, recs)
 		repairedOps += n
 		if err != nil {
 			e.mu.Lock()
@@ -515,33 +517,23 @@ func reappliable(recs []opRec, i int) bool {
 	return true
 }
 
-// timedRepairPass wraps repairPass with the repair observer so the
-// tracing plane can attribute repair work to the owning transaction.
-// The timer is only armed when an observer is installed, keeping the
-// untraced path free of clock reads.
-func (e *Engine) timedRepairPass(owner lock.Owner, recs []opRec, dirty []bool) (uint64, error) {
-	if e.repObs == nil {
-		return e.repairPass(recs, dirty)
-	}
-	t0 := time.Now()
-	n, err := e.repairPass(recs, dirty)
-	e.repObs(owner, time.Since(t0))
-	return n, err
-}
-
 // repairPass re-executes every dirty op in program order: committed
 // inputs are re-read with their versions, local inputs come from the
 // already-repaired producer, and rollback predicates are re-evaluated
 // on the fresh input — a flipped decision returns txn.ErrRollback. Each
 // re-executed op pays the simulated op cost. Returns the number of ops
-// repaired.
-func (e *Engine) repairPass(recs []opRec, dirty []bool) (uint64, error) {
+// repaired. The pass is timed for the repair observer, if one is
+// installed, so the untraced path reads no clock.
+func (e *Engine) repairPass(owner lock.Owner, recs []opRec) (uint64, error) {
+	if e.repObs != nil {
+		defer func(t0 time.Time) { e.repObs(owner, time.Since(t0)) }(time.Now())
+	}
 	var n uint64
 	for i := range recs {
-		if !dirty[i] {
+		rec := &recs[i]
+		if !rec.dirty {
 			continue
 		}
-		rec := &recs[i]
 		if rec.local >= 0 {
 			rec.in = recs[rec.local].out
 		} else {
@@ -578,7 +570,7 @@ type charge struct {
 // the window cannot be charged). Caller holds e.mu.
 func (e *Engine) priceLocked(rec *opRec, start int64, charges []charge) ([]charge, bool) {
 	key := rec.op.Key
-	ent := e.index[key]
+	ent := e.win.index[key]
 	if e.policy == Abort {
 		for _, ch := range charges {
 			if ch.key == key {
@@ -613,14 +605,13 @@ func (e *Engine) absorbLocked(
 	spec metric.Spec,
 	start int64,
 	recs []opRec,
-	dirty []bool,
 ) (metric.Fuzz, bool) {
 	var charges []charge
 	for i := range recs {
-		if !dirty[i] {
+		rec := &recs[i]
+		if !rec.dirty {
 			continue
 		}
-		rec := &recs[i]
 		if rec.op.Kind != txn.OpRead || rec.op.AbortIf != nil || rec.local >= 0 {
 			return 0, false
 		}
@@ -663,8 +654,8 @@ func (e *Engine) absorbLocked(
 
 // installLocked emits the observer events with the final values,
 // applies the buffered writes stamped with the commit's seq (each key
-// written once), and records the commit in the version chains and
-// validation window. Caller holds e.mu.
+// written once), and records the commit in the validation window, if
+// the policy keeps one. Caller holds e.mu.
 func (e *Engine) installLocked(
 	owner lock.Owner,
 	spec metric.Spec,
@@ -696,11 +687,12 @@ func (e *Engine) installLocked(
 			}
 		}
 	}
-	// pos maps each written key to its slot in batch and in wrote, which
-	// hold the key's final write and the bound that write declared.
-	pos := make(map[storage.Key]int, writes)
+	if reads := len(recs) - writes; reads > 0 {
+		out.Reads = make([]txn.ReadRec, 0, reads)
+	}
+	// batch holds each written key's final value in first-write order: a
+	// write's local names the key's previous write, whose slot it takes.
 	batch := make([]storage.Write, 0, writes)
-	wrote := make([]written, 0, writes)
 	for i := range recs {
 		rec := &recs[i]
 		switch rec.op.Kind {
@@ -715,12 +707,12 @@ func (e *Engine) installLocked(
 				// the pre-transaction committed value.
 				e.obs.Write(owner, rec.op.Key, e.store.Get(rec.op.Key), rec.out, rec.op.Commutative)
 			}
-			if j, ok := pos[rec.op.Key]; ok {
-				batch[j].Value, wrote[j].bound = rec.out, rec.op.Bound
+			if rec.local >= 0 {
+				rec.slot = recs[rec.local].slot
+				batch[rec.slot].Value = rec.out
 			} else {
-				pos[rec.op.Key] = len(batch)
+				rec.slot = len(batch)
 				batch = append(batch, storage.Write{Key: rec.op.Key, Value: rec.out})
-				wrote = append(wrote, written{key: rec.op.Key, bound: rec.op.Bound})
 			}
 		}
 	}
@@ -730,12 +722,12 @@ func (e *Engine) installLocked(
 		return err
 	}
 	out.Writes = batch
-	if len(batch) > 0 {
-		rec := &commitRec{seq: e.seq, owner: owner, writes: wrote, exportLimit: spec.Export}
-		for _, w := range wrote {
-			e.index[w.key] = append(e.index[w.key], verEntry{seq: e.seq, rec: rec})
+	if e.win != nil && len(batch) > 0 {
+		c := &commitRec{seq: e.seq, owner: owner, recs: recs, exportLimit: spec.Export}
+		for _, w := range batch {
+			e.win.index[w.Key] = append(e.win.index[w.Key], verEntry{seq: e.seq, rec: c})
 		}
-		e.window = append(e.window, rec)
+		e.win.recs = append(e.win.recs, c)
 	}
 	e.stats.Commits++
 	e.stats.RepairedOps += repairedOps

@@ -3,6 +3,7 @@ package rdc
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -123,6 +124,29 @@ func TestReadsOwnWrites(t *testing.T) {
 	})
 }
 
+// TestInstallWritesEachKeyOnce: a key written twice is installed once,
+// with its last value, and the batch keeps first-write order.
+func TestInstallWritesEachKeyOnce(t *testing.T) {
+	forEachPolicy(t, func(t *testing.T, policy Policy) {
+		e := newEngineT(map[storage.Key]metric.Value{"x": 10, "y": 0}, policy)
+		p := txn.MustProgram("t", txn.AddOp("x", 5), txn.AddOp("y", 1), txn.ReadOp("x"), txn.AddOp("x", 7))
+		out, _, err := e.Run(context.Background(), 1, p, metric.Strict, txn.Update)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := []storage.Write{{Key: "x", Value: 22}, {Key: "y", Value: 1}}
+		if len(out.Writes) != len(want) || out.Writes[0] != want[0] || out.Writes[1] != want[1] {
+			t.Errorf("writes = %v, want %v", out.Writes, want)
+		}
+		if len(out.Reads) != 1 || out.Reads[0] != (txn.ReadRec{Key: "x", Value: 15}) {
+			t.Errorf("reads = %v, want [{x 15}]", out.Reads)
+		}
+		if e.store.Get("x") != 22 || e.store.Get("y") != 1 {
+			t.Errorf("state: x=%d y=%d", e.store.Get("x"), e.store.Get("y"))
+		}
+	})
+}
+
 func TestRollbackLeavesNoEffect(t *testing.T) {
 	forEachPolicy(t, func(t *testing.T, policy Policy) {
 		e := newEngineT(map[storage.Key]metric.Value{"x": 50}, policy)
@@ -153,17 +177,125 @@ func TestValidationWindowGC(t *testing.T) {
 		if got := e.Stats().GCRetained; got != 0 {
 			t.Errorf("validation window = %d entries after quiescence", got)
 		}
-		e.mu.Lock()
-		idx := len(e.index)
-		e.mu.Unlock()
-		if idx != 0 {
-			t.Errorf("version chains hold %d keys after quiescence", idx)
+		if keys, _ := chains(e); keys != 0 {
+			t.Errorf("version chains hold %d keys after quiescence", keys)
 		}
 		// Versions live in the store cells, which GC does not touch.
-		if got := e.verOf("x"); got != 100 {
+		if _, got := e.store.GetVersioned("x"); got != 100 {
 			t.Errorf("x's version = %d after 100 commits, want 100", got)
 		}
 	})
+}
+
+// chains returns how many keys have a version chain and how many
+// entries the chains hold; both 0 for an engine that keeps no window.
+func chains(e *Engine) (keys, entries int) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.win == nil {
+		return 0, 0
+	}
+	for _, ent := range e.win.index {
+		keys++
+		entries += len(ent)
+	}
+	return keys, entries
+}
+
+// parkReader starts a query that parks on a key nobody writes and
+// returns once it is parked, with the channel its result arrives on.
+func parkReader(e *Engine, owner lock.Owner) (pause, <-chan error) {
+	at := newPause("hold")
+	done := make(chan error, 1)
+	go func() {
+		_, _, err := e.Run(context.Background(), owner, txn.MustProgram("hold", at.op), metric.SpecOf(100000), txn.Query)
+		done <- err
+	}()
+	<-at.started
+	return at, done
+}
+
+// commitWriters commits n updates spread over four keys. Each adds to
+// its key twice, so a commit holds one chain entry per key, not per write.
+func commitWriters(t *testing.T, e *Engine, first lock.Owner, n int) {
+	t.Helper()
+	spec := metric.Spec{Import: metric.Zero, Export: metric.LimitOf(1000)}
+	for i := 0; i < n; i++ {
+		k := storage.Key(fmt.Sprintf("w%d", i%4))
+		commitUpdate(t, e, first+lock.Owner(i), txn.MustProgram("w", txn.AddOp(k, 1), txn.AddOp(k, 1)), spec)
+	}
+}
+
+// TestRepairKeepsNoWindow: only a policy that can price an absorption
+// keeps a validation window. A parked reader pins every later commit in
+// the window of Abort and RepairSkip; Repair validates against the
+// store cells alone, so it retains nothing and builds no chain.
+func TestRepairKeepsNoWindow(t *testing.T) {
+	forEachPolicy(t, func(t *testing.T, policy Policy) {
+		e := newEngineT(nil, policy)
+		at, done := parkReader(e, 1)
+		commitWriters(t, e, 100, 100)
+		retained := e.Stats().GCRetained
+		keys, entries := chains(e)
+		if policy == Repair {
+			if e.win != nil || retained != 0 || keys != 0 {
+				t.Errorf("repair: window %v, %d retained, %d chains; want none", e.win != nil, retained, keys)
+			}
+		} else if retained < 100 || keys != 4 || entries != 100 {
+			t.Errorf("window holds %d commits, %d chains of %d entries; want ≥ 100, 4 of 100", retained, keys, entries)
+		}
+		close(at.release)
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+		if keys, _ := chains(e); e.Stats().GCRetained != 0 || keys != 0 {
+			t.Errorf("window not empty after the reader ended")
+		}
+	})
+}
+
+// TestWindowGCDropsWhatNoActiveReaderNeeds: when the oldest of two
+// parked readers ends, GC drops exactly the commits before the younger
+// one began, from the window and from the head of every chain. Repair
+// keeps no window (TestRepairKeepsNoWindow), so it is not run.
+func TestWindowGCDropsWhatNoActiveReaderNeeds(t *testing.T) {
+	for _, pc := range policies {
+		if pc.policy == Repair {
+			continue
+		}
+		t.Run(pc.name, func(t *testing.T) {
+			e := newEngineT(nil, pc.policy)
+			old, oldDone := parkReader(e, 1)
+			commitWriters(t, e, 100, 10)
+			young, youngDone := parkReader(e, 2)
+			commitWriters(t, e, 200, 10)
+			close(old.release)
+			if err := <-oldDone; err != nil {
+				t.Fatal(err)
+			}
+			e.mu.Lock()
+			min := e.win.active[2]
+			for k, ent := range e.win.index {
+				if ent[0].seq <= min {
+					t.Errorf("chain %q keeps seq %d, before the active reader's %d", k, ent[0].seq, min)
+				}
+			}
+			e.mu.Unlock()
+			if got := e.Stats().GCRetained; got != 10 {
+				t.Errorf("window = %d after the old reader ended, want the 10 commits since the young one began", got)
+			}
+			if keys, entries := chains(e); keys != 4 || entries != 10 {
+				t.Errorf("%d chains of %d entries, want 4 of 10", keys, entries)
+			}
+			close(young.release)
+			if err := <-youngDone; err != nil {
+				t.Fatal(err)
+			}
+			if keys, _ := chains(e); e.Stats().GCRetained != 0 || keys != 0 {
+				t.Errorf("window not empty after both readers ended")
+			}
+		})
+	}
 }
 
 func TestContextCancellation(t *testing.T) {
@@ -268,6 +400,20 @@ func TestQueryAbsorbsCommittedWriterWithinBudget(t *testing.T) {
 				t.Errorf("Absorbed = %d, want 2", got)
 			}
 		})
+	}
+}
+
+// TestAbsorptionPricesTheLastWritesBound: a writer that wrote a key
+// twice is charged the bound its last write of the key declared.
+func TestAbsorptionPricesTheLastWritesBound(t *testing.T) {
+	e := newEngineT(map[storage.Key]metric.Value{"x": 1000}, Abort)
+	w := txn.MustProgram("w", txn.AddOp("x", -100), txn.AddOp("x", 30))
+	at := newPause("z")
+	slow := txn.MustProgram("slow", txn.ReadOp("x"), at.op)
+	r := interleave(e, 10, slow, metric.Spec{Import: metric.LimitOf(30), Export: metric.Zero}, txn.Query, at,
+		func() { commitUpdate(t, e, 11, w, metric.SpecOf(1000)) })
+	if r.err != nil || r.imported != 30 {
+		t.Fatalf("audit: imported %d, err %v; want 30 absorbed", r.imported, r.err)
 	}
 }
 
