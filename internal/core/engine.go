@@ -3,6 +3,9 @@ package core
 import (
 	"context"
 	"errors"
+	"maps"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"asynctp/internal/dc"
@@ -11,6 +14,7 @@ import (
 	"asynctp/internal/metric"
 	"asynctp/internal/obs"
 	"asynctp/internal/rdc"
+	"asynctp/internal/storage"
 	"asynctp/internal/txn"
 )
 
@@ -18,12 +22,23 @@ import (
 // submits, a site worker takes off a recoverable queue, or a 2PC
 // participant prepares. The caller mints the owner, opens and settles
 // its spans, and decides what to do with the outcome.
+//
+// The engine resolves a registered program's keys to store cells once
+// (Register); an attempt of it then reads, validates and installs
+// through those handles without hashing a key.
 type Engine struct {
+	store *storage.Store
 	locks *lock.Manager
 	ctl   *dc.Controller // the lock arbiter: locking engine under DC only
 	exec  *txn.Exec      // nil for the rdc engines
 	rdc   *rdc.Engine    // nil for the locking engine
 	dc    bool
+
+	// plans maps each registered program to its keys' cells, in op
+	// order. Register replaces the map (under planMu); Cells reads it
+	// without a lock.
+	plans  atomic.Pointer[map[*txn.Program][]*storage.Cell]
+	planMu sync.Mutex
 }
 
 // NewEngine builds the lock manager, the divergence controller as its
@@ -35,7 +50,7 @@ type Engine struct {
 // dc.Controller behind its lock manager as the arbiter, the rdc engines
 // absorb stale reads; without it they validate strictly.
 func NewEngine(cfg Config, useDC bool, rec *history.Recorder) *Engine {
-	e := &Engine{dc: useDC}
+	e := &Engine{store: cfg.Store, dc: useDC}
 	var lockOpts []lock.Option
 	if wo := obs.TeeWaitObserver(cfg.WaitObserver, cfg.Obs.WaitObserver()); wo != nil {
 		lockOpts = append(lockOpts, lock.WithWaitObserver(wo))
@@ -80,6 +95,34 @@ func NewEngine(cfg Config, useDC bool, rec *history.Recorder) *Engine {
 	return e
 }
 
+// Register resolves p's keys to cells of the engine's store, in op
+// order, remembers them for Cells and returns them. The cells stay
+// valid for the life of the store (see storage.Cell).
+func (e *Engine) Register(p *txn.Program) []*storage.Cell {
+	cells := make([]*storage.Cell, len(p.Ops))
+	for i, op := range p.Ops {
+		cells[i] = e.store.Cell(op.Key)
+	}
+	e.planMu.Lock()
+	defer e.planMu.Unlock()
+	plans := map[*txn.Program][]*storage.Cell{}
+	if old := e.plans.Load(); old != nil {
+		plans = maps.Clone(*old)
+	}
+	plans[p] = cells
+	e.plans.Store(&plans)
+	return cells
+}
+
+// Cells returns the cells Register resolved p's keys to, or nil when p
+// was never registered with this engine.
+func (e *Engine) Cells(p *txn.Program) []*storage.Cell {
+	if plans := e.plans.Load(); plans != nil {
+		return (*plans)[p]
+	}
+	return nil
+}
+
 // register opens owner's divergence-control account with budget spec.
 func (e *Engine) register(owner lock.Owner, p *txn.Program, spec metric.Spec, class txn.Class) error {
 	if e.ctl == nil {
@@ -100,20 +143,24 @@ func (e *Engine) unregister(owner lock.Owner) (imported, exported metric.Fuzz) {
 // returns the outcome with the fuzziness the attempt imported and
 // exported. An error is either Retryable (a system abort: resubmit
 // under a fresh owner) or final (txn.ErrRollback, a context end).
-func (e *Engine) Attempt(ctx context.Context, owner lock.Owner, p *txn.Program, spec metric.Spec, class txn.Class) (
-	out *txn.Outcome, imported, exported metric.Fuzz, err error) {
+//
+// cells are p's keys resolved by Register (or those of a program p
+// extends: a prefix of p's ops); the ops past their end, all of them
+// when cells is nil, resolve their keys as they run.
+func (e *Engine) Attempt(ctx context.Context, owner lock.Owner, p *txn.Program, cells []*storage.Cell,
+	spec metric.Spec, class txn.Class) (out *txn.Outcome, imported, exported metric.Fuzz, err error) {
 	if e.rdc != nil {
 		// CC runs validate strictly: plain OCC.
 		if !e.dc {
 			spec = metric.Strict
 		}
-		out, imported, err = e.rdc.Run(ctx, owner, p, spec, class)
+		out, imported, err = e.rdc.Run(ctx, owner, p, cells, spec, class)
 		return out, imported, 0, err
 	}
 	if err := e.register(owner, p, spec, class); err != nil {
 		return nil, 0, 0, err
 	}
-	out, err = e.exec.Run(ctx, owner, p)
+	out, err = e.exec.Run(ctx, owner, p, cells)
 	imported, exported = e.unregister(owner)
 	return out, imported, exported, err
 }
@@ -128,8 +175,10 @@ type Prepared struct {
 	held  txn.Held
 }
 
-// Prepare runs p as owner up to its commit point, as Attempt does. On
-// error the attempt is already undone and its account closed.
+// Prepare runs p as owner up to its commit point, as Attempt does with
+// nil cells: a 2PC sub-transaction is built per prepare, so it is never
+// registered. On error the attempt is already undone and its account
+// closed.
 func (e *Engine) Prepare(ctx context.Context, owner lock.Owner, p *txn.Program, spec metric.Spec, class txn.Class) (*Prepared, error) {
 	if e.exec == nil {
 		return nil, errors.New("core: only the locking engine can prepare")
@@ -137,7 +186,7 @@ func (e *Engine) Prepare(ctx context.Context, owner lock.Owner, p *txn.Program, 
 	if err := e.register(owner, p, spec, class); err != nil {
 		return nil, err
 	}
-	held, err := e.exec.Hold(ctx, owner, p)
+	held, err := e.exec.Hold(ctx, owner, p, nil)
 	if err != nil {
 		e.unregister(owner)
 		return nil, err

@@ -169,16 +169,23 @@ type Runner struct {
 	dcSpecs []metric.Spec   // per-type spec used by DC (Method 3 shrinks it)
 	engine  *Engine
 	rec     *history.Recorder
-	gen     txn.IDGen
 
 	// children[ti][pi] lists the dependency-tree children of piece pi of
 	// type ti, precomputed because Submit is the hot path and
 	// DependencyChildren allocates per call.
 	children [][][]int
+	// cells[ti][pi] is piece pi of type ti's keys resolved to store
+	// cells, registered with the engine once.
+	cells [][][]*storage.Cell
 
+	mu      sync.Mutex
+	groupOf map[lock.Owner]history.Group
+
+	// The padding keeps the ID counters, which every Submit writes, off
+	// the cache lines of the read-only fields above.
+	_         [64]byte
+	gen       txn.IDGen
 	nextGroup atomic.Int64
-	mu        sync.Mutex
-	groupOf   map[lock.Owner]history.Group
 }
 
 // NewRunner prepares the chopping for cfg.Programs and builds the
@@ -274,6 +281,13 @@ func NewRunner(cfg Config) (*Runner, error) {
 		r.rec = history.NewRecorder()
 	}
 	r.engine = NewEngine(cfg, cfg.Method.UsesDC(), r.rec)
+	r.cells = make([][][]*storage.Cell, len(r.children))
+	for ti := range r.cells {
+		r.cells[ti] = make([][]*storage.Cell, len(r.children[ti]))
+		for pi := range r.cells[ti] {
+			r.cells[ti][pi] = r.engine.Register(r.set.Piece(r.set.Vertex(ti, pi)).Program)
+		}
+	}
 	return r, nil
 }
 
@@ -497,7 +511,7 @@ func (inst *instance) runPiece(ctx context.Context, pi int, budget metric.Spec) 
 			r.mu.Unlock()
 		}
 
-		out, imported, exported, err := r.engine.Attempt(ctx, owner, prog, runSpec, class)
+		out, imported, exported, err := r.engine.Attempt(ctx, owner, prog, r.cells[inst.ti][pi], runSpec, class)
 		if r.cfg.Obs != nil {
 			// Settle every attempt (aborted ones included) so ledger
 			// piece binds never leak; canonical exports drop aborted

@@ -10,6 +10,9 @@ import (
 	"asynctp/internal/core"
 	"asynctp/internal/history"
 	"asynctp/internal/lock"
+	"asynctp/internal/metric"
+	"asynctp/internal/storage"
+	"asynctp/internal/txn"
 	"asynctp/internal/workload"
 )
 
@@ -40,8 +43,8 @@ func TestSubmitAllocs(t *testing.T) {
 	}{
 		{"transfer", core.Method3ESRChopDC, core.EngineLocking, 0, 2, 10},
 		{"audit", core.Method3ESRChopDC, core.EngineLocking, audit, 8, 19},
-		{"repair-transfer", core.BaselineESRDC, core.EngineRepair, 0, 1, 6},
-		{"repair-audit", core.BaselineESRDC, core.EngineRepair, audit, 1, 5},
+		{"repair-transfer", core.BaselineESRDC, core.EngineRepair, 0, 1, 5},
+		{"repair-audit", core.BaselineESRDC, core.EngineRepair, audit, 1, 4},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := workload.ConfigFor(w, tc.method, core.Static, false)
@@ -150,5 +153,51 @@ func TestGroupPiecesCommitInProgramOrder(t *testing.T) {
 	}
 	if chopped == 0 {
 		t.Fatal("no chopped group committed")
+	}
+}
+
+// TestRegisterResolvesCells: Register resolves a program's keys to the
+// store's cells once, Cells hands the same slice back, and an attempt
+// runs the same through the registered cells, through a prefix of them
+// (a program that extends a registered one, as a site piece with its
+// marker does) and through none, on both engine families.
+func TestRegisterResolvesCells(t *testing.T) {
+	for _, kind := range []core.EngineKind{core.EngineLocking, core.EngineRepair} {
+		t.Run(kind.String(), func(t *testing.T) {
+			store := storage.NewFrom(map[storage.Key]metric.Value{"a": 10})
+			e := core.NewEngine(core.Config{Store: store, Engine: kind}, false, nil)
+			p := txn.MustProgram("p", txn.AddOp("a", -1), txn.ReadOp("a"), txn.AddOp("fresh", 1))
+			cells := e.Register(p)
+			for i, op := range p.Ops {
+				if cells[i] != store.Cell(op.Key) {
+					t.Fatalf("op %d: registered cell is not the store's cell of %q", i, op.Key)
+				}
+			}
+			if got := e.Cells(p); len(got) != len(cells) || &got[0] != &cells[0] {
+				t.Errorf("Cells(p) is not the slice Register returned")
+			}
+			if store.Has("fresh") {
+				t.Errorf("resolving a key made it present")
+			}
+			if e.Cells(txn.MustProgram("q", txn.ReadOp("a"))) != nil {
+				t.Errorf("Cells of an unregistered program is not nil")
+			}
+			marked := &txn.Program{Name: "p+m", Ops: append(p.Ops[:3:3], txn.SetOp("m", 1)), Spec: p.Spec}
+			for i, run := range []struct {
+				p     *txn.Program
+				cells []*storage.Cell
+			}{{p, cells}, {marked, cells}, {p, nil}} {
+				out, _, _, err := e.Attempt(context.Background(), lock.Owner(i+1), run.p, run.cells, metric.Strict, txn.Update)
+				if err != nil {
+					t.Fatalf("attempt %d: %v", i, err)
+				}
+				if want := metric.Value(9 - i); len(out.Reads) != 1 || out.Reads[0].Value != want {
+					t.Errorf("attempt %d read %+v, want a = %d", i, out.Reads, want)
+				}
+			}
+			if store.Get("a") != 7 || store.Get("fresh") != 3 || store.Get("m") != 1 {
+				t.Errorf("store a=%d fresh=%d m=%d, want 7, 3, 1", store.Get("a"), store.Get("fresh"), store.Get("m"))
+			}
+		})
 	}
 }

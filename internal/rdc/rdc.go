@@ -114,29 +114,35 @@ const (
 // opRec is one operation's provenance record: where its input came
 // from and the values the execution computed from it.
 type opRec struct {
-	op txn.Op
+	op *txn.Op // in the program, which outlives the record
+	// cell is op.Key's store cell, resolved at registration or by Run.
+	cell *storage.Cell
 	// local is the index of the program op whose buffered write produced
 	// this op's input (reads of own writes), or -1 when the input came
 	// from the committed store.
 	local int
-	// ver is the store version of op.Key read together with in (local < 0
-	// only): the seq of the commit that installed the value, 0 for a value
-	// no commit of an engine stamped, or a negative store restore epoch.
+	// ver is the cell's version read together with in (local < 0 only):
+	// the seq of the commit that installed the value, 0 for a value no
+	// commit of an engine stamped, or a negative store restore epoch.
 	ver int64
 	// in and out are the input value used and the value produced (the
 	// written value, or the input itself for reads).
 	in, out metric.Value
 	// dirty marks a stale op during validation; slot is a write's index in
-	// the install batch (a rewrite shares its key's first write's slot).
-	dirty bool
-	slot  int
+	// the install batch (a rewrite shares its key's first write's slot);
+	// reapply caches reappliable(recs, i).
+	dirty, reapply bool
+	slot           int
 }
 
+// recBuf is a Repair attempt's recycled provenance records.
+type recBuf struct{ recs []opRec }
+
 // window is the validation window of a policy that prices absorptions:
-// each key's chain of the committed writes still in it, their records
+// each cell's chain of the committed writes still in it, their records
 // in seq order, and the active transactions' start seqs for GC.
 type window struct {
-	index  map[storage.Key][]verEntry
+	index  map[*storage.Cell][]verEntry
 	recs   []*commitRec
 	active map[lock.Owner]int64
 }
@@ -151,11 +157,11 @@ type commitRec struct {
 	exportLimit metric.Limit
 }
 
-// boundOf returns the bound c's last write of key declared.
-func (c *commitRec) boundOf(key storage.Key) metric.Limit {
+// boundOf returns the bound c's last write of cell declared.
+func (c *commitRec) boundOf(cell *storage.Cell) metric.Limit {
 	for i := len(c.recs) - 1; i >= 0; i-- {
-		if op := &c.recs[i].op; op.Kind == txn.OpWrite && op.Key == key {
-			return op.Bound
+		if rec := &c.recs[i]; rec.op.Kind == txn.OpWrite && rec.cell == cell {
+			return rec.op.Bound
 		}
 	}
 	panic("rdc: version chain names a writer that did not write the key")
@@ -200,6 +206,8 @@ type Stats struct {
 
 // Engine is the optimistic divergence-control executor for one store.
 type Engine struct {
+	// The fields up to the padding are set by NewEngine and the Set*
+	// methods before use and read without e.mu.
 	store   *storage.Store
 	obs     txn.Observer
 	policy  Policy
@@ -210,14 +218,23 @@ type Engine struct {
 	verify  bool
 	inline  int
 	rounds  int
+	// win is nil under Repair: its one reader is absorbLocked. What it
+	// points to is guarded by e.mu.
+	win *window
+	// recBufs recycles provenance records under Repair, where no window
+	// keeps them past their attempt.
+	recBufs sync.Pool
+	// The padding keeps what an install writes under e.mu off the cache
+	// lines the other cores' read phases read.
+	_ [64]byte
 
 	mu sync.Mutex
 	// seq is the last commit's sequence number; an install stamps its
 	// writes in the store with it, so the store's cells are the per-key
 	// version index validation reads.
 	seq int64
-	// win is nil under Repair: its one reader is absorbLocked.
-	win       *window
+	// cells is the install's scratch: the batch's cells, in batch order.
+	cells     []*storage.Cell
 	stats     Stats
 	verifyMsg string
 }
@@ -230,7 +247,7 @@ func NewEngine(store *storage.Store, obs txn.Observer, policy Policy) *Engine {
 		e.inline, e.rounds = repairInline, repairRounds
 	}
 	if policy != Repair {
-		e.win = &window{index: make(map[storage.Key][]verEntry), active: make(map[lock.Owner]int64)}
+		e.win = &window{index: make(map[*storage.Cell][]verEntry), active: make(map[lock.Owner]int64)}
 	}
 	return e
 }
@@ -283,11 +300,15 @@ func (e *Engine) Stats() Stats {
 // outcome plus the fuzziness imported (absorbed conflicts only;
 // repaired commits are fully serializable and import nothing).
 // ErrValidation aborts are retryable; rollback statements return
-// txn.ErrRollback.
+// txn.ErrRollback. cells holds p's keys resolved to cells of the
+// engine's store, in op order; nil, or a slice shorter than p.Ops,
+// leaves the ops past its end to resolve their own keys. Every read,
+// validation, repair and install goes through the cells.
 func (e *Engine) Run(
 	ctx context.Context,
 	owner lock.Owner,
 	p *txn.Program,
+	cells []*storage.Cell,
 	spec metric.Spec,
 	class txn.Class,
 ) (*txn.Outcome, metric.Fuzz, error) {
@@ -319,11 +340,22 @@ func (e *Engine) Run(
 		readObs = e.obs
 	}
 	out := &txn.Outcome{Owner: owner}
-	recs := make([]opRec, len(p.Ops))
-	// producer maps keys to the op index that last buffered a write, so
-	// reads of own writes record a local dependency, not a version.
-	producer := make(map[storage.Key]int)
-	for i, op := range p.Ops {
+	var recs []opRec
+	if e.win == nil {
+		buf, _ := e.recBufs.Get().(*recBuf)
+		if buf == nil {
+			buf = new(recBuf)
+		}
+		if cap(buf.recs) < len(p.Ops) {
+			buf.recs = make([]opRec, len(p.Ops))
+		}
+		recs = buf.recs[:len(p.Ops)]
+		defer e.recBufs.Put(buf)
+	} else {
+		recs = make([]opRec, len(p.Ops)) // the window keeps them
+	}
+	for i := range p.Ops {
+		op := &p.Ops[i]
 		if e.step != nil {
 			e.step.OnStep(txn.Step{
 				Owner: owner, Program: p.Name, Op: i, Kind: txn.StepApply,
@@ -333,12 +365,21 @@ func (e *Engine) Run(
 		if e.opDelay > 0 {
 			txn.SimWork(e.opDelay)
 		}
-		rec := opRec{op: op, local: -1}
-		if j, ok := producer[op.Key]; ok {
-			rec.local = j
-			rec.in = recs[j].out
+		var cell *storage.Cell
+		if i < len(cells) {
+			cell = cells[i]
 		} else {
-			rec.in, rec.ver = e.store.GetVersioned(op.Key)
+			cell = e.store.Cell(op.Key)
+		}
+		rec := &recs[i]
+		*rec = opRec{op: op, cell: cell, local: -1}
+		// A read of an own buffered write records a local dependency on
+		// the latest earlier write of the cell, not a version.
+		rec.local = lastWrite(recs[:i], rec.cell)
+		if rec.local >= 0 {
+			rec.in = recs[rec.local].out
+		} else {
+			rec.in, rec.ver = rec.cell.Load()
 		}
 		if op.AbortIf != nil && op.AbortIf(rec.in) {
 			if e.obs != nil {
@@ -349,23 +390,24 @@ func (e *Engine) Run(
 		rec.out = rec.in
 		if op.Kind == txn.OpWrite {
 			rec.out = op.Update(rec.in)
-			producer[op.Key] = i
 		} else if readObs != nil {
 			readObs.Read(owner, op.Key, rec.in)
 		}
-		recs[i] = rec
 	}
 
 	if e.step != nil {
 		e.step.OnStep(txn.Step{Owner: owner, Program: p.Name, Op: -1, Kind: txn.StepCommit})
 	}
-	imported, err := e.commit(owner, spec, class, start, recs, out)
+	batch := prepareInstall(recs)
+	imported, err := e.commit(owner, spec, class, start, recs, batch)
 	if err != nil {
 		if e.obs != nil {
 			e.obs.Abort(owner, err)
 		}
 		return out, 0, err
 	}
+	out.Reads = committedReads(recs)
+	out.Writes = batch
 	out.Committed = true
 	if e.obs != nil {
 		e.obs.Commit(owner)
@@ -373,9 +415,68 @@ func (e *Engine) Run(
 	return out, imported, nil
 }
 
+// lastWrite returns the index of the last write of cell in recs, or -1.
+func lastWrite(recs []opRec, cell *storage.Cell) int {
+	for j := len(recs) - 1; j >= 0; j-- {
+		if recs[j].cell == cell && recs[j].op.Kind == txn.OpWrite {
+			return j
+		}
+	}
+	return -1
+}
+
+// prepareInstall builds the install batch outside the critical
+// section, which then only validates and writes: each written key once,
+// in first-write order, its value filled in at install. A write's slot
+// is its key's index in the batch; a rewrite's local names the key's
+// previous write, whose slot it shares.
+func prepareInstall(recs []opRec) []storage.Write {
+	keys := 0
+	for i := range recs {
+		rec := &recs[i]
+		rec.reapply = reappliable(recs, i)
+		switch {
+		case rec.op.Kind != txn.OpWrite:
+		case rec.local >= 0:
+			rec.slot = recs[rec.local].slot
+		default:
+			rec.slot = keys
+			keys++
+		}
+	}
+	batch := make([]storage.Write, keys)
+	for i := range recs {
+		if rec := &recs[i]; rec.op.Kind == txn.OpWrite && rec.local < 0 {
+			batch[rec.slot].Key = rec.op.Key
+		}
+	}
+	return batch
+}
+
+// committedReads returns the values a committed attempt read, final
+// after repair, in program order.
+func committedReads(recs []opRec) []txn.ReadRec {
+	n := 0
+	for i := range recs {
+		if recs[i].op.Kind == txn.OpRead {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	reads := make([]txn.ReadRec, 0, n)
+	for i := range recs {
+		if rec := &recs[i]; rec.op.Kind == txn.OpRead {
+			reads = append(reads, txn.ReadRec{Key: rec.op.Key, Value: rec.out})
+		}
+	}
+	return reads
+}
+
 // end unregisters and garbage-collects the validation window: committed
 // records no active transaction can conflict with are dropped, and the
-// per-key version chains are pruned alongside.
+// per-cell version chains are pruned alongside.
 func (e *Engine) end(owner lock.Owner) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -401,15 +502,16 @@ func (e *Engine) end(owner lock.Owner) {
 		// Chains are in seq order too, so c's entry heads the chain of each
 		// key it wrote (a key's first write has no local producer).
 		for i := range c.recs {
-			op := &c.recs[i].op
+			op := c.recs[i].op
 			if op.Kind != txn.OpWrite || c.recs[i].local >= 0 {
 				continue
 			}
-			if ent := win.index[op.Key]; len(ent) > 1 {
+			cell := c.recs[i].cell
+			if ent := win.index[cell]; len(ent) > 1 {
 				ent[0] = verEntry{}
-				win.index[op.Key] = ent[1:]
+				win.index[cell] = ent[1:]
 			} else {
-				delete(win.index, op.Key)
+				delete(win.index, cell)
 			}
 		}
 	}
@@ -417,14 +519,14 @@ func (e *Engine) end(owner lock.Owner) {
 }
 
 // commit validates, absorbs or repairs as the policy allows, and
-// installs.
+// installs batch.
 func (e *Engine) commit(
 	owner lock.Owner,
 	spec metric.Spec,
 	class txn.Class,
 	start int64,
 	recs []opRec,
-	out *txn.Outcome,
+	batch []storage.Write,
 ) (metric.Fuzz, error) {
 	var repairedOps uint64
 	for round := 0; ; round++ {
@@ -437,28 +539,28 @@ func (e *Engine) commit(
 				// the local workspace inherit its dirtiness.
 				rec.dirty = recs[rec.local].dirty
 			} else {
-				_, ver := e.store.GetVersioned(rec.op.Key)
+				_, ver := rec.cell.Load()
 				moved := ver != rec.ver
 				if e.policy == Abort {
 					// Snapshot at begin: a commit since then conflicts even
 					// if this op happened to read after it.
 					moved = moved || ver > start
 				}
-				rec.dirty = moved && !reappliable(recs, i)
+				rec.dirty = moved && !rec.reapply
 			}
 			if rec.dirty {
 				nDirty++
 			}
 		}
 		if nDirty == 0 {
-			err := e.installLocked(owner, spec, recs, out, repairedOps, false)
+			err := e.installLocked(owner, spec, recs, batch, repairedOps, false)
 			e.mu.Unlock()
 			return 0, err
 		}
 		if e.policy != Repair && class == txn.Query {
 			if imported, ok := e.absorbLocked(owner, spec, start, recs); ok {
 				// Commit the stale values as-is; the conflicts are charged.
-				err := e.installLocked(owner, spec, recs, out, repairedOps, true)
+				err := e.installLocked(owner, spec, recs, batch, repairedOps, true)
 				e.mu.Unlock()
 				return imported, err
 			}
@@ -473,7 +575,7 @@ func (e *Engine) commit(
 				e.mu.Unlock()
 				return 0, err
 			}
-			err = e.installLocked(owner, spec, recs, out, repairedOps, false)
+			err = e.installLocked(owner, spec, recs, batch, repairedOps, false)
 			e.mu.Unlock()
 			return 0, err
 		}
@@ -537,7 +639,7 @@ func (e *Engine) repairPass(owner lock.Owner, recs []opRec) (uint64, error) {
 		if rec.local >= 0 {
 			rec.in = recs[rec.local].out
 		} else {
-			rec.in, rec.ver = e.store.GetVersioned(rec.op.Key)
+			rec.in, rec.ver = rec.cell.Load()
 		}
 		if e.opDelay > 0 {
 			txn.SimWork(e.opDelay)
@@ -554,10 +656,11 @@ func (e *Engine) repairPass(owner lock.Owner, recs []opRec) (uint64, error) {
 	return n, nil
 }
 
-// charge is one priced conflict: committing a stale read of key as-is
+// charge is one priced conflict: committing a stale read of cell as-is
 // makes writer export cost to the reading query.
 type charge struct {
 	key    storage.Key
+	cell   *storage.Cell
 	writer *commitRec
 	cost   metric.Fuzz
 }
@@ -569,29 +672,30 @@ type charge struct {
 // between the committed value and the stale one (a writer that outran
 // the window cannot be charged). Caller holds e.mu.
 func (e *Engine) priceLocked(rec *opRec, start int64, charges []charge) ([]charge, bool) {
-	key := rec.op.Key
-	ent := e.win.index[key]
+	cell := rec.cell
+	ent := e.win.index[cell]
 	if e.policy == Abort {
 		for _, ch := range charges {
-			if ch.key == key {
+			if ch.cell == cell {
 				return charges, true // priced by an earlier read of this key
 			}
 		}
 		first := sort.Search(len(ent), func(i int) bool { return ent[i].seq > start })
 		for _, w := range ent[first:] {
-			bound := w.rec.boundOf(key)
+			bound := w.rec.boundOf(cell)
 			if bound.IsInfinite() {
 				return nil, false
 			}
-			charges = append(charges, charge{key: key, writer: w.rec, cost: bound.Bound()})
+			charges = append(charges, charge{key: rec.op.Key, cell: cell, writer: w.rec, cost: bound.Bound()})
 		}
 		return charges, true
 	}
 	if len(ent) == 0 {
 		return nil, false
 	}
-	cost := metric.Distance(e.store.Get(key), rec.in)
-	return append(charges, charge{key: key, writer: ent[len(ent)-1].rec, cost: cost}), true
+	committed, _ := cell.Load()
+	cost := metric.Distance(committed, rec.in)
+	return append(charges, charge{key: rec.op.Key, cell: cell, writer: ent[len(ent)-1].rec, cost: cost}), true
 }
 
 // absorbLocked is the one ε charge routine: it prices committing the
@@ -653,27 +757,24 @@ func (e *Engine) absorbLocked(
 }
 
 // installLocked emits the observer events with the final values,
-// applies the buffered writes stamped with the commit's seq (each key
-// written once), and records the commit in the validation window, if
-// the policy keeps one. Caller holds e.mu.
+// writes them into batch (prepared by prepareInstall) and installs it
+// through the cells, stamped with the commit's seq, and records the
+// commit in the validation window, if the policy keeps one. Caller
+// holds e.mu.
 func (e *Engine) installLocked(
 	owner lock.Owner,
 	spec metric.Spec,
 	recs []opRec,
-	out *txn.Outcome,
+	batch []storage.Write,
 	repairedOps uint64,
 	absorbed bool,
 ) error {
-	writes := 0
 	for i := range recs {
 		rec := &recs[i]
-		if rec.op.Kind == txn.OpWrite {
-			writes++
-		}
-		if !reappliable(recs, i) {
+		if !rec.reapply {
 			continue
 		}
-		if in, ver := e.store.GetVersioned(rec.op.Key); ver != rec.ver {
+		if in, ver := rec.cell.Load(); ver != rec.ver {
 			rec.in, rec.ver = in, ver
 			rec.out = rec.op.Update(in)
 			e.stats.ReApplied++
@@ -687,45 +788,36 @@ func (e *Engine) installLocked(
 			}
 		}
 	}
-	if reads := len(recs) - writes; reads > 0 {
-		out.Reads = make([]txn.ReadRec, 0, reads)
-	}
-	// batch holds each written key's final value in first-write order: a
-	// write's local names the key's previous write, whose slot it takes.
-	batch := make([]storage.Write, 0, writes)
+	e.cells = e.cells[:0]
 	for i := range recs {
 		rec := &recs[i]
 		switch rec.op.Kind {
 		case txn.OpRead:
-			out.Reads = append(out.Reads, txn.ReadRec{Key: rec.op.Key, Value: rec.out})
 			if e.obs != nil && e.policy != Abort {
 				e.obs.Read(owner, rec.op.Key, rec.out)
 			}
 		case txn.OpWrite:
 			if e.obs != nil {
-				// No write has been installed yet, so Get still returns
-				// the pre-transaction committed value.
-				e.obs.Write(owner, rec.op.Key, e.store.Get(rec.op.Key), rec.out, rec.op.Commutative)
+				// No write has been installed yet, so the cell still
+				// holds the pre-transaction committed value.
+				old, _ := rec.cell.Load()
+				e.obs.Write(owner, rec.op.Key, old, rec.out, rec.op.Commutative)
 			}
-			if rec.local >= 0 {
-				rec.slot = recs[rec.local].slot
-				batch[rec.slot].Value = rec.out
-			} else {
-				rec.slot = len(batch)
-				batch = append(batch, storage.Write{Key: rec.op.Key, Value: rec.out})
+			batch[rec.slot].Value = rec.out
+			if rec.local < 0 {
+				e.cells = append(e.cells, rec.cell)
 			}
 		}
 	}
 	// The seq is spent even if Apply fails: its cells may already carry it.
 	e.seq++
-	if err := e.store.ApplyStamped(batch, e.seq); err != nil {
+	if err := e.store.ApplyStamped(e.cells, batch, e.seq); err != nil {
 		return err
 	}
-	out.Writes = batch
 	if e.win != nil && len(batch) > 0 {
 		c := &commitRec{seq: e.seq, owner: owner, recs: recs, exportLimit: spec.Export}
-		for _, w := range batch {
-			e.win.index[w.Key] = append(e.win.index[w.Key], verEntry{seq: e.seq, rec: c})
+		for _, cell := range e.cells {
+			e.win.index[cell] = append(e.win.index[cell], verEntry{seq: e.seq, rec: c})
 		}
 		e.win.recs = append(e.win.recs, c)
 	}
@@ -742,12 +834,12 @@ func (e *Engine) installLocked(
 // repaired records exactly — "byte-identical to a fresh full
 // re-execution". Caller holds e.mu.
 func (e *Engine) verifyLocked(recs []opRec) string {
-	local := make(map[storage.Key]metric.Value)
+	fresh := make([]metric.Value, len(recs)) // each op's fresh output
 	for i := range recs {
 		rec := &recs[i]
-		in, ok := local[rec.op.Key]
-		if !ok {
-			in = e.store.Get(rec.op.Key)
+		in, _ := rec.cell.Load()
+		if j := lastWrite(recs[:i], rec.cell); j >= 0 {
+			in = fresh[j]
 		}
 		if in != rec.in {
 			return fmt.Sprintf("op %d on %q: committed input %d, fresh run reads %d",
@@ -760,8 +852,8 @@ func (e *Engine) verifyLocked(recs []opRec) string {
 		out := in
 		if rec.op.Kind == txn.OpWrite {
 			out = rec.op.Update(in)
-			local[rec.op.Key] = out
 		}
+		fresh[i] = out
 		if out != rec.out {
 			return fmt.Sprintf("op %d on %q: committed output %d, fresh run computes %d",
 				i, rec.op.Key, rec.out, out)

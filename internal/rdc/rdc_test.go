@@ -73,7 +73,7 @@ type result struct {
 func interleave(e *Engine, owner lock.Owner, slow *txn.Program, spec metric.Spec, class txn.Class, at pause, during func()) result {
 	ch := make(chan result, 1)
 	go func() {
-		out, imported, err := e.Run(context.Background(), owner, slow, spec, class)
+		out, imported, err := e.Run(context.Background(), owner, slow, nil, spec, class)
 		ch <- result{out, imported, err}
 	}()
 	<-at.started
@@ -85,7 +85,7 @@ func interleave(e *Engine, owner lock.Owner, slow *txn.Program, spec metric.Spec
 // commitUpdate runs an update that must commit on its first attempt.
 func commitUpdate(t *testing.T, e *Engine, owner lock.Owner, p *txn.Program, spec metric.Spec) {
 	t.Helper()
-	if _, _, err := e.Run(context.Background(), owner, p, spec, txn.Update); err != nil {
+	if _, _, err := e.Run(context.Background(), owner, p, nil, spec, txn.Update); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -94,7 +94,7 @@ func TestCommitSimpleTransfer(t *testing.T) {
 	forEachPolicy(t, func(t *testing.T, policy Policy) {
 		e := newEngineT(map[storage.Key]metric.Value{"x": 1000, "y": 0}, policy)
 		p := txn.MustProgram("xfer", txn.AddOp("x", -100), txn.AddOp("y", 100))
-		out, imported, err := e.Run(context.Background(), 1, p, metric.Strict, txn.Update)
+		out, imported, err := e.Run(context.Background(), 1, p, nil, metric.Strict, txn.Update)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,7 +114,7 @@ func TestReadsOwnWrites(t *testing.T) {
 	forEachPolicy(t, func(t *testing.T, policy Policy) {
 		e := newEngineT(map[storage.Key]metric.Value{"x": 10}, policy)
 		p := txn.MustProgram("t", txn.AddOp("x", 5), txn.ReadOp("x"))
-		out, _, err := e.Run(context.Background(), 1, p, metric.Strict, txn.Update)
+		out, _, err := e.Run(context.Background(), 1, p, nil, metric.Strict, txn.Update)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -130,7 +130,7 @@ func TestInstallWritesEachKeyOnce(t *testing.T) {
 	forEachPolicy(t, func(t *testing.T, policy Policy) {
 		e := newEngineT(map[storage.Key]metric.Value{"x": 10, "y": 0}, policy)
 		p := txn.MustProgram("t", txn.AddOp("x", 5), txn.AddOp("y", 1), txn.ReadOp("x"), txn.AddOp("x", 7))
-		out, _, err := e.Run(context.Background(), 1, p, metric.Strict, txn.Update)
+		out, _, err := e.Run(context.Background(), 1, p, nil, metric.Strict, txn.Update)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -154,7 +154,7 @@ func TestRollbackLeavesNoEffect(t *testing.T) {
 			txn.AddOp("staging", 1),
 			txn.WithAbortIf(txn.AddOp("x", -100), func(v metric.Value) bool { return v < 100 }),
 		)
-		_, _, err := e.Run(context.Background(), 1, p, metric.Strict, txn.Update)
+		_, _, err := e.Run(context.Background(), 1, p, nil, metric.Strict, txn.Update)
 		if !errors.Is(err, txn.ErrRollback) {
 			t.Fatalf("err = %v", err)
 		}
@@ -169,7 +169,7 @@ func TestValidationWindowGC(t *testing.T) {
 		e := newEngineT(map[storage.Key]metric.Value{"x": 0}, policy)
 		p := txn.MustProgram("inc", txn.AddOp("x", 1))
 		for i := 0; i < 100; i++ {
-			if _, _, err := e.Run(context.Background(), lock.Owner(i+1), p, metric.Strict, txn.Update); err != nil {
+			if _, _, err := e.Run(context.Background(), lock.Owner(i+1), p, nil, metric.Strict, txn.Update); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -181,7 +181,7 @@ func TestValidationWindowGC(t *testing.T) {
 			t.Errorf("version chains hold %d keys after quiescence", keys)
 		}
 		// Versions live in the store cells, which GC does not touch.
-		if _, got := e.store.GetVersioned("x"); got != 100 {
+		if _, got := e.store.Cell("x").Load(); got != 100 {
 			t.Errorf("x's version = %d after 100 commits, want 100", got)
 		}
 	})
@@ -208,7 +208,7 @@ func parkReader(e *Engine, owner lock.Owner) (pause, <-chan error) {
 	at := newPause("hold")
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := e.Run(context.Background(), owner, txn.MustProgram("hold", at.op), metric.SpecOf(100000), txn.Query)
+		_, _, err := e.Run(context.Background(), owner, txn.MustProgram("hold", at.op), nil, metric.SpecOf(100000), txn.Query)
 		done <- err
 	}()
 	<-at.started
@@ -277,7 +277,7 @@ func TestWindowGCDropsWhatNoActiveReaderNeeds(t *testing.T) {
 			min := e.win.active[2]
 			for k, ent := range e.win.index {
 				if ent[0].seq <= min {
-					t.Errorf("chain %q keeps seq %d, before the active reader's %d", k, ent[0].seq, min)
+					t.Errorf("chain of cell %p keeps seq %d, before the active reader's %d", k, ent[0].seq, min)
 				}
 			}
 			e.mu.Unlock()
@@ -304,7 +304,7 @@ func TestContextCancellation(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
 		p := txn.MustProgram("t", txn.ReadOp("x"))
-		if _, _, err := e.Run(ctx, 1, p, metric.Strict, txn.Query); !errors.Is(err, context.Canceled) {
+		if _, _, err := e.Run(ctx, 1, p, nil, metric.Strict, txn.Query); !errors.Is(err, context.Canceled) {
 			t.Errorf("err = %v, want context.Canceled", err)
 		}
 	})
@@ -313,7 +313,7 @@ func TestContextCancellation(t *testing.T) {
 func TestInvalidProgramRejected(t *testing.T) {
 	forEachPolicy(t, func(t *testing.T, policy Policy) {
 		e := newEngineT(nil, policy)
-		if _, _, err := e.Run(context.Background(), 1, &txn.Program{Name: "bad"}, metric.Strict, txn.Query); err == nil {
+		if _, _, err := e.Run(context.Background(), 1, &txn.Program{Name: "bad"}, nil, metric.Strict, txn.Query); err == nil {
 			t.Error("invalid program accepted")
 		}
 	})
@@ -340,7 +340,7 @@ func TestStressMixedWorkloadConservedAndVerified(t *testing.T) {
 						p, class = audit, txn.Query
 					}
 					for {
-						out, imported, err := e.Run(context.Background(), owner, p, spec, class)
+						out, imported, err := e.Run(context.Background(), owner, p, nil, spec, class)
 						if err == nil {
 							if class == txn.Query {
 								dev := metric.Distance(out.SumReads(), 200000)
@@ -444,7 +444,7 @@ func TestWriterExportBudgetEnforced(t *testing.T) {
 		at[i] = newPause("z")
 		slow := txn.MustProgram("q", txn.ReadOp("x"), at[i].op)
 		go func() {
-			_, _, err := e.Run(context.Background(), lock.Owner(20+i), slow,
+			_, _, err := e.Run(context.Background(), lock.Owner(20+i), slow, nil,
 				metric.Spec{Import: metric.LimitOf(1000), Export: metric.Zero}, txn.Query)
 			errs <- err
 		}()
@@ -484,7 +484,7 @@ func incrementStorm(t *testing.T, e *Engine) {
 			for j := 0; j < 50; j++ {
 				owner := lock.Owner(i*1000 + j)
 				for {
-					_, _, err := e.Run(context.Background(), owner, p, metric.Strict, txn.Update)
+					_, _, err := e.Run(context.Background(), owner, p, nil, metric.Strict, txn.Update)
 					if err == nil {
 						break
 					}
@@ -537,7 +537,7 @@ func TestReadOfOwnAddObservesBase(t *testing.T) {
 	fast := txn.MustProgram("fast", txn.AddOp("x", 3), txn.ReadOp("x"))
 	// fast commits x=13 while slow is paused after its add and read.
 	r := interleave(e, 1, slow, metric.SpecOf(1000), txn.Update, at, func() {
-		fastOut, _, err := e.Run(context.Background(), 2, fast, metric.SpecOf(1000), txn.Update)
+		fastOut, _, err := e.Run(context.Background(), 2, fast, nil, metric.SpecOf(1000), txn.Update)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -552,7 +552,7 @@ func TestReadOfOwnAddObservesBase(t *testing.T) {
 		t.Fatalf("slow: err = %v, want retryable validation abort", r.err)
 	}
 	// The retry observes fast's committed increment.
-	out, _, err := e.Run(context.Background(), 3, fast, metric.SpecOf(1000), txn.Update)
+	out, _, err := e.Run(context.Background(), 3, fast, nil, metric.SpecOf(1000), txn.Update)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -947,7 +947,7 @@ func onceAt(e *Engine, owner lock.Owner, k txn.StepKind, f func()) {
 func readXValidated(t *testing.T, e *Engine, between func()) result {
 	t.Helper()
 	onceAt(e, 1, txn.StepCommit, between)
-	out, imported, err := e.Run(context.Background(), 1, txn.MustProgram("r", txn.ReadOp("x")), metric.Strict, txn.Update)
+	out, imported, err := e.Run(context.Background(), 1, txn.MustProgram("r", txn.ReadOp("x")), nil, metric.Strict, txn.Update)
 	return result{out, imported, err}
 }
 
@@ -1006,7 +1006,7 @@ func TestAbortSnapshotIsBegin(t *testing.T) {
 		onceAt(e, 1, txn.StepApply, func() {
 			commitUpdate(t, e, 2, txn.MustProgram("bump", txn.AddOp("x", 5)), metric.Strict)
 		})
-		out, _, err := e.Run(context.Background(), 1, txn.MustProgram("r", txn.ReadOp("x")), metric.Strict, txn.Update)
+		out, _, err := e.Run(context.Background(), 1, txn.MustProgram("r", txn.ReadOp("x")), nil, metric.Strict, txn.Update)
 		if policy == Abort {
 			if !e.Retryable(err) {
 				t.Fatalf("err = %v, want a retryable abort (x committed since begin)", err)

@@ -130,6 +130,10 @@ type distProgram struct {
 	pieceSite []simnet.SiteID
 	// pieceSpecs is each piece's ε-spec share.
 	pieceSpecs []metric.Spec
+	// pieces is each piece as a program: its site's engine registers
+	// it, and a ChoppedQueues attempt extends it with the piece's
+	// applied marker.
+	pieces []*txn.Program
 	// children lists dependent pieces per piece (dependency tree).
 	children [][]int
 }
@@ -252,6 +256,14 @@ func (c *Cluster) RegisterPrograms(programs []*txn.Program) error {
 				Export: p.Spec.Export.Div(n),
 			}
 		}
+		dp.pieces = make([]*txn.Program, n)
+		for pi := range dp.pieces {
+			dp.pieces[pi] = &txn.Program{
+				Name: fmt.Sprintf("%s/p%d", p.Name, pi+1),
+				Ops:  chopped.PieceOps(pi),
+				Spec: dp.pieceSpecs[pi],
+			}
+		}
 		// Dependency tree (Figure 2). Compensable programs run as a
 		// strict chain so that a rollback at piece k implies exactly
 		// pieces 0..k-1 committed.
@@ -266,6 +278,9 @@ func (c *Cluster) RegisterPrograms(programs []*txn.Program) error {
 		c.dist.mu.Lock()
 		c.dist.programs = append(c.dist.programs, dp)
 		c.dist.mu.Unlock()
+		for _, s := range c.sites {
+			s.registerPieces(s.currentEngine(), dp)
+		}
 	}
 	c.dist.registerOnce.Do(func() { close(c.dist.registered) })
 	// A process restarted against a durable disk image may hold origin
@@ -663,8 +678,8 @@ func (s *Site) runPiece(ctx context.Context, act activation, dp *distProgram) (p
 		}
 		return pieceDone{Inst: act.Inst, Piece: act.Piece, Comp: act.Compensate}, nil
 	}
-	ops := dp.chopped.PieceOps(act.Piece)
-	name := fmt.Sprintf("%s/p%d", dp.program.Name, act.Piece+1)
+	piece := dp.pieces[act.Piece]
+	ops, name := piece.Ops, piece.Name
 	if act.Compensate {
 		ops = inverseOps(ops)
 		name = fmt.Sprintf("%s/p%d~undo", dp.program.Name, act.Piece+1)
@@ -674,7 +689,7 @@ func (s *Site) runPiece(ctx context.Context, act activation, dp *distProgram) (p
 	// piece's successors without any volatile context. The full slice
 	// expression makes append copy instead of writing into the program.
 	ops = append(ops[:len(ops):len(ops)], txn.SetOp(key.marker(), metric.Value(act.TxType+1)))
-	prog := &txn.Program{Name: name, Ops: ops, Spec: dp.pieceSpecs[act.Piece]}
+	prog := &txn.Program{Name: name, Ops: ops, Spec: piece.Spec}
 	class := dp.program.Class()
 	// The piece span's tree edge: origin pieces hang off the root span
 	// (opened in this process by submitChopped); activation-delivered
@@ -691,7 +706,13 @@ func (s *Site) runPiece(ctx context.Context, act activation, dp *distProgram) (p
 		s.cluster.recordGroup(owner, act.Inst)
 		s.cluster.obs.PieceBegin(int64(owner), int64(act.Inst), act.Piece,
 			string(s.ID), prog.Name, pieceSpan, parentSpan, "")
-		out, imported, exported, err := eng.Attempt(ctx, owner, prog, prog.Spec, class)
+		// The piece's ops run through the cells its registration
+		// resolved; the marker, new to every instance, resolves its own.
+		var cells []*storage.Cell
+		if !act.Compensate {
+			cells = eng.Cells(piece)
+		}
+		out, imported, exported, err := eng.Attempt(ctx, owner, prog, cells, prog.Spec, class)
 		s.cluster.obs.PieceSettle(int64(owner), imported, exported)
 		if err == nil {
 			s.applied.record(key)

@@ -583,10 +583,28 @@ func (s *Site) QueuesIdle() bool {
 		s.queues.Depth(doneQueue) == 0
 }
 
-// newEngine builds the site's piece engine over its current store.
+// newEngine builds the site's piece engine over its current store, with
+// the pieces of every program registered so far registered with it.
 func (s *Site) newEngine() *core.Engine {
 	cfg := core.Config{Store: s.Store, OpDelay: s.opDelay, Obs: s.cluster.obs}
-	return core.NewEngine(cfg, s.cluster.UseDC, s.cluster.rec)
+	eng := core.NewEngine(cfg, s.cluster.UseDC, s.cluster.rec)
+	s.cluster.dist.mu.Lock()
+	programs := append([]*distProgram(nil), s.cluster.dist.programs...)
+	s.cluster.dist.mu.Unlock()
+	for _, dp := range programs {
+		s.registerPieces(eng, dp)
+	}
+	return eng
+}
+
+// registerPieces registers dp's pieces that run at s with eng, which
+// resolves their keys to cells of s's store once.
+func (s *Site) registerPieces(eng *core.Engine, dp *distProgram) {
+	for pi, id := range dp.pieceSite {
+		if id == s.ID {
+			eng.Register(dp.pieces[pi])
+		}
+	}
 }
 
 // currentEngine returns the site's piece engine (fresh after recovery).

@@ -246,7 +246,7 @@ func TestCommitSinkSeesEveryBatch(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := s.ApplyStamped([]Write{{Key: "z", Value: 6}}, 9); err != nil {
+	if err := s.applyStampedKeys([]Write{{Key: "z", Value: 6}}, 9); err != nil {
 		t.Fatal(err)
 	}
 	if len(sink.entries) != 6 {

@@ -19,7 +19,7 @@ func TestVersionRules(t *testing.T) {
 	// unstamped seeded cell (c).
 	base := func() *Store {
 		s := NewFrom(map[Key]metric.Value{"a": 1, "b": 2, "c": 3})
-		if err := s.ApplyStamped([]Write{{Key: "a", Value: 10}}, 5); err != nil {
+		if err := s.applyStampedKeys([]Write{{Key: "a", Value: 10}}, 5); err != nil {
 			t.Fatal(err)
 		}
 		s.Set("b", 20)
@@ -49,7 +49,7 @@ func TestVersionRules(t *testing.T) {
 	}{
 		{name: "stamped Apply sets the version",
 			op: func(s *Store) *Store {
-				must(t, s.ApplyStamped([]Write{{Key: "a", Value: 11}, {Key: "c", Value: 4}}, 6))
+				must(t, s.applyStampedKeys([]Write{{Key: "a", Value: 11}, {Key: "c", Value: 4}}, 6))
 				return s
 			},
 			want: map[Key]int64{"a": 6, "c": 6}},
@@ -146,7 +146,7 @@ func TestApplyStampedRejectsNonPositiveVersion(t *testing.T) {
 			t.Error("ApplyStamped(…, 0) did not panic")
 		}
 	}()
-	_ = New().ApplyStamped([]Write{{Key: "x", Value: 1}}, 0)
+	_ = New().applyStampedKeys([]Write{{Key: "x", Value: 1}}, 0)
 }
 
 // TestVersionedReadsSeeInstalledPairs races versioned readers against
@@ -206,7 +206,7 @@ func TestVersionedReadsSeeInstalledPairs(t *testing.T) {
 				for i, k := range keys {
 					batch[i] = Write{Key: k, Value: valueOf(ver, i)}
 				}
-				if err := s.ApplyStamped(batch, ver); err != nil {
+				if err := s.applyStampedKeys(batch, ver); err != nil {
 					t.Error(err)
 					return
 				}
@@ -221,8 +221,36 @@ func TestVersionedReadsSeeInstalledPairs(t *testing.T) {
 		t.Error(err)
 	}
 	last := next.Add(1)
-	must(t, s.ApplyStamped([]Write{{Key: keys[0], Value: valueOf(last, 0)}}, last))
+	must(t, s.applyStampedKeys([]Write{{Key: keys[0], Value: valueOf(last, 0)}}, last))
 	if got := s.MaxVersion(); got != last {
 		t.Errorf("MaxVersion = %d, want the last stamp %d", got, last)
+	}
+}
+
+// TestRestoreDroppedKeyNeverShowsOldVersion: a key a Restore drops reads
+// 0 afterwards, so its version must move too. Were the key simply
+// forgotten, it would read (0, 0) — the version an unstamped write of
+// any value also carries — and a reader that saw (5, 0) would validate
+// against a value that is gone.
+func TestRestoreDroppedKeyNeverShowsOldVersion(t *testing.T) {
+	s := NewFrom(map[Key]metric.Value{"other": 1})
+	s.Set("k", 5)
+	v, ver := s.GetVersioned("k")
+	if v != 5 || ver != 0 {
+		t.Fatalf("after Set: (%d, %d), want (5, 0)", v, ver)
+	}
+	s.Restore(map[Key]metric.Value{"other": 1})
+	if s.Has("k") {
+		t.Error("Has(k) after a Restore that dropped it")
+	}
+	v2, ver2 := s.GetVersioned("k")
+	if v2 != 0 {
+		t.Errorf("dropped key reads %d, want 0", v2)
+	}
+	if ver2 == ver {
+		t.Errorf("dropped key went %d → %d under unchanged version %d", v, v2, ver)
+	}
+	if _, epoch := s.GetVersioned("other"); ver2 != epoch {
+		t.Errorf("dropped key has version %d, want the restore epoch %d", ver2, epoch)
 	}
 }

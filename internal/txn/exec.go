@@ -127,30 +127,41 @@ func (e *Exec) Store() *storage.Store { return e.store }
 // Locks returns the lock manager.
 func (e *Exec) Locks() *lock.Manager { return e.locks }
 
-// writeRec tracks one written key: its before-image (first write) and
-// its latest value. A small slice with linear lookup beats two maps for
-// the handful of keys a piece writes, and doubles as the commit batch.
+// writeRec tracks one written key: its cell, its before-image (first
+// write) and its latest value. A small slice with linear lookup beats
+// two maps for the handful of keys a piece writes, and doubles as the
+// commit batch.
 type writeRec struct {
+	cell       *storage.Cell
 	key        storage.Key
 	old, final metric.Value
 }
 
-// findWrite returns the index of key in recs, or -1.
-func findWrite(recs []writeRec, key storage.Key) int {
+// findWrite returns the index of c's write in recs, or -1.
+func findWrite(recs []writeRec, c *storage.Cell) int {
 	for i := range recs {
-		if recs[i].key == key {
+		if recs[i].cell == c {
 			return i
 		}
 	}
 	return -1
 }
 
+// cellOf returns op i's cell: cells[i] when the caller resolved it,
+// else the store resolves the op's key k.
+func (e *Exec) cellOf(cells []*storage.Cell, i int, k storage.Key) *storage.Cell {
+	if i < len(cells) {
+		return cells[i]
+	}
+	return e.store.Cell(k)
+}
+
 // Run executes p atomically as owner: Hold, then Commit. On failure all
 // effects are undone and the error tells the caller whether to retry:
 // lock.ErrDeadlock and context errors are system aborts (retryable);
-// ErrRollback is a business rollback (final).
-func (e *Exec) Run(ctx context.Context, owner lock.Owner, p *Program) (*Outcome, error) {
-	h, err := e.Hold(ctx, owner, p)
+// ErrRollback is a business rollback (final). cells is as for Hold.
+func (e *Exec) Run(ctx context.Context, owner lock.Owner, p *Program, cells []*storage.Cell) (*Outcome, error) {
+	h, err := e.Hold(ctx, owner, p, cells)
 	if err != nil {
 		return h.Out, err
 	}
@@ -169,8 +180,11 @@ type Held struct {
 
 // Hold runs p as owner under strict two-phase locking up to its commit
 // point. On error the attempt is already undone and its locks released,
-// and the error classifies as for Run.
-func (e *Exec) Hold(ctx context.Context, owner lock.Owner, p *Program) (Held, error) {
+// and the error classifies as for Run. cells holds p's keys resolved to
+// cells of the store, in op order (nil, or shorter than p.Ops, leaves
+// the ops past its end to resolve their own keys); every read, write and
+// undo goes through them.
+func (e *Exec) Hold(ctx context.Context, owner lock.Owner, p *Program, cells []*storage.Cell) (Held, error) {
 	if err := p.Validate(); err != nil {
 		return Held{}, err
 	}
@@ -194,7 +208,8 @@ func (e *Exec) Hold(ctx context.Context, owner lock.Owner, p *Program) (Held, er
 		if e.opDelay > 0 {
 			SimWork(e.opDelay)
 		}
-		old := e.store.Get(op.Key)
+		c := e.cellOf(cells, i, op.Key)
+		old, _ := c.Load()
 		if op.AbortIf != nil && op.AbortIf(old) {
 			h := Held{Out: out, e: e, p: p, writes: writes}
 			h.Abort(ErrRollback)
@@ -215,11 +230,11 @@ func (e *Exec) Hold(ctx context.Context, owner lock.Owner, p *Program) (Held, er
 				writes = make([]writeRec, 0, len(p.Ops)-i)
 			}
 			val := op.Update(old)
-			e.store.Set(op.Key, val)
-			if j := findWrite(writes, op.Key); j >= 0 {
+			c.Set(val)
+			if j := findWrite(writes, c); j >= 0 {
 				writes[j].final = val // keep the first before-image
 			} else {
-				writes = append(writes, writeRec{key: op.Key, old: old, final: val})
+				writes = append(writes, writeRec{cell: c, key: op.Key, old: old, final: val})
 			}
 			if e.obs != nil {
 				e.obs.Write(owner, op.Key, old, val, op.Commutative)
@@ -229,9 +244,10 @@ func (e *Exec) Hold(ctx context.Context, owner lock.Owner, p *Program) (Held, er
 	return Held{Out: out, e: e, p: p, writes: writes}, nil
 }
 
-// Commit applies the held writes as one store batch, calls durable when
-// non-nil, then releases the locks. A failed Apply aborts the attempt; a
-// durable error is returned with the attempt committed.
+// Commit commits the held writes as one store batch (their cells already
+// hold the final values, so the store only logs it), calls durable when
+// non-nil, then releases the locks. A failed commit aborts the attempt;
+// a durable error is returned with the attempt committed.
 func (h *Held) Commit(durable func() error) (*Outcome, error) {
 	e, owner := h.e, h.Out.Owner
 	e.stepTo(owner, h.p, -1, StepCommit, "", false)
@@ -242,7 +258,7 @@ func (h *Held) Commit(durable func() error) (*Outcome, error) {
 			batch[i] = storage.Write{Key: w.key, Value: w.final}
 		}
 	}
-	if err := e.store.Apply(batch); err != nil {
+	if err := e.store.ApplyWritten(batch); err != nil {
 		h.Abort(err)
 		return h.Out, fmt.Errorf("commit %q: %w", h.p.Name, err)
 	}
@@ -264,7 +280,7 @@ func (h *Held) Commit(durable func() error) (*Outcome, error) {
 func (h *Held) Abort(reason error) {
 	e, owner := h.e, h.Out.Owner
 	for i := len(h.writes) - 1; i >= 0; i-- {
-		e.store.Set(h.writes[i].key, h.writes[i].old)
+		h.writes[i].cell.Set(h.writes[i].old)
 	}
 	e.locks.ReleaseAll(owner)
 	if e.obs != nil {

@@ -67,7 +67,7 @@ func newExecT(init map[storage.Key]metric.Value) (*Exec, *recorder) {
 func TestRunCommitsTransfer(t *testing.T) {
 	e, rec := newExecT(map[storage.Key]metric.Value{"x": 1000, "y": 500})
 	xfer := MustProgram("xfer", AddOp("x", -100), AddOp("y", 100))
-	out, err := e.Run(context.Background(), 1, xfer)
+	out, err := e.Run(context.Background(), 1, xfer, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestRunCommitsTransfer(t *testing.T) {
 func TestRunReadsObserveValues(t *testing.T) {
 	e, _ := newExecT(map[storage.Key]metric.Value{"x": 10, "y": 20})
 	audit := MustProgram("audit", ReadOp("x"), ReadOp("y"))
-	out, err := e.Run(context.Background(), 2, audit)
+	out, err := e.Run(context.Background(), 2, audit, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestBusinessRollbackUndoesWrites(t *testing.T) {
 		AddOp("staging", 1), // a write that must be undone
 		WithAbortIf(AddOp("x", -100), func(v metric.Value) bool { return v < 100 }),
 	)
-	out, err := e.Run(context.Background(), 3, p)
+	out, err := e.Run(context.Background(), 3, p, nil)
 	if !errors.Is(err, ErrRollback) {
 		t.Fatalf("err = %v, want ErrRollback", err)
 	}
@@ -148,7 +148,7 @@ func TestRollbackNotTriggeredWhenFundsSuffice(t *testing.T) {
 	e, _ := newExecT(map[storage.Key]metric.Value{"x": 500})
 	p := MustProgram("withdraw",
 		WithAbortIf(AddOp("x", -100), func(v metric.Value) bool { return v < 100 }))
-	out, err := e.Run(context.Background(), 4, p)
+	out, err := e.Run(context.Background(), 4, p, nil)
 	if err != nil || !out.Committed {
 		t.Fatalf("err = %v committed = %v", err, out.Committed)
 	}
@@ -178,7 +178,7 @@ func TestDeadlockAbortUndoesAndIsRetryable(t *testing.T) {
 		hold <- locks.Acquire(context.Background(), 9, "a", lock.Exclusive)
 	}()
 	p := MustProgram("t", AddOp("a", 10), AddOp("b", 10))
-	_, err := e.Run(context.Background(), 10, p)
+	_, err := e.Run(context.Background(), 10, p, nil)
 	if !errors.Is(err, lock.ErrDeadlock) {
 		t.Fatalf("err = %v, want deadlock", err)
 	}
@@ -204,7 +204,7 @@ func TestHoldThenCommitOrAbort(t *testing.T) {
 	ctx := context.Background()
 	xfer := MustProgram("xfer", AddOp("x", -3), AddOp("y", 3), ReadOp("y"))
 
-	h, err := e.Hold(ctx, 1, xfer)
+	h, err := e.Hold(ctx, 1, xfer, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +222,7 @@ func TestHoldThenCommitOrAbort(t *testing.T) {
 		t.Fatalf("commit: err=%v committed=%v held=%v", err, out.Committed, locks.HeldKeys(1))
 	}
 
-	h, err = e.Hold(ctx, 2, xfer)
+	h, err = e.Hold(ctx, 2, xfer, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func TestHoldThenCommitOrAbort(t *testing.T) {
 func TestRunInvalidProgram(t *testing.T) {
 	e, _ := newExecT(nil)
 	bad := &Program{Name: "bad"}
-	if _, err := e.Run(context.Background(), 1, bad); err == nil {
+	if _, err := e.Run(context.Background(), 1, bad, nil); err == nil {
 		t.Error("invalid program accepted")
 	}
 }
@@ -281,7 +281,7 @@ func TestCommitJournalsBatch(t *testing.T) {
 	sink := &batchSink{}
 	e.Store().SetSink(sink)
 	p := MustProgram("t", AddOp("x", 5), AddOp("x", 2), AddOp("y", -1))
-	if _, err := e.Run(context.Background(), 1, p); err != nil {
+	if _, err := e.Run(context.Background(), 1, p, nil); err != nil {
 		t.Fatal(err)
 	}
 	want := []storage.Batch{{LSN: 1, Writes: []storage.Write{{Key: "x", Value: 7}, {Key: "y", Value: -1}}}}
@@ -289,7 +289,7 @@ func TestCommitJournalsBatch(t *testing.T) {
 		t.Errorf("committed batches = %+v, want %+v", sink.batches, want)
 	}
 	bad := MustProgram("rollback", AddOp("x", 1), WithAbortIf(AddOp("y", 1), func(v metric.Value) bool { return v < 0 }))
-	if _, err := e.Run(context.Background(), 2, bad); !errors.Is(err, ErrRollback) {
+	if _, err := e.Run(context.Background(), 2, bad, nil); !errors.Is(err, ErrRollback) {
 		t.Fatalf("err = %v, want ErrRollback", err)
 	}
 	if len(sink.batches) != 1 || e.Store().Get("x") != 7 {
