@@ -23,9 +23,11 @@ import (
 // participant prepares. The caller mints the owner, opens and settles
 // its spans, and decides what to do with the outcome.
 //
-// The engine resolves a registered program's keys to store cells once
-// (Register); an attempt of it then reads, validates and installs
-// through those handles without hashing a key.
+// The engine resolves a registered program's keys once (Register): to
+// store cells, and on the locking engine to lock-table rows. An attempt
+// of it then locks, reads, validates and installs through those handles
+// without hashing a key. A locking attempt takes one lock.Locker, which
+// holds its locks and its divergence-control account.
 type Engine struct {
 	store *storage.Store
 	locks *lock.Manager
@@ -34,10 +36,10 @@ type Engine struct {
 	rdc   *rdc.Engine    // nil for the locking engine
 	dc    bool
 
-	// plans maps each registered program to its keys' cells, in op
-	// order. Register replaces the map (under planMu); Cells reads it
-	// without a lock.
-	plans  atomic.Pointer[map[*txn.Program][]*storage.Cell]
+	// plans maps each registered program to its resolved keys.
+	// Register replaces the map (under planMu); Plan reads it without a
+	// lock.
+	plans  atomic.Pointer[map[*txn.Program]txn.Plan]
 	planMu sync.Mutex
 }
 
@@ -95,48 +97,68 @@ func NewEngine(cfg Config, useDC bool, rec *history.Recorder) *Engine {
 	return e
 }
 
-// Register resolves p's keys to cells of the engine's store, in op
-// order, remembers them for Cells and returns them. The cells stay
-// valid for the life of the store (see storage.Cell).
-func (e *Engine) Register(p *txn.Program) []*storage.Cell {
-	cells := make([]*storage.Cell, len(p.Ops))
+// Register resolves p's keys, in op order, to cells of the engine's
+// store and, on the locking engine, to pinned rows of its lock table,
+// remembers them for Plan and returns them. Both stay valid for the
+// life of the store and the engine (see storage.Cell and lock.Row).
+func (e *Engine) Register(p *txn.Program) txn.Plan {
+	plan := txn.Plan{Cells: make([]*storage.Cell, len(p.Ops))}
+	if e.exec != nil {
+		plan.Rows = make([]*lock.Row, len(p.Ops))
+	}
 	for i, op := range p.Ops {
-		cells[i] = e.store.Cell(op.Key)
+		plan.Cells[i] = e.store.Cell(op.Key)
+		if plan.Rows != nil {
+			plan.Rows[i] = e.locks.Row(op.Key)
+		}
 	}
 	e.planMu.Lock()
 	defer e.planMu.Unlock()
-	plans := map[*txn.Program][]*storage.Cell{}
+	plans := map[*txn.Program]txn.Plan{}
 	if old := e.plans.Load(); old != nil {
 		plans = maps.Clone(*old)
 	}
-	plans[p] = cells
+	plans[p] = plan
 	e.plans.Store(&plans)
-	return cells
+	return plan
 }
 
-// Cells returns the cells Register resolved p's keys to, or nil when p
-// was never registered with this engine.
-func (e *Engine) Cells(p *txn.Program) []*storage.Cell {
+// Plan returns what Register resolved p's keys to, or the zero Plan
+// when p was never registered with this engine.
+func (e *Engine) Plan(p *txn.Program) txn.Plan {
 	if plans := e.plans.Load(); plans != nil {
 		return (*plans)[p]
 	}
-	return nil
+	return txn.Plan{}
 }
 
-// register opens owner's divergence-control account with budget spec.
-func (e *Engine) register(owner lock.Owner, p *txn.Program, spec metric.Spec, class txn.Class) error {
+// Locker returns a Locker of the engine's lock table for a caller that
+// runs attempts one after another (an instance's pieces) to pass to
+// each Attempt, or nil on the rdc engines, which take no locks. The
+// caller frees it (lock.Locker.Free) when done.
+func (e *Engine) Locker() *lock.Locker {
+	if e.exec == nil {
+		return nil
+	}
+	return e.locks.Locker(0)
+}
+
+// open opens the divergence-control account of l's attempt with budget
+// spec.
+func (e *Engine) open(l *lock.Locker, p *txn.Program, spec metric.Spec, class txn.Class) error {
 	if e.ctl == nil {
 		return nil
 	}
-	return e.ctl.Register(owner, dc.Info{Class: class, Import: spec.Import, Export: spec.Export, Program: p})
+	return e.ctl.Open(l, dc.Info{Class: class, Import: spec.Import, Export: spec.Export, Program: p})
 }
 
-// unregister closes owner's account and returns the fuzziness it took.
-func (e *Engine) unregister(owner lock.Owner) (imported, exported metric.Fuzz) {
+// close closes l's account, after its locks are released, and returns
+// the fuzziness the attempt took.
+func (e *Engine) close(l *lock.Locker) (imported, exported metric.Fuzz) {
 	if e.ctl == nil {
 		return 0, 0
 	}
-	return e.ctl.Unregister(owner)
+	return e.ctl.Close(l)
 }
 
 // Attempt runs p once as owner, with spec as its ε budget under DC, and
@@ -144,24 +166,35 @@ func (e *Engine) unregister(owner lock.Owner) (imported, exported metric.Fuzz) {
 // exported. An error is either Retryable (a system abort: resubmit
 // under a fresh owner) or final (txn.ErrRollback, a context end).
 //
-// cells are p's keys resolved by Register (or those of a program p
-// extends: a prefix of p's ops); the ops past their end, all of them
-// when cells is nil, resolve their keys as they run.
-func (e *Engine) Attempt(ctx context.Context, owner lock.Owner, p *txn.Program, cells []*storage.Cell,
+// On the locking engine the attempt holds its locks and its account
+// through l, a Locker from the engine's Locker holding nothing (it
+// holds nothing again when Attempt returns); with nil it takes one
+// from the lock table's pool. The rdc engines ignore l.
+//
+// plan is p's keys resolved by Register (or those of a program p
+// extends: a prefix of p's ops); the ops past its end, all of them for
+// the zero Plan, resolve their keys as they run.
+func (e *Engine) Attempt(ctx context.Context, l *lock.Locker, owner lock.Owner, p *txn.Program, plan txn.Plan,
 	spec metric.Spec, class txn.Class) (out *txn.Outcome, imported, exported metric.Fuzz, err error) {
 	if e.rdc != nil {
 		// CC runs validate strictly: plain OCC.
 		if !e.dc {
 			spec = metric.Strict
 		}
-		out, imported, err = e.rdc.Run(ctx, owner, p, cells, spec, class)
+		out, imported, err = e.rdc.Run(ctx, owner, p, plan.Cells, spec, class)
 		return out, imported, 0, err
 	}
-	if err := e.register(owner, p, spec, class); err != nil {
+	if l == nil {
+		l = e.locks.Locker(owner)
+		defer l.Free()
+	} else {
+		l.Reset(owner)
+	}
+	if err := e.open(l, p, spec, class); err != nil {
 		return nil, 0, 0, err
 	}
-	out, err = e.exec.Run(ctx, owner, p, cells)
-	imported, exported = e.unregister(owner)
+	out, err = e.exec.Run(ctx, l, p, plan)
+	imported, exported = e.close(l)
 	return out, imported, exported, err
 }
 
@@ -172,26 +205,30 @@ type Prepared struct {
 	Owner lock.Owner
 	Out   *txn.Outcome // the reads so far
 	e     *Engine
+	l     *lock.Locker
 	held  txn.Held
 }
 
 // Prepare runs p as owner up to its commit point, as Attempt does with
-// nil cells: a 2PC sub-transaction is built per prepare, so it is never
-// registered. On error the attempt is already undone and its account
-// closed.
+// the zero Plan: a 2PC sub-transaction is built per prepare, so it is
+// never registered. On error the attempt is already undone and its
+// account closed.
 func (e *Engine) Prepare(ctx context.Context, owner lock.Owner, p *txn.Program, spec metric.Spec, class txn.Class) (*Prepared, error) {
 	if e.exec == nil {
 		return nil, errors.New("core: only the locking engine can prepare")
 	}
-	if err := e.register(owner, p, spec, class); err != nil {
+	l := e.locks.Locker(owner)
+	if err := e.open(l, p, spec, class); err != nil {
+		l.Free()
 		return nil, err
 	}
-	held, err := e.exec.Hold(ctx, owner, p, nil)
+	held, err := e.exec.Hold(ctx, l, p, txn.Plan{})
 	if err != nil {
-		e.unregister(owner)
+		e.close(l)
+		l.Free()
 		return nil, err
 	}
-	return &Prepared{Owner: owner, Out: held.Out, e: e, held: held}, nil
+	return &Prepared{Owner: owner, Out: held.Out, e: e, l: l, held: held}, nil
 }
 
 // Commit commits the attempt as txn.Held.Commit does (durable runs
@@ -199,7 +236,8 @@ func (e *Engine) Prepare(ctx context.Context, owner lock.Owner, p *txn.Program, 
 // returns the fuzziness it took.
 func (pr *Prepared) Commit(durable func() error) (imported, exported metric.Fuzz, err error) {
 	_, err = pr.held.Commit(durable)
-	imported, exported = pr.e.unregister(pr.Owner)
+	imported, exported = pr.e.close(pr.l)
+	pr.l.Free()
 	return imported, exported, err
 }
 
@@ -207,7 +245,9 @@ func (pr *Prepared) Commit(durable func() error) (imported, exported metric.Fuzz
 // the fuzziness it took.
 func (pr *Prepared) Abort(reason error) (imported, exported metric.Fuzz) {
 	pr.held.Abort(reason)
-	return pr.e.unregister(pr.Owner)
+	imported, exported = pr.e.close(pr.l)
+	pr.l.Free()
+	return imported, exported
 }
 
 // Retryable reports whether an attempt's error is a system abort worth

@@ -174,9 +174,9 @@ type Runner struct {
 	// type ti, precomputed because Submit is the hot path and
 	// DependencyChildren allocates per call.
 	children [][][]int
-	// cells[ti][pi] is piece pi of type ti's keys resolved to store
-	// cells, registered with the engine once.
-	cells [][][]*storage.Cell
+	// plans[ti][pi] is piece pi of type ti's keys resolved to store
+	// cells and lock rows, registered with the engine once.
+	plans [][]txn.Plan
 
 	mu      sync.Mutex
 	groupOf map[lock.Owner]history.Group
@@ -281,11 +281,11 @@ func NewRunner(cfg Config) (*Runner, error) {
 		r.rec = history.NewRecorder()
 	}
 	r.engine = NewEngine(cfg, cfg.Method.UsesDC(), r.rec)
-	r.cells = make([][][]*storage.Cell, len(r.children))
-	for ti := range r.cells {
-		r.cells[ti] = make([][]*storage.Cell, len(r.children[ti]))
-		for pi := range r.cells[ti] {
-			r.cells[ti][pi] = r.engine.Register(r.set.Piece(r.set.Vertex(ti, pi)).Program)
+	r.plans = make([][]txn.Plan, len(r.children))
+	for ti := range r.plans {
+		r.plans[ti] = make([]txn.Plan, len(r.children[ti]))
+		for pi := range r.plans[ti] {
+			r.plans[ti][pi] = r.engine.Register(r.set.Piece(r.set.Vertex(ti, pi)).Program)
 		}
 	}
 	return r, nil
@@ -385,6 +385,11 @@ func (r *Runner) Submit(ctx context.Context, ti int) (*InstanceResult, error) {
 			Program:  orig.Name,
 			Outcomes: make([]*txn.Outcome, len(r.children[ti])),
 		},
+		// The pieces run one after another: one Locker serves them all.
+		locker: r.engine.Locker(),
+	}
+	if inst.locker != nil {
+		defer inst.locker.Free()
 	}
 	if r.cfg.Obs != nil {
 		r.cfg.Obs.TxnBegin(int64(group), orig.Name)
@@ -412,6 +417,7 @@ type instance struct {
 	ti     int
 	group  history.Group
 	result *InstanceResult
+	locker *lock.Locker // every attempt's, on the locking engine
 }
 
 // run executes the instance: the first piece (business rollbacks abort
@@ -511,7 +517,7 @@ func (inst *instance) runPiece(ctx context.Context, pi int, budget metric.Spec) 
 			r.mu.Unlock()
 		}
 
-		out, imported, exported, err := r.engine.Attempt(ctx, owner, prog, r.cells[inst.ti][pi], runSpec, class)
+		out, imported, exported, err := r.engine.Attempt(ctx, inst.locker, owner, prog, r.plans[inst.ti][pi], runSpec, class)
 		if r.cfg.Obs != nil {
 			// Settle every attempt (aborted ones included) so ledger
 			// piece binds never leak; canonical exports drop aborted

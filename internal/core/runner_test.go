@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -418,6 +419,75 @@ func TestCancelAfterFirstPieceStillSettles(t *testing.T) {
 	}
 	if a, b := store.Get("a"), store.Get("b"); a != 99 || b != 101 {
 		t.Errorf("a=%d b=%d, want 99 and 101", a, b)
+	}
+}
+
+// TestForeignKeyPathExcludesRegisteredRow: a registered piece locks
+// through the row its registration resolved, and a foreign owner that
+// asks for the same key by key must still exclude it after key-path
+// churn has pushed the stripe past its eviction cap (1100 fresh keys,
+// well past the cap) and the registered rows were released while it
+// was over. As in
+// TestCancelAfterFirstPieceStillSettles, a foreign owner holds b
+// exclusively and the transfer's second piece must wait for it.
+func TestForeignKeyPathExcludesRegisteredRow(t *testing.T) {
+	store := storage.NewFrom(map[storage.Key]metric.Value{"a": 100, "b": 100})
+	xfer := txn.MustProgram("xfer", txn.AddOp("a", -1), txn.AddOp("b", 1)).
+		WithSpec(metric.Spec{Import: metric.Zero, Export: metric.LimitOf(1)})
+	blocked := make(chan struct{}, 1)
+	obs := &blockSignal{key: "b", onBlock: func() {
+		select {
+		case blocked <- struct{}{}:
+		default:
+		}
+	}}
+	r, err := NewRunner(Config{
+		Method: Method2ESRChopCC, Store: store, Programs: []*txn.Program{xfer},
+		WaitObserver: obs, LockStripes: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	locks := r.engine.Locks()
+	const churn = lock.Owner(1 << 41)
+	for i := 0; i < 1100; i++ {
+		if err := locks.Acquire(ctx, churn, storage.Key(fmt.Sprintf("__applied/%d", i)), lock.Exclusive); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if res, err := r.Submit(ctx, 0); err != nil || !res.Committed {
+		t.Fatalf("transfer during churn: err=%v", err)
+	}
+	locks.ReleaseAll(churn)
+
+	const foreign = lock.Owner(1 << 40)
+	if err := locks.Acquire(ctx, foreign, "b", lock.Exclusive); err != nil {
+		t.Fatal(err)
+	}
+	type submitted struct {
+		res *InstanceResult
+		err error
+	}
+	done := make(chan submitted, 1)
+	go func() {
+		res, err := r.Submit(ctx, 0)
+		done <- submitted{res, err}
+	}()
+	select {
+	case <-blocked:
+	case s := <-done:
+		t.Fatalf("Submit returned while a foreign owner held b: err=%v a=%d b=%d", s.err, store.Get("a"), store.Get("b"))
+	case <-ctx.Done():
+		t.Fatal("the transfer's second piece never waited for b")
+	}
+	locks.ReleaseAll(foreign)
+	if s := <-done; s.err != nil || !s.res.Committed {
+		t.Fatalf("committed=%v err=%v", s.res != nil && s.res.Committed, s.err)
+	}
+	if a, b := store.Get("a"), store.Get("b"); a != 98 || b != 102 {
+		t.Errorf("a=%d b=%d, want 98 and 102", a, b)
 	}
 }
 

@@ -157,37 +157,48 @@ func TestGroupPiecesCommitInProgramOrder(t *testing.T) {
 }
 
 // TestRegisterResolvesCells: Register resolves a program's keys to the
-// store's cells once, Cells hands the same slice back, and an attempt
-// runs the same through the registered cells, through a prefix of them
-// (a program that extends a registered one, as a site piece with its
-// marker does) and through none, on both engine families.
+// store's cells once (and, on the locking engine, to its lock rows),
+// Plan hands the same plan back, and an attempt runs the same through
+// the registered plan, through a prefix of it (a program that extends a
+// registered one, as a site piece with its marker does) and through
+// none, on both engine families.
 func TestRegisterResolvesCells(t *testing.T) {
 	for _, kind := range []core.EngineKind{core.EngineLocking, core.EngineRepair} {
 		t.Run(kind.String(), func(t *testing.T) {
 			store := storage.NewFrom(map[storage.Key]metric.Value{"a": 10})
 			e := core.NewEngine(core.Config{Store: store, Engine: kind}, false, nil)
 			p := txn.MustProgram("p", txn.AddOp("a", -1), txn.ReadOp("a"), txn.AddOp("fresh", 1))
-			cells := e.Register(p)
+			plan := e.Register(p)
 			for i, op := range p.Ops {
-				if cells[i] != store.Cell(op.Key) {
+				if plan.Cells[i] != store.Cell(op.Key) {
 					t.Fatalf("op %d: registered cell is not the store's cell of %q", i, op.Key)
 				}
 			}
-			if got := e.Cells(p); len(got) != len(cells) || &got[0] != &cells[0] {
-				t.Errorf("Cells(p) is not the slice Register returned")
+			// Only the locking engine resolves lock rows.
+			if kind == core.EngineLocking {
+				for i, op := range p.Ops {
+					if plan.Rows[i] != e.Locks().Row(op.Key) {
+						t.Fatalf("op %d: registered row is not the lock table's row of %q", i, op.Key)
+					}
+				}
+			} else if plan.Rows != nil {
+				t.Errorf("the %s engine resolved lock rows", kind)
+			}
+			if got := e.Plan(p); len(got.Cells) != len(plan.Cells) || &got.Cells[0] != &plan.Cells[0] {
+				t.Errorf("Plan(p) is not the plan Register returned")
 			}
 			if store.Has("fresh") {
 				t.Errorf("resolving a key made it present")
 			}
-			if e.Cells(txn.MustProgram("q", txn.ReadOp("a"))) != nil {
-				t.Errorf("Cells of an unregistered program is not nil")
+			if got := e.Plan(txn.MustProgram("q", txn.ReadOp("a"))); got.Cells != nil || got.Rows != nil {
+				t.Errorf("Plan of an unregistered program is not empty")
 			}
 			marked := &txn.Program{Name: "p+m", Ops: append(p.Ops[:3:3], txn.SetOp("m", 1)), Spec: p.Spec}
 			for i, run := range []struct {
-				p     *txn.Program
-				cells []*storage.Cell
-			}{{p, cells}, {marked, cells}, {p, nil}} {
-				out, _, _, err := e.Attempt(context.Background(), lock.Owner(i+1), run.p, run.cells, metric.Strict, txn.Update)
+				p    *txn.Program
+				plan txn.Plan
+			}{{p, plan}, {marked, plan}, {p, txn.Plan{}}} {
+				out, _, _, err := e.Attempt(context.Background(), nil, lock.Owner(i+1), run.p, run.plan, metric.Strict, txn.Update)
 				if err != nil {
 					t.Fatalf("attempt %d: %v", i, err)
 				}

@@ -7,9 +7,9 @@
 // amount of fuzziness instead of blocking. The controller plugs into the
 // lock manager as its conflict Arbiter:
 //
-//   - Each running transaction (or chopped piece) registers its class,
-//     its import/export limits, and its program (whose declared write
-//     bounds price conflicts).
+//   - Each running transaction (or chopped piece) opens an account with
+//     its class, its import/export limits, and its program (whose
+//     declared write bounds price conflicts).
 //   - A conflict on key k between query q and update u costs u's declared
 //     write bound on k — the worst-case distance the interleaving can put
 //     between q's view and a serializable one. Unpredictable writes carry
@@ -23,21 +23,29 @@
 // Update-update conflicts are never absorbed: the paper's environment
 // keeps update ETs serializable among themselves.
 //
-// # Striping
+// # Accounts
 //
-// The owner→account lookup is a sharded read-mostly map (shard RWMutex,
-// read path takes only a read lock), and each account carries its own
-// mutex over the fuzziness ledger; Register reuses the accounts that
-// Unregister closed. Absorb locks exactly the accounts a conflict
-// involves, in owner order, so fuzziness accounting of unrelated ETs
-// never serializes. Counters are atomics and the observer is an atomic
-// pointer with a nil fast path, so an idle hook costs one atomic load
-// per arbitration.
+// An attempt's account lives on its lock.Locker (Open, Close): the lock
+// manager names the requester's and the holders' Lockers in every
+// conflict, so Absorb reaches the accounts by pointer, with no lookup
+// and no shared map. A pooled Locker keeps its account, and the next
+// attempt's Open reuses it. Close after the Locker's ReleaseAll is what
+// makes that safe: Absorb reads an account only while its Locker holds
+// or requests a key, under that key's stripe mutex, and ReleaseAll takes
+// every such mutex after the Locker's last grant, so no arbitration can
+// still reach the account once Close runs. The owner-keyed Register and
+// Unregister keep accounts in one map for callers that mint no Locker;
+// Absorb falls back to it for a Locker with no open account.
+//
+// Absorb locks exactly the accounts a conflict involves, in owner
+// order, so fuzziness accounting of unrelated ETs never serializes, and
+// with up to four holders it allocates nothing. Counters are atomics
+// and the observer is an atomic pointer with a nil fast path, so an idle
+// hook costs one atomic load per arbitration.
 package dc
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -60,16 +68,29 @@ type Info struct {
 	Program *txn.Program
 }
 
-// account is the runtime fuzziness ledger of one registered
-// transaction. Unregister hands a closed account to its shard's free
-// list and Register reuses it, so an attempt allocates no account.
+// account is the runtime fuzziness ledger of one attempt. owner, info
+// and open are written only while no arbitration can reach the account
+// (see the package doc); the ledger is guarded by mu.
 type account struct {
 	owner lock.Owner
 	info  Info
+	open  bool
 
 	mu       sync.Mutex
 	imported metric.Fuzz
 	exported metric.Fuzz
+}
+
+// reset opens the account for owner with info and an empty ledger.
+func (a *account) reset(owner lock.Owner, info Info) {
+	*a = account{owner: owner, info: info, open: true}
+}
+
+// close closes the account and returns its ledger.
+func (a *account) close() (imported, exported metric.Fuzz) {
+	imported, exported = a.imported, a.exported
+	a.info, a.open = Info{}, false // drop the program before reuse
+	return imported, exported
 }
 
 // Stats are cumulative controller counters.
@@ -109,21 +130,14 @@ type Event struct {
 	Pairs []Pair
 }
 
-// acctShard is one shard of the owner→account map, with the closed
-// accounts Register reuses.
-type acctShard struct {
-	mu   sync.RWMutex
-	m    map[lock.Owner]*account
-	free []*account
-}
-
-// shardCount is the owner→account shard count (power of two).
-const shardCount = 32
-
 // Controller is a divergence controller: a lock.Arbiter with fuzziness
 // accounts.
 type Controller struct {
-	shards [shardCount]*acctShard
+	// owners holds the accounts of Register/Unregister, free the closed
+	// ones Register reuses.
+	mu     sync.Mutex
+	owners map[lock.Owner]*account
+	free   []*account
 
 	absorbed     atomic.Uint64
 	refused      atomic.Uint64
@@ -141,25 +155,7 @@ var _ lock.Arbiter = (*Controller)(nil)
 
 // NewController returns an empty controller.
 func NewController() *Controller {
-	c := &Controller{}
-	for i := range c.shards {
-		c.shards[i] = &acctShard{m: make(map[lock.Owner]*account)}
-	}
-	return c
-}
-
-// shardFor returns owner's shard.
-func (c *Controller) shardFor(owner lock.Owner) *acctShard {
-	return c.shards[uint64(owner)%shardCount]
-}
-
-// lookup returns owner's account or nil.
-func (c *Controller) lookup(owner lock.Owner) *account {
-	sh := c.shardFor(owner)
-	sh.mu.RLock()
-	acct := sh.m[owner]
-	sh.mu.RUnlock()
-	return acct
+	return &Controller{owners: make(map[lock.Owner]*account)}
 }
 
 // SetObserver installs a callback invoked on every arbitration decision,
@@ -190,69 +186,101 @@ func (c *Controller) notify(ev Event) {
 // observing reports whether an observer is installed.
 func (c *Controller) observing() bool { return c.observer.Load() != nil }
 
-// Register adds owner's account before it starts executing.
-func (c *Controller) Register(owner lock.Owner, info Info) error {
+// check rejects an update ET without a program to price its writes.
+func (info Info) check(owner lock.Owner) error {
 	if info.Class == txn.Update && info.Program == nil {
 		return fmt.Errorf("dc: update ET %d registered without program", owner)
 	}
-	sh := c.shardFor(owner)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if _, dup := sh.m[owner]; dup {
-		return fmt.Errorf("dc: owner %d already registered", owner)
-	}
-	var acct *account
-	if n := len(sh.free); n > 0 {
-		acct, sh.free = sh.free[n-1], sh.free[:n-1]
-	} else {
-		acct = new(account)
-	}
-	acct.owner, acct.info, acct.imported, acct.exported = owner, info, 0, 0
-	sh.m[owner] = acct
 	return nil
 }
 
-// Unregister removes owner's account after it finishes. It returns the
-// final (imported, exported) fuzziness, both zero if owner was unknown.
-//
-// The caller must have released owner's locks-layer presence first (the
-// executor unregisters only after ReleaseAll), so no concurrent Absorb
-// can still involve the account, and the account can go back to the
-// free list at once. Absorb reaches an account only through a lookup
-// made while it holds the stripe mutex of a key the account's owner
-// holds or is requesting, and ReleaseAll needs that mutex, so every
-// Absorb that looked this account up has returned before Unregister
-// starts; lookups after it miss the map. Fuzz reads under the shard
-// lock that Unregister takes, so it never reads a reused account.
-func (c *Controller) Unregister(owner lock.Owner) (imported, exported metric.Fuzz) {
-	sh := c.shardFor(owner)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	acct := sh.m[owner]
-	if acct == nil {
-		return 0, 0
+// Open opens the account of l's attempt with info, before l acquires
+// anything. The account is l's own: a pooled Locker's previous account
+// is reused.
+func (c *Controller) Open(l *lock.Locker, info Info) error {
+	if err := info.check(l.Owner()); err != nil {
+		return err
 	}
-	delete(sh.m, owner)
-	acct.mu.Lock()
-	imported, exported = acct.imported, acct.exported
-	acct.mu.Unlock()
-	acct.info = Info{} // drop the program before the account is reused
-	sh.free = append(sh.free, acct)
-	return imported, exported
+	a, _ := l.Account.(*account)
+	if a == nil {
+		a = new(account)
+		l.Account = a
+	}
+	a.reset(l.Owner(), info)
+	return nil
 }
 
-// Fuzz returns owner's current (imported, exported) fuzziness.
-func (c *Controller) Fuzz(owner lock.Owner) (imported, exported metric.Fuzz) {
-	sh := c.shardFor(owner)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	acct := sh.m[owner]
-	if acct == nil {
+// Close closes l's account and returns the fuzziness the attempt
+// imported and exported (zeros if Open never ran). l must have released
+// its locks (lock.Locker.ReleaseAll): see the package doc.
+func (c *Controller) Close(l *lock.Locker) (imported, exported metric.Fuzz) {
+	if a, _ := l.Account.(*account); a != nil && a.open {
+		return a.close()
+	}
+	return 0, 0
+}
+
+// Register opens owner's account for a caller of the owner-keyed locks.
+func (c *Controller) Register(owner lock.Owner, info Info) error {
+	if err := info.check(owner); err != nil {
+		return err
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if _, dup := c.owners[owner]; dup {
+		return fmt.Errorf("dc: owner %d already registered", owner)
+	}
+	var a *account
+	if n := len(c.free); n > 0 {
+		a, c.free = c.free[n-1], c.free[:n-1]
+	} else {
+		a = new(account)
+	}
+	a.reset(owner, info)
+	c.owners[owner] = a
+	return nil
+}
+
+// Unregister closes owner's account as Close does, after owner's
+// ReleaseAll, and returns the final (imported, exported) fuzziness,
+// both zero if owner was unknown.
+func (c *Controller) Unregister(owner lock.Owner) (imported, exported metric.Fuzz) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	a := c.owners[owner]
+	if a == nil {
 		return 0, 0
 	}
-	acct.mu.Lock()
-	defer acct.mu.Unlock()
-	return acct.imported, acct.exported
+	delete(c.owners, owner)
+	c.free = append(c.free, a)
+	return a.close()
+}
+
+// Fuzz returns Register'ed owner's current (imported, exported) fuzz.
+func (c *Controller) Fuzz(owner lock.Owner) (imported, exported metric.Fuzz) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	a := c.owners[owner]
+	if a == nil {
+		return 0, 0
+	}
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.imported, a.exported
+}
+
+// account returns the open account of a conflict's party: its Locker's,
+// else the one Register opened for owner, else nil.
+func (c *Controller) account(l *lock.Locker, owner lock.Owner) *account {
+	if l != nil {
+		if a, _ := l.Account.(*account); a != nil && a.open {
+			return a
+		}
+	}
+	c.mu.Lock()
+	a := c.owners[owner]
+	c.mu.Unlock()
+	return a
 }
 
 // Stats returns a snapshot of the counters.
@@ -296,22 +324,22 @@ func (c *Controller) refuse(ci lock.ConflictInfo) bool {
 // and the requester blocks.
 //
 // Only the accounts the conflict involves are locked (in owner order),
-// so arbitrations of unrelated ETs proceed in parallel. The invariant
-// that makes the lookup safe without a global lock: Absorb runs while
-// the requester's stripe mutex is held and every holder still holds the
-// conflicted key, and an owner is unregistered only after ReleaseAll —
-// which needs that same stripe mutex — completes. Involved accounts are
-// therefore always registered for the duration of the call.
+// so arbitrations of unrelated ETs proceed in parallel. Absorb runs
+// while the requester's stripe mutex is held and every holder still
+// holds the conflicted key, so every involved account stays open for
+// the duration of the call (see the package doc).
 func (c *Controller) Absorb(ci lock.ConflictInfo) bool {
-	req := c.lookup(ci.Requester)
+	req := c.account(ci.Locker, ci.Requester)
 	if req == nil {
 		return c.refuse(ci) // unregistered transactions run plain 2PL
 	}
-	pairs := make([]pairing, 0, len(ci.Holders))
-	involved := make([]*account, 0, len(ci.Holders)+1)
-	involved = append(involved, req)
+	// Up to four holders price and lock on the stack.
+	var pairBuf [4]pairing
+	var lockBuf [5]*account
+	pairs := pairBuf[:0]
+	involved := append(lockBuf[:0], req)
 	for _, h := range ci.Holders {
-		holder := c.lookup(h.Owner)
+		holder := c.account(h.Locker, h.Owner)
 		if holder == nil {
 			return c.refuse(ci)
 		}
@@ -337,65 +365,64 @@ func (c *Controller) Absorb(ci lock.ConflictInfo) bool {
 
 	// Lock the involved accounts in owner order (deduplicated) so that
 	// concurrent multi-account arbitrations cannot deadlock.
-	sort.Slice(involved, func(i, j int) bool { return involved[i].owner < involved[j].owner })
+	for i := 1; i < len(involved); i++ {
+		for j := i; j > 0 && involved[j].owner < involved[j-1].owner; j-- {
+			involved[j], involved[j-1] = involved[j-1], involved[j]
+		}
+	}
 	locked := involved[:0]
-	var prev *account
 	for _, a := range involved {
-		if a == prev {
+		if n := len(locked); n > 0 && locked[n-1] == a {
 			continue
 		}
 		a.mu.Lock()
 		locked = append(locked, a)
-		prev = a
-	}
-	unlock := func() {
-		for _, a := range locked {
-			a.mu.Unlock()
-		}
 	}
 
-	// Affordability check with per-account aggregation: charging is
-	// simulated first so that two pairs hitting the same account within
-	// one conflict are summed before comparing with the limit.
-	pendImport := make(map[*account]metric.Fuzz)
-	pendExport := make(map[*account]metric.Fuzz)
+	// Affordability: every account's charges within this conflict are
+	// summed before comparing with its limit.
 	for _, p := range pairs {
-		pendImport[p.query] = pendImport[p.query].Add(p.cost)
-		pendExport[p.update] = pendExport[p.update].Add(p.cost)
-	}
-	for acct, add := range pendImport {
-		if !acct.info.Import.Allows(acct.imported.Add(add)) {
-			unlock()
-			return c.refuse(ci)
+		var imp, exp metric.Fuzz
+		for _, o := range pairs {
+			if o.query == p.query {
+				imp = imp.Add(o.cost)
+			}
+			if o.update == p.update {
+				exp = exp.Add(o.cost)
+			}
 		}
-	}
-	for acct, add := range pendExport {
-		if !acct.info.Export.Allows(acct.exported.Add(add)) {
-			unlock()
+		if !p.query.info.Import.Allows(p.query.imported.Add(imp)) ||
+			!p.update.info.Export.Allows(p.update.exported.Add(exp)) {
+			unlockAll(locked)
 			return c.refuse(ci)
 		}
 	}
 	var total metric.Fuzz
-	for acct, add := range pendImport {
-		acct.imported = acct.imported.Add(add)
-		c.addCharged(add)
-		total = total.Add(add)
+	for _, p := range pairs {
+		p.query.imported = p.query.imported.Add(p.cost)
+		p.update.exported = p.update.exported.Add(p.cost)
+		total = total.Add(p.cost)
 	}
-	for acct, add := range pendExport {
-		acct.exported = acct.exported.Add(add)
-	}
+	c.addCharged(total)
 	c.absorbed.Add(1)
 	if c.observing() {
 		// The pair list is materialized only on the observer path; the
-		// nil-observer fast path stays allocation-identical.
+		// nil-observer fast path allocates nothing.
 		evPairs := make([]Pair, len(pairs))
 		for i, p := range pairs {
 			evPairs[i] = Pair{Query: p.query.owner, Update: p.update.owner, Cost: p.cost}
 		}
 		c.notify(Event{Key: ci.Key, Requester: ci.Requester, Absorbed: true, Cost: total, Pairs: evPairs})
 	}
-	unlock()
+	unlockAll(locked)
 	return true
+}
+
+// unlockAll unlocks the accounts Absorb locked.
+func unlockAll(locked []*account) {
+	for _, a := range locked {
+		a.mu.Unlock()
+	}
 }
 
 // Key is re-exported for documentation completeness.

@@ -44,13 +44,18 @@ import (
 // edges only if the owner's wait ended some other way, which none does.
 type detector struct {
 	mu    sync.Mutex
-	waits map[Owner]map[Owner]struct{}
+	waits map[Owner][]Owner
 	// edged counts the owners in waits; it changes only under mu.
 	edged atomic.Int64
+	// Scratch reused under mu: dropped edge slices, and the cycle
+	// search's visited set and stack.
+	free  [][]Owner
+	seen  map[Owner]struct{}
+	stack []Owner
 }
 
 func newDetector() *detector {
-	return &detector{waits: make(map[Owner]map[Owner]struct{})}
+	return &detector{waits: make(map[Owner][]Owner), seen: make(map[Owner]struct{})}
 }
 
 // setEdges replaces owner's outgoing waits-for edges and reports whether
@@ -58,14 +63,18 @@ func newDetector() *detector {
 // edges are dropped: the caller aborts the requester as the deadlock
 // victim, so it stops waiting entirely.
 func (d *detector) setEdges(owner Owner, targets []HolderInfo) bool {
-	edges := make(map[Owner]struct{}, len(targets))
-	for _, h := range targets {
-		edges[h.Owner] = struct{}{}
-	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if _, ok := d.waits[owner]; !ok {
+	edges, ok := d.waits[owner]
+	if !ok {
 		d.edged.Add(1)
+		if n := len(d.free); n > 0 {
+			edges, d.free = d.free[n-1], d.free[:n-1]
+		}
+	}
+	edges = edges[:0]
+	for _, h := range targets {
+		edges = append(edges, h.Owner) // a row's holders are distinct
 	}
 	d.waits[owner] = edges
 	if d.cycleFromLocked(owner) {
@@ -88,46 +97,28 @@ func (d *detector) clear(owner Owner) {
 
 // clearLocked removes owner's edges under d.mu.
 func (d *detector) clearLocked(owner Owner) {
-	if _, ok := d.waits[owner]; ok {
+	if edges, ok := d.waits[owner]; ok {
 		delete(d.waits, owner)
+		d.free = append(d.free, edges[:0])
 		d.edged.Add(-1)
 	}
 }
 
 // cycleFromLocked reports whether owner can reach itself.
 func (d *detector) cycleFromLocked(owner Owner) bool {
-	seen := make(map[Owner]struct{})
-	var stack []Owner
-	for t := range d.waits[owner] {
-		stack = append(stack, t)
-	}
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
+	clear(d.seen)
+	d.stack = append(d.stack[:0], d.waits[owner]...)
+	for n := len(d.stack); n > 0; n = len(d.stack) {
+		v := d.stack[n-1]
+		d.stack = d.stack[:n-1]
 		if v == owner {
 			return true
 		}
-		if _, ok := seen[v]; ok {
+		if _, ok := d.seen[v]; ok {
 			continue
 		}
-		seen[v] = struct{}{}
-		for t := range d.waits[v] {
-			stack = append(stack, t)
-		}
+		d.seen[v] = struct{}{}
+		d.stack = append(d.stack, d.waits[v]...)
 	}
 	return false
-}
-
-// WaitGraph returns a copy of the current waits-for edges, for tests
-// and debugging.
-func (d *detector) WaitGraph() map[Owner][]Owner {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	out := make(map[Owner][]Owner, len(d.waits))
-	for o, es := range d.waits {
-		for t := range es {
-			out[o] = append(out[o], t)
-		}
-	}
-	return out
 }

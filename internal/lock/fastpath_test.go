@@ -9,7 +9,8 @@ import (
 // observer installed (the default): the observability shims are nil
 // checks, never boxed events. A steady-state acquire/release cycle
 // allocates nothing: table rows and their holder slices stay cached,
-// and ReleaseAll hands the owner's held-keys slice to the next owner.
+// and the owner-keyed API's Locker, with its held rows' slice, goes back
+// to the manager's pool at ReleaseAll for the next owner.
 // Any allocation means per-attempt bookkeeping or instrumentation
 // leaked onto the fast path.
 

@@ -11,28 +11,42 @@
 // arbiter that admits query/update read-write conflicts while the
 // import/export fuzziness accounts stay within their ε-specs.
 //
-// # Striping
+// # Rows, Lockers and striping
 //
 // The lock table is sharded by key hash into N stripes, each with its
-// own mutex and wait queues, so requests on unrelated keys never touch
-// the same mutex. Per-owner held-key sets live in a separate shard
-// layer keyed by owner, and the waits-for deadlock detector is a
-// dedicated component (see detector.go) that stripes push edges into
-// synchronously; its mutex is taken only while some owner waits.
-// Counters live in the stripes, under their mutexes. An uncontended
-// acquire/release cycle allocates nothing: holder slices, held-key
-// slices and table rows are reused.
-// The observable semantics —
-// grant/block/absorb decisions, the deadlock victim policy, and the
-// WaitObserver event order under a serial scheduler — are identical to
-// the previous process-global implementation; only the contention
-// domain shrinks from "the whole manager" to "one key's stripe".
+// own mutex, its share of the counters and its rows, on a cache line of
+// its own. A Row is one key's holders (in grant order) and wait queue.
+// Manager.Row resolves a key to its row once and pins it: a pinned row
+// stays in its stripe's table for the manager's life, so an attempt
+// that acquires it takes the stripe mutex and nothing else (no hash, no
+// map), and a request for the same key by key finds the same row.
+// Unpinned rows — keys only ever requested by key, such as per-instance
+// marker keys — are evicted once empty while the stripe caches more
+// than entryCacheCap of them.
+//
+// A Locker is one attempt's side of the table: the rows it holds, kept
+// in key order, and the arbiter's account for the attempt. ReleaseAll
+// walks the Locker's own rows in that order, so the wake/absorb sequence
+// a release triggers is a deterministic function of the held set (the
+// schedule explorer's fingerprints depend on it). Holders, waiters and
+// ConflictInfo name the Locker, so an arbiter reaches its accounts by
+// pointer. Lockers are recycled through the manager's pool: a Locker is
+// freed only after ReleaseAll, when no row and no waiter names it and
+// no arbitration can reach its account.
+//
+// The waits-for deadlock detector is a dedicated component (see
+// detector.go) that stripes push edges into synchronously; its mutex is
+// taken only while some owner waits. An uncontended acquire/release
+// cycle allocates nothing. The grant/block/absorb decisions, the
+// deadlock victim policy and the WaitObserver event order under a
+// serial scheduler do not depend on the stripe count.
 package lock
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"asynctp/internal/storage"
@@ -74,6 +88,8 @@ var ErrDeadlock = errors.New("lock: deadlock victim")
 type HolderInfo struct {
 	Owner Owner
 	Mode  Mode
+	// Locker is the holder's attempt (nil in a conflict built by hand).
+	Locker *Locker
 }
 
 // ConflictInfo describes a request that conflicts with current holders.
@@ -81,8 +97,11 @@ type ConflictInfo struct {
 	Key       storage.Key
 	Requester Owner
 	Mode      Mode
-	// Holders lists only the holders the request is incompatible with.
+	// Holders lists only the holders the request is incompatible with,
+	// in grant order, in the requester's scratch space: it is valid only
+	// for the duration of the Absorb call.
 	Holders []HolderInfo
+	Locker  *Locker // the requester's attempt (nil as in HolderInfo)
 }
 
 // WaitObserver is notified of every wait-state transition a request goes
@@ -125,71 +144,99 @@ type Stats struct {
 	Deadlocks   uint64 // requests aborted as deadlock victims
 }
 
-// waiter is a blocked request.
+// waiter is a blocked request. Each Locker embeds one: an attempt waits
+// for at most one request at a time, and a resolved waiter has already
+// left its row's queue.
 type waiter struct {
-	owner Owner
-	mode  Mode
-	// grant is closed exactly once with the outcome.
+	l    *Locker
+	mode Mode
+	// grant receives the outcome once per wait (buffered, reused).
 	grant chan error
-	// granted/cancelled mark the waiter resolved so late wakeups skip it.
+	// done marks the waiter resolved so late wakeups skip it.
 	done bool
 }
 
-// entry is the lock table row for one key. Holders are kept in grant
-// order (an upgrade keeps its place), so the arbiter sees conflicting
-// holders in the same order in every run.
-type entry struct {
+// Row is the lock-table row of one key. Holders are kept in grant order
+// (an upgrade keeps its place), so the arbiter sees conflicting holders
+// in the same order in every run. Every field but s and key is guarded
+// by s.mu.
+type Row struct {
+	s       *stripe
+	key     storage.Key
+	pinned  bool // resolved by Manager.Row: never evicted
 	holders []HolderInfo
 	queue   []*waiter
 }
 
-// holder returns owner's index in e.holders, or -1.
-func (e *entry) holder(owner Owner) int {
-	for i, h := range e.holders {
-		if h.Owner == owner {
+// holder returns l's index in r.holders, or -1.
+func (r *Row) holder(l *Locker) int {
+	for i, h := range r.holders {
+		if h.Locker == l {
 			return i
 		}
 	}
 	return -1
 }
 
-// stripe is one shard of the lock table: the keys hashing to it, their
-// holders, their wait queues and its share of the counters, under one
-// mutex.
-type stripe struct {
-	mu    sync.Mutex
-	table map[storage.Key]*entry
-	stats Stats
+// conflicts returns the holders incompatible with l requesting mode, in
+// grant order, in l's scratch slice.
+func (r *Row) conflicts(l *Locker, mode Mode) []HolderInfo {
+	l.conf = l.conf[:0]
+	for _, h := range r.holders {
+		if h.Locker != l && !Compatible(mode, h.Mode) {
+			l.conf = append(l.conf, h)
+		}
+	}
+	return l.conf
 }
 
-// ownerShard is one shard of the per-owner held-key index. Held keys
-// are kept as a sorted slice: transactions hold few keys, membership is
-// a binary search, and ReleaseAll walks the slice directly — no sort at
-// release time. ReleaseAll hands its emptied slice to free, and the
-// shard's next new owner takes it from there, so the index allocates
-// only while the number of concurrent owners grows.
-type ownerShard struct {
-	mu   sync.Mutex
-	held map[Owner][]storage.Key
-	free [][]storage.Key
+// cacheLine is the cache line size the stripe layout assumes.
+const cacheLine = 64
+
+// stripe is one shard of the lock table: the rows of the keys hashing
+// to it and its share of the counters, under one mutex, on a cache line
+// of its own.
+type stripe struct {
+	mu     sync.Mutex
+	table  map[storage.Key]*Row
+	pinned int // rows of table that Manager.Row pinned
+	stats  Stats
+	_      [cacheLine - 56]byte
+}
+
+// row returns key's row, adding an unpinned one if absent. s.mu is held.
+func (s *stripe) row(key storage.Key) *Row {
+	r := s.table[key]
+	if r == nil {
+		r = &Row{s: s, key: key}
+		s.table[key] = r
+	}
+	return r
 }
 
 // DefaultStripes is the default lock-table stripe count.
 const DefaultStripes = 16
 
-// entryCacheCap bounds how many empty entries a stripe keeps cached to
-// avoid re-allocating the table row (and its holder slice) for hot keys.
-// Beyond the cap, entries with no holders and no waiters are deleted,
-// so key-churn workloads do not grow the table without bound.
-const entryCacheCap = 1024
+// entryCacheCap bounds how many unpinned rows a stripe keeps cached to
+// avoid re-allocating a row (and its holder slice) for hot keys.
+// Beyond the cap, unpinned rows with no holders and no waiters are
+// deleted at release, so key churn (a site's per-instance marker keys)
+// does not grow the table. Registered keys are pinned, so the cache
+// serves only unregistered programs; every cached row is work for the
+// garbage collector's mark phase (EXPERIMENTS.md P16).
+const entryCacheCap = 64
 
 // Manager is the lock manager.
 type Manager struct {
 	stripes []*stripe
-	owners  []*ownerShard
 	det     *detector
 	arbiter Arbiter
 	waitObs WaitObserver
+	pool    sync.Pool // of *Locker
+
+	// byOwner holds the Lockers of the owner-keyed Acquire/ReleaseAll.
+	ownMu   sync.Mutex
+	byOwner map[Owner]*Locker
 }
 
 // Option configures a Manager.
@@ -221,7 +268,7 @@ func WithStripes(n int) Option {
 // NewManager returns a lock manager. With no options it implements plain
 // strict two-phase locking.
 func NewManager(opts ...Option) *Manager {
-	m := &Manager{det: newDetector()}
+	m := &Manager{det: newDetector(), byOwner: make(map[Owner]*Locker)}
 	for _, opt := range opts {
 		opt(m)
 	}
@@ -229,19 +276,10 @@ func NewManager(opts ...Option) *Manager {
 		m.stripes = make([]*stripe, DefaultStripes)
 	}
 	for i := range m.stripes {
-		m.stripes[i] = &stripe{table: make(map[storage.Key]*entry)}
-	}
-	// Owner shards track per-transaction held sets; size them with the
-	// stripe count (the two layers scale together).
-	m.owners = make([]*ownerShard, len(m.stripes))
-	for i := range m.owners {
-		m.owners[i] = &ownerShard{held: make(map[Owner][]storage.Key)}
+		m.stripes[i] = &stripe{table: make(map[storage.Key]*Row)}
 	}
 	return m
 }
-
-// Stripes returns the configured stripe count.
-func (m *Manager) Stripes() int { return len(m.stripes) }
 
 // stripeFor returns key's stripe (FNV-1a over the key bytes).
 func (m *Manager) stripeFor(key storage.Key) *stripe {
@@ -260,11 +298,6 @@ func (m *Manager) stripeFor(key storage.Key) *stripe {
 	return m.stripes[h%uint64(len(m.stripes))]
 }
 
-// ownerShardFor returns owner's shard in the held-key index.
-func (m *Manager) ownerShardFor(owner Owner) *ownerShard {
-	return m.owners[uint64(owner)%uint64(len(m.owners))]
-}
-
 // Stats returns a snapshot of the counters.
 func (m *Manager) Stats() Stats {
 	var st Stats
@@ -279,129 +312,149 @@ func (m *Manager) Stats() Stats {
 	return st
 }
 
-// WaitGraph returns a copy of the current waits-for edges (tests and
-// debugging).
-func (m *Manager) WaitGraph() map[Owner][]Owner { return m.det.WaitGraph() }
-
-// conflicts returns the holders incompatible with owner requesting
-// mode, in grant order. It allocates only when there is a conflict.
-func (e *entry) conflicts(owner Owner, mode Mode) []HolderInfo {
-	var out []HolderInfo
-	for _, h := range e.holders {
-		if h.Owner != owner && !Compatible(mode, h.Mode) {
-			out = append(out, h)
-		}
-	}
-	return out
-}
-
-// grantLocked records owner holding key in at least mode. The key's
-// stripe mutex is held; the owner shard mutex nests inside it.
-func (m *Manager) grantLocked(e *entry, key storage.Key, owner Owner, mode Mode) {
-	if i := e.holder(owner); i >= 0 {
-		if mode > e.holders[i].Mode {
-			e.holders[i].Mode = mode // an upgrade keeps its grant position
-		}
-		return // key is already in owner's held slice
-	}
-	e.holders = append(e.holders, HolderInfo{Owner: owner, Mode: mode})
-	os := m.ownerShardFor(owner)
-	os.mu.Lock()
-	keys, ok := os.held[owner]
-	if n := len(os.free); !ok && n > 0 {
-		keys, os.free = os.free[n-1], os.free[:n-1]
-	}
-	os.held[owner] = insertKey(keys, key)
-	os.mu.Unlock()
-}
-
-// insertKey inserts key into the sorted slice if absent.
-func insertKey(keys []storage.Key, key storage.Key) []storage.Key {
-	// Binary search for the insertion point (manual loop: no closure).
-	lo, hi := 0, len(keys)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if keys[mid] < key {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(keys) && keys[lo] == key {
-		return keys // already held
-	}
-	keys = append(keys, "")
-	copy(keys[lo+1:], keys[lo:])
-	keys[lo] = key
-	return keys
-}
-
-// Acquire obtains key in mode for owner, blocking while conflicting locks
-// are held. It returns ErrDeadlock if granting would require waiting in a
-// waits-for cycle, or ctx.Err() if the context ends first. Re-acquiring a
-// held lock (including S→X upgrade) is supported.
-func (m *Manager) Acquire(ctx context.Context, owner Owner, key storage.Key, mode Mode) error {
+// Row resolves key to its row and pins it: the row stays in the table
+// for the manager's life, so Locker.Acquire can take it without a
+// lookup, and a request for key by key (Locker.AcquireKey, Acquire)
+// meets the same row.
+func (m *Manager) Row(key storage.Key) *Row {
 	s := m.stripeFor(key)
 	s.mu.Lock()
-	e := s.table[key]
-	if e == nil {
-		e = &entry{}
-		s.table[key] = e
+	r := s.row(key)
+	if !r.pinned {
+		r.pinned = true
+		s.pinned++
 	}
-	if i := e.holder(owner); i >= 0 && e.holders[i].Mode >= mode {
+	s.mu.Unlock()
+	return r
+}
+
+// Locker is one attempt's side of the lock table: the rows it holds, in
+// key order, and the arbiter's account for the attempt. A Locker is
+// used by one goroutine at a time; while it waits, the releasing
+// goroutine that grants it updates its rows under the row's stripe
+// mutex.
+type Locker struct {
+	m     *Manager
+	owner Owner
+	held  []*Row       // in key order
+	conf  []HolderInfo // scratch for the holders a request conflicts with
+	w     waiter
+	// The slices' first backing arrays: a new Locker is one allocation.
+	heldBuf [4]*Row
+	confBuf [4]HolderInfo
+	// Account is the arbiter's ledger for the attempt (divergence
+	// control keeps its fuzziness account here). It stays with the
+	// Locker across Free, for the next attempt's arbiter to reuse.
+	Account any
+}
+
+// Locker returns a Locker for owner, recycled from the manager's pool.
+// Hand it back with Free once it has released its locks.
+func (m *Manager) Locker(owner Owner) *Locker {
+	l, _ := m.pool.Get().(*Locker)
+	if l == nil {
+		l = &Locker{m: m}
+		l.held, l.conf, l.w.l = l.heldBuf[:0], l.confBuf[:0], l
+	}
+	l.owner = owner
+	return l
+}
+
+// Reset makes l acquire for owner from now on, for a caller that runs
+// attempts one after another through one Locker. l must hold nothing.
+func (l *Locker) Reset(owner Owner) { l.owner = owner }
+
+// Owner returns the owner l acquires for.
+func (l *Locker) Owner() Owner { return l.owner }
+
+// Free hands l back to its manager's pool. l must hold nothing
+// (ReleaseAll has run) and must not be used again.
+func (l *Locker) Free() {
+	if len(l.held) != 0 {
+		panic("lock: Free of a Locker that holds locks")
+	}
+	l.m.pool.Put(l)
+}
+
+// Acquire obtains r in mode for l, blocking while conflicting locks
+// are held. It returns ErrDeadlock if granting would require waiting in
+// a waits-for cycle, or ctx.Err() if the context ends first.
+// Re-acquiring a held lock (including S→X upgrade) is supported. r must
+// come from l's manager.
+func (l *Locker) Acquire(ctx context.Context, r *Row, mode Mode) error {
+	r.s.mu.Lock()
+	return l.acquireLocked(ctx, r, mode)
+}
+
+// AcquireKey is Acquire for a key no row was resolved for: it finds the
+// key's row, or adds an unpinned one, under the stripe mutex.
+func (l *Locker) AcquireKey(ctx context.Context, key storage.Key, mode Mode) error {
+	s := l.m.stripeFor(key)
+	s.mu.Lock()
+	return l.acquireLocked(ctx, s.row(key), mode)
+}
+
+// acquireLocked is Acquire with r's stripe mutex held; it unlocks it.
+func (l *Locker) acquireLocked(ctx context.Context, r *Row, mode Mode) error {
+	m, s := l.m, r.s
+	if i := r.holder(l); i >= 0 && r.holders[i].Mode >= mode {
 		s.mu.Unlock()
 		return nil // already held in a sufficient mode
 	}
-	conf := e.conflicts(owner, mode)
+	conf := r.conflicts(l, mode)
 	if len(conf) == 0 {
-		m.grantLocked(e, key, owner, mode)
+		l.grantLocked(r, mode)
 		s.stats.Grants++
 		s.mu.Unlock()
 		return nil
 	}
 	if m.arbiter != nil && m.arbiter.Absorb(ConflictInfo{
-		Key: key, Requester: owner, Mode: mode, Holders: conf,
+		Key: r.key, Requester: l.owner, Mode: mode, Holders: conf, Locker: l,
 	}) {
-		m.grantLocked(e, key, owner, mode)
+		l.grantLocked(r, mode)
 		s.stats.FuzzyGrants++
 		s.mu.Unlock()
 		return nil
 	}
 	// Must wait. Push the new waits-for edges into the detector; if they
 	// close a cycle the requester is the victim. The holders cannot
-	// release key concurrently (that needs this stripe's mutex), so the
+	// release r concurrently (that needs this stripe's mutex), so the
 	// edges are live when set.
-	if m.det.setEdges(owner, conf) {
+	if m.det.setEdges(l.owner, conf) {
 		s.stats.Deadlocks++
 		s.mu.Unlock()
 		return ErrDeadlock
 	}
-	w := &waiter{owner: owner, mode: mode, grant: make(chan error, 1)}
-	e.queue = append(e.queue, w)
+	w := &l.w
+	if w.grant == nil {
+		w.grant = make(chan error, 1)
+	}
+	w.mode, w.done = mode, false
+	r.queue = append(r.queue, w)
 	s.stats.Blocks++
 	if m.waitObs != nil {
-		m.waitObs.Blocked(owner, key)
+		m.waitObs.Blocked(l.owner, r.key)
 	}
 	s.mu.Unlock()
 
 	select {
 	case err := <-w.grant:
 		if m.waitObs != nil {
-			m.waitObs.Resumed(owner)
+			m.waitObs.Resumed(l.owner)
 		}
 		return err
 	case <-ctx.Done():
 		s.mu.Lock()
 		if !w.done {
 			w.done = true
-			removeWaiter(e, w)
-			m.det.clear(owner)
+			removeWaiter(r, w)
+			m.det.clear(l.owner)
 			if m.waitObs != nil {
-				m.waitObs.Woken(owner)
+				m.waitObs.Woken(l.owner)
 			}
 			s.mu.Unlock()
 			if m.waitObs != nil {
-				m.waitObs.Resumed(owner)
+				m.waitObs.Resumed(l.owner)
 			}
 			return ctx.Err()
 		}
@@ -409,98 +462,108 @@ func (m *Manager) Acquire(ctx context.Context, owner Owner, key storage.Key, mod
 		// Resolved concurrently with cancellation: honor the resolution.
 		err := <-w.grant
 		if m.waitObs != nil {
-			m.waitObs.Resumed(owner)
+			m.waitObs.Resumed(l.owner)
 		}
 		return err
 	}
 }
 
-// removeWaiter drops w from e's queue (the stripe mutex is held).
-func removeWaiter(e *entry, w *waiter) {
-	for i, q := range e.queue {
-		if q == w {
-			e.queue = append(e.queue[:i], e.queue[i+1:]...)
-			return
+// grantLocked records l holding r in at least mode, and r among l's
+// rows in key order. r's stripe mutex is held.
+func (l *Locker) grantLocked(r *Row, mode Mode) {
+	if i := r.holder(l); i >= 0 {
+		if mode > r.holders[i].Mode {
+			r.holders[i].Mode = mode // an upgrade keeps its grant position
 		}
+		return // r is already among l's rows
+	}
+	r.holders = append(r.holders, HolderInfo{Owner: l.owner, Mode: mode, Locker: l})
+	i := len(l.held)
+	for i > 0 && l.held[i-1].key > r.key {
+		i--
+	}
+	l.held = append(l.held, r)
+	if i < len(l.held)-1 {
+		copy(l.held[i+1:], l.held[i:])
+		l.held[i] = r
 	}
 }
 
-// ReleaseAll releases every lock owner holds and wakes whatever can now
+// removeWaiter drops w from r's queue (the stripe mutex is held).
+func removeWaiter(r *Row, w *waiter) {
+	if i := slices.Index(r.queue, w); i >= 0 {
+		r.queue = slices.Delete(r.queue, i, i+1)
+	}
+}
+
+// ReleaseAll releases every lock l holds and wakes whatever can now
 // run. It is the "end of transaction" of strict two-phase locking.
 //
-// Keys are processed in sorted order (the held slice's invariant), one
+// Rows are released in key order (the held slice's invariant), one
 // stripe lock at a time, so the wake/absorb sequence a release triggers
-// is a deterministic function of the held set (the process-global
-// implementation iterated a map). The emptied held slice goes back to
-// the owner shard's free list for the next owner.
-func (m *Manager) ReleaseAll(owner Owner) {
-	os := m.ownerShardFor(owner)
-	os.mu.Lock()
-	keys, ok := os.held[owner]
-	delete(os.held, owner)
-	os.mu.Unlock()
-	m.det.clear(owner)
-	if !ok {
-		return
-	}
-	for _, key := range keys {
-		s := m.stripeFor(key)
+// is a deterministic function of the held set. Afterwards no row and no
+// waiter names l.
+func (l *Locker) ReleaseAll() {
+	m := l.m
+	m.det.clear(l.owner)
+	for _, r := range l.held {
+		s := r.s
 		s.mu.Lock()
-		e := s.table[key] // owner holds key, so its entry is there
-		i := e.holder(owner)
-		e.holders = append(e.holders[:i], e.holders[i+1:]...)
-		m.wakeLocked(s, e, key)
-		if len(e.holders) == 0 && len(e.queue) == 0 && len(s.table) > entryCacheCap {
-			delete(s.table, key)
+		i, n := r.holder(l), len(r.holders)-1
+		copy(r.holders[i:], r.holders[i+1:])
+		r.holders[n] = HolderInfo{} // the slot may outlive l's next attempt
+		r.holders = r.holders[:n]
+		m.wakeLocked(r)
+		if !r.pinned && len(r.holders) == 0 && len(r.queue) == 0 && len(s.table)-s.pinned > entryCacheCap {
+			delete(s.table, r.key)
 		}
 		s.mu.Unlock()
 	}
-	clear(keys) // drop the key strings before the slice is reused
-	os.mu.Lock()
-	os.free = append(os.free, keys[:0])
-	os.mu.Unlock()
+	clear(l.held) // drop the rows before the slice is reused
+	l.held = l.held[:0]
 }
 
-// wakeLocked re-evaluates e's wait queue in order, granting every waiter
+// wakeLocked re-evaluates r's wait queue in order, granting every waiter
 // that is now compatible (or absorbed), and refreshing waits-for edges for
 // those that remain blocked. A waiter whose refreshed edges close a cycle
 // is aborted as a deadlock victim. The stripe mutex is held.
-func (m *Manager) wakeLocked(s *stripe, e *entry, key storage.Key) {
-	if len(e.queue) == 0 {
+func (m *Manager) wakeLocked(r *Row) {
+	if len(r.queue) == 0 {
 		return
 	}
-	remaining := e.queue[:0] // filtered in place
-	for _, w := range e.queue {
+	remaining := r.queue[:0] // filtered in place
+	for _, w := range r.queue {
 		if w.done {
 			continue
 		}
-		conf := e.conflicts(w.owner, w.mode)
+		l := w.l
+		conf := r.conflicts(l, w.mode)
 		switch {
 		case len(conf) == 0:
-			m.grantLocked(e, key, w.owner, w.mode)
-			m.det.clear(w.owner)
+			l.grantLocked(r, w.mode)
+			m.det.clear(l.owner)
 			w.done = true
 			if m.waitObs != nil {
-				m.waitObs.Woken(w.owner)
+				m.waitObs.Woken(l.owner)
 			}
 			w.grant <- nil
 		case m.arbiter != nil && m.arbiter.Absorb(ConflictInfo{
-			Key: key, Requester: w.owner, Mode: w.mode, Holders: conf,
+			Key: r.key, Requester: l.owner, Mode: w.mode, Holders: conf, Locker: l,
 		}):
-			m.grantLocked(e, key, w.owner, w.mode)
-			s.stats.FuzzyGrants++
-			m.det.clear(w.owner)
+			l.grantLocked(r, w.mode)
+			r.s.stats.FuzzyGrants++
+			m.det.clear(l.owner)
 			w.done = true
 			if m.waitObs != nil {
-				m.waitObs.Woken(w.owner)
+				m.waitObs.Woken(l.owner)
 			}
 			w.grant <- nil
 		default:
-			if m.det.setEdges(w.owner, conf) {
-				s.stats.Deadlocks++
+			if m.det.setEdges(l.owner, conf) {
+				r.s.stats.Deadlocks++
 				w.done = true
 				if m.waitObs != nil {
-					m.waitObs.Woken(w.owner)
+					m.waitObs.Woken(l.owner)
 				}
 				w.grant <- ErrDeadlock
 				continue
@@ -508,8 +571,34 @@ func (m *Manager) wakeLocked(s *stripe, e *entry, key storage.Key) {
 			remaining = append(remaining, w)
 		}
 	}
-	clear(e.queue[len(remaining):])
-	e.queue = remaining
+	clear(r.queue[len(remaining):])
+	r.queue = remaining
+}
+
+// Acquire is the owner-keyed form of Locker.AcquireKey, for callers
+// that mint no Locker: owner's Locker lives in the manager from its
+// first Acquire to its ReleaseAll.
+func (m *Manager) Acquire(ctx context.Context, owner Owner, key storage.Key, mode Mode) error {
+	m.ownMu.Lock()
+	l := m.byOwner[owner]
+	if l == nil {
+		l = m.Locker(owner)
+		m.byOwner[owner] = l
+	}
+	m.ownMu.Unlock()
+	return l.AcquireKey(ctx, key, mode)
+}
+
+// ReleaseAll releases every lock owner took through Acquire.
+func (m *Manager) ReleaseAll(owner Owner) {
+	m.ownMu.Lock()
+	l := m.byOwner[owner]
+	delete(m.byOwner, owner)
+	m.ownMu.Unlock()
+	if l != nil {
+		l.ReleaseAll()
+		l.Free()
+	}
 }
 
 // HoldsLock reports whether owner currently holds key in at least mode.
@@ -517,21 +606,12 @@ func (m *Manager) HoldsLock(owner Owner, key storage.Key, mode Mode) bool {
 	s := m.stripeFor(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e := s.table[key]
-	if e == nil {
-		return false
+	if r := s.table[key]; r != nil {
+		for _, h := range r.holders {
+			if h.Owner == owner && h.Mode >= mode {
+				return true
+			}
+		}
 	}
-	i := e.holder(owner)
-	return i >= 0 && e.holders[i].Mode >= mode
-}
-
-// HeldKeys returns the keys owner currently holds (any mode).
-func (m *Manager) HeldKeys(owner Owner) []storage.Key {
-	os := m.ownerShardFor(owner)
-	os.mu.Lock()
-	defer os.mu.Unlock()
-	held := os.held[owner]
-	out := make([]storage.Key, len(held))
-	copy(out, held)
-	return out
+	return false
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -181,6 +182,7 @@ type absorbAll struct {
 func (a *absorbAll) Absorb(ci ConflictInfo) bool {
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	ci.Holders = slices.Clone(ci.Holders) // valid only for the call
 	a.calls = append(a.calls, ci)
 	return true
 }
@@ -376,7 +378,7 @@ func TestStressNoLostGrantsOrLeaks(t *testing.T) {
 		t.Fatalf("stress acquire: %v", err)
 	}
 	// Empty entries may stay cached (entryCacheCap), but none may retain
-	// holders or waiters, and the per-owner index must be fully drained.
+	// holders or waiters, and the owner-keyed lockers must be fully drained.
 	for _, s := range m.stripes {
 		s.mu.Lock()
 		for k, e := range s.table {
@@ -386,13 +388,11 @@ func TestStressNoLostGrantsOrLeaks(t *testing.T) {
 		}
 		s.mu.Unlock()
 	}
-	for _, sh := range m.owners {
-		sh.mu.Lock()
-		if len(sh.held) != 0 {
-			t.Errorf("held map not drained: %d owners", len(sh.held))
-		}
-		sh.mu.Unlock()
+	m.ownMu.Lock()
+	if len(m.byOwner) != 0 {
+		t.Errorf("owner-keyed lockers not drained: %d owners", len(m.byOwner))
 	}
+	m.ownMu.Unlock()
 }
 
 // TestStressWithDeadlocksResolves runs random (unordered) acquisition

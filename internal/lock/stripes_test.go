@@ -32,7 +32,7 @@ func TestWithStripesValidation(t *testing.T) {
 //   - "hot": a single key, so every request lands on ONE stripe and the
 //     striped manager degenerates to the old single-mutex behaviour;
 //   - "spread": many keys, so requests fan out across stripes and the
-//     per-stripe mutexes, per-owner shards, and the shared deadlock
+//     per-stripe mutexes, the Lockers' held rows, and the shared deadlock
 //     detector all run concurrently.
 //
 // Acquisition is in sorted key order (deadlock-free), so every acquire

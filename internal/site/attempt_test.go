@@ -32,7 +32,7 @@ func TestRunPieceAllocs(t *testing.T) {
 	}
 	ctx := context.Background()
 	inst := uint64(1 << 32)
-	const pin = 15
+	const pin = 14
 	allocs := testing.AllocsPerRun(500, func() {
 		inst++
 		done, err := la.runPiece(ctx, activation{Inst: inst, Origin: "NY", Piece: 1}, dp)

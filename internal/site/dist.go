@@ -706,13 +706,14 @@ func (s *Site) runPiece(ctx context.Context, act activation, dp *distProgram) (p
 		s.cluster.recordGroup(owner, act.Inst)
 		s.cluster.obs.PieceBegin(int64(owner), int64(act.Inst), act.Piece,
 			string(s.ID), prog.Name, pieceSpan, parentSpan, "")
-		// The piece's ops run through the cells its registration
-		// resolved; the marker, new to every instance, resolves its own.
-		var cells []*storage.Cell
+		// The piece's ops run through the cells and lock rows its
+		// registration resolved; the marker, new to every instance,
+		// resolves its own.
+		var plan txn.Plan
 		if !act.Compensate {
-			cells = eng.Cells(piece)
+			plan = eng.Plan(piece)
 		}
-		out, imported, exported, err := eng.Attempt(ctx, owner, prog, cells, prog.Spec, class)
+		out, imported, exported, err := eng.Attempt(ctx, nil, owner, prog, plan, prog.Spec, class)
 		s.cluster.obs.PieceSettle(int64(owner), imported, exported)
 		if err == nil {
 			s.applied.record(key)

@@ -147,21 +147,40 @@ func findWrite(recs []writeRec, c *storage.Cell) int {
 	return -1
 }
 
-// cellOf returns op i's cell: cells[i] when the caller resolved it,
+// Plan holds a program's keys resolved once, in op order: Cells to
+// cells of the store, Rows to rows of the lock table. Either may be nil
+// or shorter than the program's ops; the ops past its end resolve their
+// keys as they run.
+type Plan struct {
+	Cells []*storage.Cell
+	Rows  []*lock.Row
+}
+
+// cellOf returns op i's cell: Cells[i] when the caller resolved it,
 // else the store resolves the op's key k.
-func (e *Exec) cellOf(cells []*storage.Cell, i int, k storage.Key) *storage.Cell {
-	if i < len(cells) {
-		return cells[i]
+func (e *Exec) cellOf(plan Plan, i int, k storage.Key) *storage.Cell {
+	if i < len(plan.Cells) {
+		return plan.Cells[i]
 	}
 	return e.store.Cell(k)
 }
 
-// Run executes p atomically as owner: Hold, then Commit. On failure all
-// effects are undone and the error tells the caller whether to retry:
-// lock.ErrDeadlock and context errors are system aborts (retryable);
-// ErrRollback is a business rollback (final). cells is as for Hold.
-func (e *Exec) Run(ctx context.Context, owner lock.Owner, p *Program, cells []*storage.Cell) (*Outcome, error) {
-	h, err := e.Hold(ctx, owner, p, cells)
+// acquire takes op i's lock for l: through its resolved row when plan
+// has one, else by key.
+func acquire(ctx context.Context, l *lock.Locker, plan Plan, i int, k storage.Key, mode lock.Mode) error {
+	if i < len(plan.Rows) {
+		return l.Acquire(ctx, plan.Rows[i], mode)
+	}
+	return l.AcquireKey(ctx, k, mode)
+}
+
+// Run executes p atomically as l's owner: Hold, then Commit. On failure
+// all effects are undone and the error tells the caller whether to
+// retry: lock.ErrDeadlock and context errors are system aborts
+// (retryable); ErrRollback is a business rollback (final). l and plan
+// are as for Hold.
+func (e *Exec) Run(ctx context.Context, l *lock.Locker, p *Program, plan Plan) (*Outcome, error) {
+	h, err := e.Hold(ctx, l, p, plan)
 	if err != nil {
 		return h.Out, err
 	}
@@ -175,19 +194,21 @@ type Held struct {
 	Out    *Outcome // the reads so far
 	e      *Exec
 	p      *Program
+	l      *lock.Locker
 	writes []writeRec
 }
 
-// Hold runs p as owner under strict two-phase locking up to its commit
-// point. On error the attempt is already undone and its locks released,
-// and the error classifies as for Run. cells holds p's keys resolved to
-// cells of the store, in op order (nil, or shorter than p.Ops, leaves
-// the ops past its end to resolve their own keys); every read, write and
-// undo goes through them.
-func (e *Exec) Hold(ctx context.Context, owner lock.Owner, p *Program, cells []*storage.Cell) (Held, error) {
+// Hold runs p as l's owner under strict two-phase locking up to its
+// commit point, taking its locks through l (a Locker of e's lock
+// manager, holding nothing). On error the attempt is already undone and
+// l's locks released, and the error classifies as for Run. plan holds
+// p's keys resolved once (see Plan); every lock request goes through its
+// rows and every read, write and undo through its cells.
+func (e *Exec) Hold(ctx context.Context, l *lock.Locker, p *Program, plan Plan) (Held, error) {
 	if err := p.Validate(); err != nil {
 		return Held{}, err
 	}
+	owner := l.Owner()
 	if e.obs != nil {
 		e.obs.Begin(owner, p.Name, p.Class())
 	}
@@ -199,8 +220,8 @@ func (e *Exec) Hold(ctx context.Context, owner lock.Owner, p *Program, cells []*
 			mode = lock.Exclusive
 		}
 		e.stepTo(owner, p, i, StepAcquire, op.Key, op.Kind == OpWrite)
-		if err := e.locks.Acquire(ctx, owner, op.Key, mode); err != nil {
-			h := Held{Out: out, e: e, p: p, writes: writes}
+		if err := acquire(ctx, l, plan, i, op.Key, mode); err != nil {
+			h := Held{Out: out, e: e, p: p, l: l, writes: writes}
 			h.Abort(err)
 			return h, fmt.Errorf("op %d on %q: %w", i, op.Key, err)
 		}
@@ -208,10 +229,10 @@ func (e *Exec) Hold(ctx context.Context, owner lock.Owner, p *Program, cells []*
 		if e.opDelay > 0 {
 			SimWork(e.opDelay)
 		}
-		c := e.cellOf(cells, i, op.Key)
+		c := e.cellOf(plan, i, op.Key)
 		old, _ := c.Load()
 		if op.AbortIf != nil && op.AbortIf(old) {
-			h := Held{Out: out, e: e, p: p, writes: writes}
+			h := Held{Out: out, e: e, p: p, l: l, writes: writes}
 			h.Abort(ErrRollback)
 			return h, fmt.Errorf("op %d on %q: %w", i, op.Key, ErrRollback)
 		}
@@ -241,7 +262,7 @@ func (e *Exec) Hold(ctx context.Context, owner lock.Owner, p *Program, cells []*
 			}
 		}
 	}
-	return Held{Out: out, e: e, p: p, writes: writes}, nil
+	return Held{Out: out, e: e, p: p, l: l, writes: writes}, nil
 }
 
 // Commit commits the held writes as one store batch (their cells already
@@ -268,7 +289,7 @@ func (h *Held) Commit(durable func() error) (*Outcome, error) {
 	}
 	h.Out.Writes = batch
 	h.Out.Committed = true
-	e.locks.ReleaseAll(owner)
+	h.l.ReleaseAll()
 	if e.obs != nil {
 		e.obs.Commit(owner)
 	}
@@ -282,7 +303,7 @@ func (h *Held) Abort(reason error) {
 	for i := len(h.writes) - 1; i >= 0; i-- {
 		h.writes[i].cell.Set(h.writes[i].old)
 	}
-	e.locks.ReleaseAll(owner)
+	h.l.ReleaseAll()
 	if e.obs != nil {
 		e.obs.Abort(owner, reason)
 	}
