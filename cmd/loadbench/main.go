@@ -536,7 +536,7 @@ func runArrivals(sub workload.Submitter, shared sharedConfig, sc workload.Scenar
 // quiesceAndSum waits for every local site's queues to drain (stable
 // across consecutive polls, so a remote retransmit arriving between
 // checks restarts the clock) and returns the cluster-wide record total,
-// skipping "__"-prefixed piece markers.
+// skipping the sites' "__"-prefixed exactly-once logs.
 func quiesceAndSum(c *site.Cluster, sites []simnet.SiteID) (metric.Value, error) {
 	deadline := time.Now().Add(60 * time.Second)
 	stable := 0
@@ -946,10 +946,9 @@ func childMain(stdin io.Reader, stdout io.Writer) error {
 		Jitter:   sc.Jitter,
 		Seed:     shared.Seed + int64(len(peers)),
 	})
-	// Disjoint instance-ID ranges per process: markers are keyed
-	// (inst, piece), so two processes minting from the same sequence
-	// would collide in a common peer's dedup table and silently drop
-	// each other's pieces.
+	// Disjoint instance-ID ranges per process: two processes minting
+	// from the same sequence would give different instances one ID, and
+	// span IDs derive from it.
 	instBase := uint64(0)
 	for i, s := range shared.Sites {
 		if simnet.SiteID(s) == self {

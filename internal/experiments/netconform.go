@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"asynctp/internal/fault"
+	"asynctp/internal/history"
 	"asynctp/internal/metric"
 	"asynctp/internal/simnet"
 	"asynctp/internal/site"
@@ -69,12 +70,16 @@ type SettlementAudit struct {
 	// initial total (no value created or destroyed by the wire).
 	Total     metric.Value
 	Conserved bool
-	// AppliedMarkers / CompMarkers / RolledMarkers count the durable
-	// exactly-once markers across all sites: one per committed piece,
-	// one per committed compensation, one per rollback decision.
-	AppliedMarkers int
-	CompMarkers    int
-	RolledMarkers  int
+	// AppliedPieces / CompPieces count, from the recorded history, the
+	// distinct (instance, piece) applications and compensations across
+	// all sites, and Duplicates every application past an instance's
+	// first of the same piece: the exactly-once witness, independent of
+	// the sites' own bookkeeping. RolledMarkers counts the durable
+	// rollback decisions, one per rollback.
+	AppliedPieces int
+	CompPieces    int
+	Duplicates    int
+	RolledMarkers int
 	// EpsilonOK reports every result's imported inconsistency within
 	// its program's declared ε-spec (trivially true without DC).
 	EpsilonOK bool
@@ -85,7 +90,7 @@ func (a *SettlementAudit) Equal(b *SettlementAudit) bool {
 	if a.Settled != b.Settled || a.Committed != b.Committed ||
 		a.RolledBack != b.RolledBack || a.Compensated != b.Compensated ||
 		a.Total != b.Total || a.Conserved != b.Conserved ||
-		a.AppliedMarkers != b.AppliedMarkers || a.CompMarkers != b.CompMarkers ||
+		a.AppliedPieces != b.AppliedPieces || a.CompPieces != b.CompPieces || a.Duplicates != b.Duplicates ||
 		a.RolledMarkers != b.RolledMarkers || a.EpsilonOK != b.EpsilonOK ||
 		len(a.Ledger) != len(b.Ledger) {
 		return false
@@ -121,11 +126,14 @@ func (a *SettlementAudit) Diff(b *SettlementAudit) string {
 	if a.Conserved != b.Conserved {
 		add("conserved", a.Conserved, b.Conserved)
 	}
-	if a.AppliedMarkers != b.AppliedMarkers {
-		add("applied-markers", a.AppliedMarkers, b.AppliedMarkers)
+	if a.AppliedPieces != b.AppliedPieces {
+		add("applied-pieces", a.AppliedPieces, b.AppliedPieces)
 	}
-	if a.CompMarkers != b.CompMarkers {
-		add("comp-markers", a.CompMarkers, b.CompMarkers)
+	if a.CompPieces != b.CompPieces {
+		add("comp-pieces", a.CompPieces, b.CompPieces)
+	}
+	if a.Duplicates != b.Duplicates {
+		add("duplicates", a.Duplicates, b.Duplicates)
 	}
 	if a.RolledMarkers != b.RolledMarkers {
 		add("rolled-markers", a.RolledMarkers, b.RolledMarkers)
@@ -242,6 +250,7 @@ func RunNetConformance(sc NetScenario, netw simnet.Net) (*SettlementAudit, error
 		Seed:              sc.Seed,
 		RetransmitEvery:   5 * time.Millisecond,
 		AllowCompensation: true,
+		Record:            true, // the exactly-once witness
 	})
 	if err != nil {
 		return nil, err
@@ -315,8 +324,8 @@ func RunNetConformance(sc NetScenario, netw simnet.Net) (*SettlementAudit, error
 	}
 
 	// Quiesce: settlement reports have all folded (Submit returned), but
-	// final acks/retransmissions may still be in flight; the marker
-	// audit below reads durable stores, which no ack can change, so a
+	// final acks/retransmissions may still be in flight; the audit below
+	// reads the history and durable stores, which no ack can change, so a
 	// short idle poll suffices.
 	deadline := time.Now().Add(30 * time.Second)
 	for {
@@ -333,18 +342,31 @@ func RunNetConformance(sc NetScenario, netw simnet.Net) (*SettlementAudit, error
 		time.Sleep(5 * time.Millisecond)
 	}
 
+	txns, _ := c.Recorder().Snapshot()
+	groupOf := c.GroupOf()
+	applied := make(map[string]int)
+	for _, tx := range txns {
+		if tx.Status == history.Committed {
+			applied[fmt.Sprintf("%d %s", groupOf[tx.Owner], tx.Name)]++
+		}
+	}
+	for app, n := range applied {
+		if strings.HasSuffix(app, "~undo") {
+			audit.CompPieces++
+		} else {
+			audit.AppliedPieces++
+		}
+		audit.Duplicates += n - 1
+	}
 	audit.Ledger = make(map[string]metric.Value)
 	for _, id := range conformSites {
 		st := c.Site(id).Store
 		for _, key := range st.Keys() {
 			name := string(key)
 			switch {
-			case strings.HasPrefix(name, "__applied/"):
-				audit.AppliedMarkers++
-			case strings.HasPrefix(name, "__comp/"):
-				audit.CompMarkers++
 			case strings.HasPrefix(name, "__rolled/"):
 				audit.RolledMarkers++
+			case strings.HasPrefix(name, "__"): // the sites' exactly-once logs
 			default:
 				v := st.Get(key)
 				audit.Ledger[name] = v

@@ -8,8 +8,8 @@ import (
 // TestNetConformance is the transport-twin equivalence table: for each
 // scenario, one seeded run over the in-process simnet and one over real
 // TCP loopback sockets must produce identical settlement audits —
-// outcome counts, final ledger, conservation, exactly-once marker
-// counts, and the ε bound. The expected values are also asserted
+// outcome counts, final ledger, conservation, exactly-once counts from
+// the history, and the ε bound. The expected values are also asserted
 // absolutely (they are pure functions of the job stream), so a bug that
 // breaks BOTH transports the same way still fails.
 func TestNetConformance(t *testing.T) {
@@ -41,22 +41,23 @@ func TestNetConformance(t *testing.T) {
 			// committed then compensated.
 			T := sc.Txns
 			want := SettlementAudit{
-				Settled:        6 * T,
-				Committed:      4 * T,
-				RolledBack:     2 * T,
-				Compensated:    2 * T,
-				AppliedMarkers: 14 * T,
-				CompMarkers:    4 * T,
-				RolledMarkers:  2 * T,
+				Settled:       6 * T,
+				Committed:     4 * T,
+				RolledBack:    2 * T,
+				Compensated:   2 * T,
+				AppliedPieces: 14 * T,
+				CompPieces:    4 * T,
+				RolledMarkers: 2 * T,
 			}
 			for name, got := range map[string][2]int{
-				"settled":         {sim.Settled, want.Settled},
-				"committed":       {sim.Committed, want.Committed},
-				"rolledback":      {sim.RolledBack, want.RolledBack},
-				"compensated":     {sim.Compensated, want.Compensated},
-				"applied-markers": {sim.AppliedMarkers, want.AppliedMarkers},
-				"comp-markers":    {sim.CompMarkers, want.CompMarkers},
-				"rolled-markers":  {sim.RolledMarkers, want.RolledMarkers},
+				"settled":        {sim.Settled, want.Settled},
+				"committed":      {sim.Committed, want.Committed},
+				"rolledback":     {sim.RolledBack, want.RolledBack},
+				"compensated":    {sim.Compensated, want.Compensated},
+				"applied-pieces": {sim.AppliedPieces, want.AppliedPieces},
+				"comp-pieces":    {sim.CompPieces, want.CompPieces},
+				"duplicates":     {sim.Duplicates, 0},
+				"rolled-markers": {sim.RolledMarkers, want.RolledMarkers},
 			} {
 				if got[0] != got[1] {
 					t.Errorf("%s = %d, want %d", name, got[0], got[1])

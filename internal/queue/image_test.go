@@ -79,6 +79,12 @@ func randState(r *rand.Rand) State {
 		}
 	}
 	if k := section(); k > 0 {
+		st.Marks = map[string]uint64{}
+		for i := 0; k == 2 && i < 1+r.Intn(3); i++ {
+			st.Marks[fmt.Sprint("__origin/", i)] = r.Uint64() >> uint(r.Intn(64))
+		}
+	}
+	if k := section(); k > 0 {
 		st.Outbox = map[string]OutboxMsg{}
 		for i := 0; k == 2 && i < 1+r.Intn(4); i++ {
 			m := randMsg(r)
@@ -120,6 +126,9 @@ func normalized(st State) State {
 	if len(st.NextSeq) == 0 {
 		st.NextSeq = nil
 	}
+	if len(st.Marks) == 0 {
+		st.Marks = nil
+	}
 	if len(st.Outbox) == 0 {
 		st.Outbox = nil
 	}
@@ -156,7 +165,7 @@ func normalized(st State) State {
 // elements counts what a decoded State holds; each costs at least one
 // byte of image, which bounds what DecodeState can allocate.
 func elements(st State) int {
-	n := len(st.NextSeq) + len(st.Outbox) + len(st.Queues) + len(st.Inflight) + len(st.Seen)
+	n := len(st.NextSeq) + len(st.Marks) + len(st.Outbox) + len(st.Queues) + len(st.Inflight) + len(st.Seen)
 	for _, q := range st.Queues {
 		n += len(q)
 	}
@@ -195,6 +204,7 @@ func goldenState() State {
 	return State{
 		Version: 300,
 		NextSeq: map[simnet.SiteID]uint64{"LA": 7, "CHI": 2},
+		Marks:   map[string]uint64{"__origin/0": 5},
 		Outbox: map[string]OutboxMsg{
 			"NY>LA-7": {To: "LA", Msg: Msg{ID: "NY>LA-7", Seq: 7, From: "NY", Queue: "pieces", Ctx: ctx,
 				Payload: codecPayload{Inst: 3, Piece: -1, Note: "n"}}},
@@ -211,12 +221,13 @@ func goldenState() State {
 	}
 }
 
-// goldenImage is version 1 of the layout, byte for byte (DESIGN.md §9).
+// goldenImage is version 2 of the layout, byte for byte (DESIGN.md §9).
 // A change that moves these bytes needs a new version byte.
 const goldenImage = "" +
-	"41515354" + "01" + // magic "AQST", version 1
+	"41515354" + "02" + // magic "AQST", version 2
 	"ac02" + // State.Version 300
 	"02" + "03434849" + "02" + "024c41" + "07" + // NextSeq: CHI→2, LA→7
+	"01" + "0a5f5f6f726967696e2f30" + "05" + // Marks: "__origin/0"→5
 	"01" + // Outbox: one entry
 	"074e593e4c412d37" + "024c41" + // key "NY>LA-7", To "LA"
 	"074e593e4c412d37" + "07" + "024e59" + "06706965636573" + // Msg ID, Seq, From, Queue
@@ -243,7 +254,7 @@ func TestImageGoldenBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := hex.EncodeToString(blob); got != goldenImage {
-		t.Fatalf("version-1 image changed:\n got %s\nwant %s", got, goldenImage)
+		t.Fatalf("version-2 image changed:\n got %s\nwant %s", got, goldenImage)
 	}
 	want, err := hex.DecodeString(goldenImage)
 	if err != nil {
@@ -294,10 +305,10 @@ func TestImageDecodeRejects(t *testing.T) {
 // TestImageDecodeBoundsAllocation: counts are checked against the bytes
 // that remain before anything is sized by them.
 func TestImageDecodeBoundsAllocation(t *testing.T) {
-	hdr := []byte(imageMagic + "\x01\x00")
+	hdr := []byte(imageMagic + "\x02\x00")
 	huge := binary.AppendUvarint(nil, 1<<40)
 	// Every section in turn claims 2^40 entries over a 64-byte tail.
-	for section := 0; section < 5; section++ {
+	for section := 0; section < 6; section++ {
 		blob := append([]byte(nil), hdr...)
 		for i := 0; i < section; i++ {
 			blob = append(blob, 0)

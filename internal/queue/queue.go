@@ -147,6 +147,22 @@ type outMsg struct {
 // concurrent use; each transaction owns one buffer.
 type TxBuffer struct {
 	staged []outMsg
+	marks  []mark
+}
+
+// mark is one named value a buffer sets when it commits.
+type mark struct {
+	name string
+	v    uint64
+}
+
+// Mark sets the endpoint's mark name to v when the buffer commits, in
+// the same step as the buffer's messages: every image holds both or
+// neither, and State.Marks reads the mark back after a restart. A site
+// marks a first piece's staging with its instance, so that recovery can
+// tell a staging the image holds from one the crash lost.
+func (b *TxBuffer) Mark(name string, v uint64) {
+	b.marks = append(b.marks, mark{name: name, v: v})
 }
 
 // Enqueue stages payload for the named queue at site to. Nothing is
@@ -163,6 +179,12 @@ func (b *TxBuffer) EnqueueCtx(to simnet.SiteID, queueName string, payload any, c
 
 // Len returns the number of staged messages.
 func (b *TxBuffer) Len() int { return len(b.staged) }
+
+// reset empties the buffer for reuse.
+func (b *TxBuffer) reset() {
+	clear(b.staged)
+	b.staged, b.marks = b.staged[:0], b.marks[:0]
+}
 
 // seenSet is the per-sender dedup state: a contiguous-prefix watermark
 // plus a sparse set for out-of-order arrivals beyond it. Because a
@@ -277,6 +299,7 @@ type Manager struct {
 	mu      sync.Mutex
 	closed  bool
 	nextSeq map[simnet.SiteID]uint64
+	marks   map[string]uint64  // TxBuffer.Mark
 	outbox  map[string]*outMsg // committed, unacked
 	queues  map[string][]Msg   // deliverable, arrival order
 	// inflight holds dequeued, not yet consumer-acked messages.
@@ -329,6 +352,7 @@ func NewManager(site simnet.SiteID, net simnet.Sender, retransmitEvery time.Dura
 		net:         net,
 		interval:    retransmitEvery,
 		nextSeq:     make(map[simnet.SiteID]uint64),
+		marks:       make(map[string]uint64),
 		outbox:      make(map[string]*outMsg),
 		queues:      make(map[string][]Msg),
 		inflight:    make(map[string]Msg),
@@ -471,8 +495,22 @@ func (m *Manager) Buffer() *TxBuffer { return &TxBuffer{} }
 // coalescing buffer at once. The buffer flushes on this goroutine when a
 // destination reaches the batch cap (or under WithFlushDelay(0)), else
 // on the endpoint's flusher (see scheduleLocked).
-func (m *Manager) CommitSend(b *TxBuffer) {
+func (m *Manager) CommitSend(b *TxBuffer) { m.Complete(b, nil) }
+
+// Complete commits b's sends, as CommitSend does, and acknowledges ds,
+// as Delivery.Ack does, in one step: no image holds a send without the
+// acknowledgements or the other way round. A consumer that stages the
+// successors of what it consumed completes the two together, so a
+// delivery that a recovered image still holds had nothing it staged
+// leave the site, and staging it again sends no duplicate.
+func (m *Manager) Complete(b *TxBuffer, ds []*Delivery) {
 	m.mu.Lock()
+	for _, d := range ds {
+		d.ackLocked()
+	}
+	for _, mk := range b.marks {
+		m.marks[mk.name] = mk.v
+	}
 	now := time.Now()
 	hold := m.persist != nil
 	full := false
@@ -494,9 +532,9 @@ func (m *Manager) CommitSend(b *TxBuffer) {
 		}
 	}
 	m.dirtyAt = m.version
-	flushNow := !hold && m.scheduleLocked(full)
+	flushNow := !hold && len(b.staged) > 0 && m.scheduleLocked(full)
 	m.mu.Unlock()
-	b.staged = nil
+	b.reset()
 	if flushNow {
 		m.flush()
 	}
@@ -761,6 +799,11 @@ type Delivery struct {
 func (d *Delivery) Ack() {
 	d.mgr.mu.Lock()
 	defer d.mgr.mu.Unlock()
+	d.ackLocked()
+}
+
+// ackLocked is Ack's body; callers hold the manager's mutex.
+func (d *Delivery) ackLocked() {
 	if d.settled {
 		return
 	}
@@ -937,6 +980,7 @@ type State struct {
 	// other to the log outside the mutex.
 	Version  uint64
 	NextSeq  map[simnet.SiteID]uint64
+	Marks    map[string]uint64 // TxBuffer.Mark
 	Outbox   map[string]OutboxMsg
 	Queues   map[string][]Msg
 	Inflight map[string]Msg
@@ -981,6 +1025,10 @@ func (m *Manager) Restore(st State) {
 	m.nextSeq = make(map[simnet.SiteID]uint64, len(st.NextSeq))
 	for to, seq := range st.NextSeq {
 		m.nextSeq[to] = seq
+	}
+	m.marks = make(map[string]uint64, len(st.Marks))
+	for name, v := range st.Marks {
+		m.marks[name] = v
 	}
 	m.outbox = make(map[string]*outMsg, len(st.Outbox))
 	for id, om := range st.Outbox {

@@ -26,7 +26,7 @@ import (
 // one version: an image from any other is an error, never a guess.
 const (
 	imageMagic   = "AQST"
-	imageVersion = 1
+	imageVersion = 2
 )
 
 // Payload tags of the image. Tags below FirstPayloadTag belong to the
@@ -343,6 +343,11 @@ func (st State) Encode() ([]byte, error) {
 		dst = AppendString(dst, string(to))
 		dst = binary.AppendUvarint(dst, st.NextSeq[to])
 	}
+	dst = binary.AppendUvarint(dst, uint64(len(st.Marks)))
+	for _, name := range sortedKeys(st.Marks) {
+		dst = AppendString(dst, name)
+		dst = binary.AppendUvarint(dst, st.Marks[name])
+	}
 	var err error
 	dst = binary.AppendUvarint(dst, uint64(len(st.Outbox)))
 	for _, id := range sortedKeys(st.Outbox) {
@@ -401,6 +406,13 @@ func DecodeState(data []byte) (State, error) {
 		for i := 0; i < n; i++ {
 			to := simnet.SiteID(d.String())
 			st.NextSeq[to] = d.Uvarint()
+		}
+	}
+	if n := d.Count(2); n > 0 {
+		st.Marks = make(map[string]uint64, n)
+		for i := 0; i < n; i++ {
+			name := d.String()
+			st.Marks[name] = d.Uvarint()
 		}
 	}
 	if n := d.Count(2 + msgMinBytes); n > 0 {
@@ -481,6 +493,7 @@ func (m *Manager) snapshotLocked() State {
 	st := State{
 		Version:  m.version,
 		NextSeq:  make(map[simnet.SiteID]uint64, len(m.nextSeq)),
+		Marks:    make(map[string]uint64, len(m.marks)),
 		Outbox:   make(map[string]OutboxMsg, len(m.outbox)),
 		Queues:   make(map[string][]Msg, len(m.queues)),
 		Inflight: make(map[string]Msg, len(m.inflight)),
@@ -488,6 +501,9 @@ func (m *Manager) snapshotLocked() State {
 	}
 	for to, seq := range m.nextSeq {
 		st.NextSeq[to] = seq
+	}
+	for name, v := range m.marks {
+		st.Marks[name] = v
 	}
 	for id, om := range m.outbox {
 		st.Outbox[id] = OutboxMsg{Msg: om.msg, To: om.to}

@@ -7,16 +7,17 @@ import (
 	"testing"
 
 	"asynctp/internal/metric"
+	"asynctp/internal/queue"
 )
 
 // TestRunPieceAllocs pins the allocations of one piece attempt at a
-// site — the dedup lookup, the piece program with its marker, the
+// site — the registered piece program with its apply-log entry, the
 // engine attempt under divergence control and its commit batch — the
 // way core's TestSubmitAllocs pins a local submission. The workers are
 // stopped and every iteration runs the transfer's LA piece (no
-// children to stage) under a fresh instance, so dedup never
-// short-circuits the attempt. The race detector allocates on its own
-// account, so the file builds without it only.
+// children to stage) under a fresh instance and delivery. The race
+// detector allocates on its own account, so the file builds without it
+// only.
 func TestRunPieceAllocs(t *testing.T) {
 	c := twoBranches(t, ChoppedQueues, true, 0)
 	if err := c.RegisterPrograms(bankPrograms(1, metric.SpecOf(1000))); err != nil {
@@ -31,11 +32,14 @@ func TestRunPieceAllocs(t *testing.T) {
 		t.Fatalf("xfer's LA piece has children %v; the test wants a leaf", dp.children[1])
 	}
 	ctx := context.Background()
+	log := newApplyLog(la.Store, 0)
 	inst := uint64(1 << 32)
-	const pin = 14
+	const pin = 3
 	allocs := testing.AllocsPerRun(500, func() {
 		inst++
-		done, err := la.runPiece(ctx, activation{Inst: inst, Origin: "NY", Piece: 1}, dp)
+		log.begin()
+		done, err := la.runPiece(ctx, activation{Inst: inst, Origin: "NY", Piece: 1}, dp,
+			log.entry(queue.Msg{From: "NY", Seq: inst}), nil)
 		if err != nil || done.Inst != inst {
 			t.Fatalf("runPiece: done=%+v err=%v", done, err)
 		}

@@ -160,8 +160,8 @@ func TestDiskProcessRestartResumesFromImage(t *testing.T) {
 
 	c2 := diskCluster(t, dir, 1_000_000)
 	defer c2.Close()
-	// RegisterPrograms re-stages origin successors from durable markers;
-	// every one must dedup (the first run settled) and leave state alone.
+	// RegisterPrograms re-stages only origin slots whose staging the image
+	// lacks; the first run settled, so it stages nothing and state stays.
 	if err := c2.RegisterPrograms([]*txn.Program{chainProgram(100)}); err != nil {
 		t.Fatal(err)
 	}
@@ -261,14 +261,10 @@ func TestDiskUnknownProgramTypeIsNacked(t *testing.T) {
 	if got := la.queues.Depth(pieceQueue); got != 1 {
 		t.Fatalf("LA piece queue depth = %d, want the 1 nacked activation", got)
 	}
-	applied := func() (n int) {
-		for _, k := range la.Store.Keys() {
-			if strings.HasPrefix(string(k), "__applied/") {
-				n++
-			}
-		}
-		return n
-	}
+	// The witness is LA's committed batches (its store's LSN): nothing
+	// but the chain's LA piece commits there.
+	start := la.Store.LastLSN()
+	applied := func() int { return int(la.Store.LastLSN() - start) }
 	if got := applied(); got != 0 {
 		t.Fatalf("LA applied %d pieces with the chain's type unknown", got)
 	}

@@ -5,8 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -16,6 +14,7 @@ import (
 	"asynctp/internal/fault"
 	"asynctp/internal/metric"
 	"asynctp/internal/obs"
+	"asynctp/internal/queue"
 	"asynctp/internal/simnet"
 	"asynctp/internal/storage"
 	"asynctp/internal/tracectx"
@@ -24,9 +23,8 @@ import (
 
 // Message kinds of the chopped-queue protocol.
 const (
-	// KindPieceDone notifies the origin site that one piece committed.
-	// (Retained for routing compatibility; reports now ride the
-	// recoverable queues so they survive message loss.)
+	// KindPieceDone notifies the origin site that one piece committed
+	// (reports ride the recoverable queues; dispatch still routes it).
 	KindPieceDone = "piece.done"
 	// pieceQueue is the recoverable queue carrying piece activations.
 	pieceQueue = "pieces"
@@ -130,10 +128,10 @@ type distProgram struct {
 	pieceSite []simnet.SiteID
 	// pieceSpecs is each piece's ε-spec share.
 	pieceSpecs []metric.Spec
-	// pieces is each piece as a program: its site's engine registers
-	// it, and a ChoppedQueues attempt extends it with the piece's
-	// applied marker.
-	pieces []*txn.Program
+	// pieces is each piece as a program, and inverses each piece's
+	// compensation (compensable programs only): its site's engine
+	// registers them, and every attempt runs one as registered.
+	pieces, inverses []*txn.Program
 	// children lists dependent pieces per piece (dependency tree).
 	children [][]int
 }
@@ -263,6 +261,13 @@ func (c *Cluster) RegisterPrograms(programs []*txn.Program) error {
 				Ops:  chopped.PieceOps(pi),
 				Spec: dp.pieceSpecs[pi],
 			}
+			if dp.compensable {
+				dp.inverses = append(dp.inverses, &txn.Program{
+					Name: fmt.Sprintf("%s/p%d~undo", p.Name, pi+1),
+					Ops:  inverseOps(dp.pieces[pi].Ops),
+					Spec: dp.pieceSpecs[pi],
+				})
+			}
 		}
 		// Dependency tree (Figure 2). Compensable programs run as a
 		// strict chain so that a rollback at piece k implies exactly
@@ -284,11 +289,14 @@ func (c *Cluster) RegisterPrograms(programs []*txn.Program) error {
 	}
 	c.dist.registerOnce.Do(func() { close(c.dist.registered) })
 	// A process restarted against a durable disk image may hold origin
-	// markers from its previous incarnation; now that the program table
-	// exists, re-stage their successors (no-op on fresh stores).
+	// slots whose staging its crash lost; now that the program table
+	// exists, stage them (no-op on fresh stores).
 	if c.Strategy == ChoppedQueues {
 		for _, s := range c.sites {
-			if err := s.restageOrigins(); err != nil {
+			s.submitting.Lock()
+			err := s.restageOrigins()
+			s.submitting.Unlock()
+			if err != nil {
 				return fmt.Errorf("site: %s re-staging recovered origins: %w", s.ID, err)
 			}
 		}
@@ -502,9 +510,42 @@ func (c *Cluster) submitChopped(ctx context.Context, ti int, dp *distProgram) (*
 		c.dist.mu.Unlock()
 	}()
 
+	// A first piece with successors claims an origin slot (see dedup.go),
+	// free again once an image holding its staging is durable.
+	origin.submitting.RLock()
+	var slot *originSlot
+	var stamps []txn.Stamp
+	var buf *queue.TxBuffer
+	pool := origin.origins
+	if len(dp.children[0]) > 0 {
+		slot, buf = pool.take(), origin.queues.Buffer()
+		stamps = []txn.Stamp{slot.inst, slot.typ}
+		stamps[0].Value, stamps[1].Value = metric.Value(inst), metric.Value(ti+1)
+	}
 	done, err := origin.runPiece(ctx, activation{
 		Inst: inst, Origin: origin.ID, TxType: ti, Piece: 0,
-	}, dp)
+	}, dp, stamps, buf)
+	switch {
+	case errors.Is(err, errInjectedCrash):
+		origin.crashFromWorker() // PointPreReport: recovery stages the successors
+	case err == nil:
+		// The piece's batch and its staging are durable before the caller
+		// hears of the commit: one image persist, which lets the children
+		// onto the wire, or a store sync. A failed wait fail-stops the site.
+		wait := origin.queues.Persist
+		if slot != nil {
+			buf.Mark(slot.mark, inst)
+			origin.queues.CommitSend(buf)
+		} else {
+			wait = origin.Store.Sync
+		}
+		if err = origin.makeDurable(wait, done); err == nil && slot != nil {
+			pool.put(slot)
+		}
+	case slot != nil:
+		pool.put(slot) // the piece did not commit
+	}
+	origin.submitting.RUnlock()
 	if err != nil {
 		c.obs.TxnEnd(int64(inst), false)
 		if errors.Is(err, txn.ErrRollback) {
@@ -514,18 +555,6 @@ func (c *Cluster) submitChopped(ctx context.Context, ti int, dp *distProgram) (*
 				Settlement: time.Since(start),
 			}, nil
 		}
-		return nil, err
-	}
-	// The piece's batch, and the children it staged, are durable before
-	// the caller hears of the commit: one image persist, which also lets
-	// the children onto the wire, or a store sync for a piece that staged
-	// nothing.
-	wait := origin.queues.Persist
-	if len(dp.children[0]) == 0 {
-		wait = origin.Store.Sync
-	}
-	if err := origin.makeDurable(wait, done); err != nil {
-		c.obs.TxnEnd(int64(inst), false)
 		return nil, err
 	}
 	initiation := time.Since(start)
@@ -565,12 +594,10 @@ func (c *Cluster) nextInstID() uint64 {
 // successors and report (fault.PointPreReport).
 var errInjectedCrash = errors.New("site: fault-injected crash")
 
-// stageChildren commits the dependent activations of a committed piece
-// to the queue, where they wait for the site's next persist (durable).
-// Safe to repeat: receivers dedup application on (inst, piece) and the
-// origin's tracker dedups reports.
-func (s *Site) stageChildren(act activation, dp *distProgram) {
-	buf := s.queues.Buffer()
+// stageChildren stages the dependent activations of a committed piece
+// in buf; the caller commits it, and the site's next persist makes them
+// durable. The origin's tracker dedups the reports they lead to.
+func (s *Site) stageChildren(act activation, dp *distProgram, buf *queue.TxBuffer) {
 	obsP := s.cluster.obs
 	for _, child := range dp.children[act.Piece] {
 		// The child's trace context names this committed piece's span
@@ -579,9 +606,6 @@ func (s *Site) stageChildren(act activation, dp *distProgram) {
 		buf.EnqueueCtx(dp.pieceSite[child], pieceQueue, activation{
 			Inst: act.Inst, Origin: act.Origin, TxType: act.TxType, Piece: child,
 		}, ctx)
-	}
-	if buf.Len() > 0 {
-		s.queues.CommitSend(buf)
 	}
 }
 
@@ -611,85 +635,16 @@ func (s *Site) makeDurable(wait func() error, done ...pieceDone) error {
 	return nil
 }
 
-// restageOrigins re-stages the successor activations of every origin
-// (piece 0) commit recorded in the durable store. Non-origin pieces
-// ride recoverable queues, so their lost stagings are resurrected by
-// redelivery; piece 0 runs directly under Submit and has no queue
-// behind it — after a crash (or a process restart against a disk
-// image) the `__applied/<inst>/0` marker is the only witness that its
-// children were owed. The marker value carries the program type, and
-// staging is idempotent: downstream dedup collapses re-activations,
-// and trackers of long-settled instances simply ignore the reports.
-// One persist covers every re-staged activation; its error is returned
-// with the site fail-stopped.
-func (s *Site) restageOrigins() error {
-	s.cluster.dist.mu.Lock()
-	programs := append([]*distProgram(nil), s.cluster.dist.programs...)
-	s.cluster.dist.mu.Unlock()
-	if len(programs) == 0 {
-		return nil
-	}
-	staged := false
-	for _, key := range s.Store.Keys() {
-		name := string(key)
-		rest, ok := strings.CutPrefix(name, "__applied/")
-		if !ok {
-			continue
-		}
-		instStr, pieceStr, ok := strings.Cut(rest, "/")
-		if !ok || pieceStr != "0" {
-			continue
-		}
-		inst, err := strconv.ParseUint(instStr, 10, 64)
-		if err != nil {
-			continue
-		}
-		ti := int(s.Store.Get(key)) - 1
-		if ti < 0 || ti >= len(programs) {
-			continue
-		}
-		s.stageChildren(activation{Inst: inst, Origin: s.ID, TxType: ti, Piece: 0}, programs[ti])
-		staged = true
-	}
-	if !staged {
-		return nil
-	}
-	return s.makeDurable(s.queues.Persist)
-}
-
-// runPiece executes piece act.Piece of dp at site s, retrying system
-// aborts until commit (resubmission of rollback-safe pieces), then
-// stages the dependent activations through the recoverable queue in the
-// same commit scope. It returns the pieceDone report. The caller makes
-// the commit durable (see makeDurable) before anyone hears of it.
-func (s *Site) runPiece(ctx context.Context, act activation, dp *distProgram) (pieceDone, error) {
-	// Exactly-once application: redelivered activations (crash between a
-	// piece's commit and its queue ack) must not re-apply the writes. The
-	// dedup table answers from memory or from the durable marker key that
-	// the piece's own commit batch wrote — "piece applied" and "marker
-	// present" are atomic in every committed batch.
-	key := pieceKey{inst: act.Inst, piece: act.Piece, comp: act.Compensate}
-	if s.applied.applied(key) {
-		// Redelivered after a crash in the commit→ack window. The piece's
-		// effects are durable, but the crash may have eaten its successor
-		// activations, so re-stage them; duplicates collapse downstream.
-		if !act.Compensate {
-			s.stageChildren(act, dp)
-		}
-		return pieceDone{Inst: act.Inst, Piece: act.Piece, Comp: act.Compensate}, nil
-	}
-	piece := dp.pieces[act.Piece]
-	ops, name := piece.Ops, piece.Name
+// runPiece executes piece act.Piece of dp (its compensation when
+// act.Compensate) at site s as registered, with stamps (its log entry)
+// in the commit batch, retrying system aborts until commit, then stages
+// the dependent activations in buf. It returns the pieceDone report; the
+// caller commits buf and makes it all durable (see makeDurable).
+func (s *Site) runPiece(ctx context.Context, act activation, dp *distProgram, stamps []txn.Stamp, buf *queue.TxBuffer) (pieceDone, error) {
+	prog := dp.pieces[act.Piece]
 	if act.Compensate {
-		ops = inverseOps(ops)
-		name = fmt.Sprintf("%s/p%d~undo", dp.program.Name, act.Piece+1)
+		prog = dp.inverses[act.Piece]
 	}
-	// The marker value encodes the program type (TxType+1, so it is
-	// never zero): recovery can read it back and re-stage an origin
-	// piece's successors without any volatile context. The full slice
-	// expression makes append copy instead of writing into the program.
-	ops = append(ops[:len(ops):len(ops)], txn.SetOp(key.marker(), metric.Value(act.TxType+1)))
-	prog := &txn.Program{Name: name, Ops: ops, Spec: piece.Spec}
 	class := dp.program.Class()
 	// The piece span's tree edge: origin pieces hang off the root span
 	// (opened in this process by submitChopped); activation-delivered
@@ -706,30 +661,25 @@ func (s *Site) runPiece(ctx context.Context, act activation, dp *distProgram) (p
 		s.cluster.recordGroup(owner, act.Inst)
 		s.cluster.obs.PieceBegin(int64(owner), int64(act.Inst), act.Piece,
 			string(s.ID), prog.Name, pieceSpan, parentSpan, "")
-		// The piece's ops run through the cells and lock rows its
-		// registration resolved; the marker, new to every instance,
-		// resolves its own.
-		var plan txn.Plan
-		if !act.Compensate {
-			plan = eng.Plan(piece)
-		}
+		plan := eng.Plan(prog)
+		plan.Stamps = stamps
 		out, imported, exported, err := eng.Attempt(ctx, nil, owner, prog, plan, prog.Spec, class)
 		s.cluster.obs.PieceSettle(int64(owner), imported, exported)
 		if err == nil {
-			s.applied.record(key)
-			// Injection point: the piece has committed (marker and all)
-			// but nothing has been staged yet — a crash here loses the
-			// successor activations and the report, and only the
-			// redelivered, dedup'd activation can resurrect them.
+			// Injection point: the piece has committed (its log entry
+			// too) but nothing has been staged yet — a crash here loses
+			// the successor activations and the report, and only the
+			// redelivered activation, recognized by its entry, can
+			// resurrect them.
 			if h := s.cluster.faultHook; h != nil &&
 				h.ShouldCrash(fault.PointPreReport, s.ID, act.Inst, act.Piece, act.Compensate) {
 				return pieceDone{}, errInjectedCrash
 			}
 			// Stage successor activations now that the piece has
-			// committed; the caller's persist makes them durable and
-			// sends them. Compensation pieces have no successors.
+			// committed; the caller commits them and persists.
+			// Compensation pieces have no successors.
 			if !act.Compensate {
-				s.stageChildren(act, dp)
+				s.stageChildren(act, dp, buf)
 			}
 			return pieceDone{Inst: act.Inst, Piece: act.Piece, Comp: act.Compensate,
 				Reads: out.Reads, Imported: imported, Exported: exported}, nil
@@ -749,7 +699,7 @@ func (s *Site) startWorkers() {
 	s.mu.Unlock()
 	for i := 0; i < s.workers; i++ {
 		s.workerWG.Add(1)
-		go s.workerLoop(stop)
+		go s.workerLoop(stop, i)
 	}
 	s.workerWG.Add(1)
 	go s.doneLoop(stop)
@@ -836,11 +786,11 @@ const (
 // workerLoop consumes piece activations until stopped, draining them in
 // batches of up to defaultActivationBatch to amortize wakeups,
 // settlement reports (one coalesced done-queue message per origin per
-// batch), and the persist: one image per batch, written after its
-// children and reports are committed and its deliveries acked, makes
-// the batch's pieces durable and releases everything they staged onto
-// the wire.
-func (s *Site) workerLoop(stop <-chan struct{}) {
+// batch), and the persist. Worker w records what its batch applies in
+// its apply log, completes all the batch staged with its acks in one
+// step, and then persists one image, which makes the batch durable and
+// releases what it staged onto the wire.
+func (s *Site) workerLoop(stop <-chan struct{}, w int) {
 	defer s.workerWG.Done()
 	select {
 	case <-s.cluster.dist.registered:
@@ -849,11 +799,14 @@ func (s *Site) workerLoop(stop <-chan struct{}) {
 	}
 	ctx, cancel := stopContext(stop)
 	defer cancel()
+	log := newApplyLog(s.Store, w)
+	buf := s.queues.Buffer()
 	for {
 		batch, err := s.queues.DequeueBatch(ctx, pieceQueue, defaultActivationBatch)
 		if err != nil {
 			return // stopped
 		}
+		log.begin()
 		reports := make(map[simnet.SiteID][]pieceDone)
 		processed := 0
 		status := actDone
@@ -868,35 +821,29 @@ func (s *Site) workerLoop(stop <-chan struct{}) {
 			// tracing is off or the sender stamped no context.
 			s.cluster.obs.SpanActivationHop(act.Inst, act.Piece, act.Compensate,
 				d.Msg.Ctx, d.Msg.ArrivedAt)
-			if status = s.processActivation(ctx, act, reports); status != actDone {
+			if status = s.processActivation(ctx, d.Msg, act, reports, buf, log); status != actDone {
 				break
 			}
 			processed++
 		}
 		if status == actCrashed {
-			// PointPreReport: the faulted piece committed but nothing was
-			// staged for it — and the reports accumulated for earlier
-			// activations in this batch die with the site too. Every
-			// unacked delivery is redelivered after Recover; the dedup
-			// table turns the re-executions into report resends.
+			// PointPreReport: the faulted piece committed but nothing of
+			// the batch was staged or acknowledged. Every delivery is
+			// redelivered after Recover, and the apply log turns the
+			// applied ones into stagings and reports.
 			s.crashFromWorker()
 			return
 		}
-		// Stage the settlement reports BEFORE acking the deliveries: a
-		// crash between the two redelivers the activations, and dedup
-		// turns the re-executions into report resends — at-least-once
-		// reports, collapsed at the origin's per-piece tracker.
-		local := s.flushReports(reports)
-		for i := 0; i < processed; i++ {
-			d := batch.Deliveries[i]
+		local := s.flushReports(reports, buf)
+		for _, d := range batch.Deliveries[:processed] {
 			if act, ok := d.Msg.Payload.(activation); ok && s.preAckCrash(act) {
-				// Fail-stop before this ack: everything from here on in the
-				// batch (acked or not) is recovered from the durable
-				// snapshot; redeliveries dedup.
+				// Fail-stop before the batch completes: its deliveries are
+				// redelivered from the durable image, and nothing they
+				// staged left the site.
 				return
 			}
-			d.Ack()
 		}
+		s.queues.Complete(buf, batch.Deliveries[:processed])
 		if status == actFailed {
 			// Worker stopped or crash-stop mid-piece: return the
 			// unprocessed tail (failed activation included) to the queue
@@ -929,10 +876,11 @@ func (s *Site) workerLoop(stop <-chan struct{}) {
 	}
 }
 
-// processActivation runs one activation, appending any settlement
-// reports it produces to the per-origin accumulator (flushed once per
-// batch by flushReports).
-func (s *Site) processActivation(ctx context.Context, act activation, reports map[simnet.SiteID][]pieceDone) actStatus {
+// processActivation runs the activation msg carries, staging what it
+// leads to in buf and appending any settlement reports it produces to
+// the per-origin accumulator (flushed once per batch by flushReports).
+func (s *Site) processActivation(ctx context.Context, msg queue.Msg, act activation,
+	reports map[simnet.SiteID][]pieceDone, buf *queue.TxBuffer, log *applyLog) actStatus {
 	s.cluster.dist.mu.Lock()
 	var dp *distProgram
 	if act.TxType >= 0 && act.TxType < len(s.cluster.dist.programs) {
@@ -948,14 +896,24 @@ func (s *Site) processActivation(ctx context.Context, act activation, reports ma
 	}
 	// A durably recorded rollback decision from a previous delivery:
 	// re-stage the compensations and report without re-running the
-	// piece (compensation itself may have flipped its predicate).
-	if !act.Compensate && s.Store.Has(rolledMarker(act.Inst, act.Piece)) {
-		s.stageRollback(act, dp, reports)
+	// piece (compensation itself may have flipped its predicate). Only
+	// a compensable program's rollback writes one.
+	if dp.compensable && !act.Compensate && s.Store.Has(rolledMarker(act.Inst, act.Piece)) {
+		s.stageRollback(act, dp, reports, buf)
+		return actDone
+	}
+	// Applied before a crash, redelivered since: the piece's effects are
+	// durable and nothing it staged left the site, so stage that again.
+	if s.redelivered(msg) {
+		if !act.Compensate {
+			s.stageChildren(act, dp, buf)
+		}
+		reports[act.Origin] = append(reports[act.Origin], pieceDone{Inst: act.Inst, Piece: act.Piece, Comp: act.Compensate})
 		return actDone
 	}
 	endAct := s.cluster.obs.ActivationBegin()
 	defer endAct()
-	done, err := s.runPiece(ctx, act, dp)
+	done, err := s.runPiece(ctx, act, dp, log.entry(msg), buf)
 	if err == nil {
 		reports[act.Origin] = append(reports[act.Origin], done)
 		return actDone
@@ -971,7 +929,7 @@ func (s *Site) processActivation(ctx context.Context, act activation, reports ma
 		// chain guarantees they are exactly pieces 0..Piece-1) and
 		// report the rollback.
 		_ = s.Store.Apply([]storage.Write{{Key: rolledMarker(act.Inst, act.Piece), Value: 1}})
-		s.stageRollback(act, dp, reports)
+		s.stageRollback(act, dp, reports, buf)
 		return actDone
 	}
 	return actFailed
@@ -986,12 +944,11 @@ func rolledMarker(inst uint64, piece int) storage.Key {
 }
 
 // stageRollback stages the compensating activations for the committed
-// predecessors of a rolled-back piece, plus the rollback report to the
-// origin; the worker's batch persist makes them durable. Safe to repeat
-// after a redelivery: compensation application dedups on (inst, piece,
-// comp) and the tracker collapses duplicate reports.
-func (s *Site) stageRollback(act activation, dp *distProgram, reports map[simnet.SiteID][]pieceDone) {
-	buf := s.queues.Buffer()
+// predecessors of a rolled-back piece in buf, plus the rollback report
+// to the origin; the worker's batch persist makes them durable. A
+// redelivery stages them again only if no image held them, and the
+// tracker collapses duplicate reports.
+func (s *Site) stageRollback(act activation, dp *distProgram, reports map[simnet.SiteID][]pieceDone, buf *queue.TxBuffer) {
 	// Compensations and the rollback report hang off the rolled
 	// activation's mailbox span — the last span this process recorded
 	// for the chain (the rolled piece itself aborted and left none).
@@ -1002,24 +959,17 @@ func (s *Site) stageRollback(act activation, dp *distProgram, reports map[simnet
 			Piece: pi, Compensate: true,
 		}, rbCtx)
 	}
-	if buf.Len() > 0 {
-		s.queues.CommitSend(buf)
-	}
 	reports[act.Origin] = append(reports[act.Origin], pieceDone{Inst: act.Inst, RolledAt: act.Piece, Ctx: rbCtx})
 }
 
-// flushReports stages the settlement reports a worker accumulated while
-// draining one batch and returns the local ones, which the worker folds
+// flushReports stages in buf the settlement reports a worker accumulated
+// while draining one batch and returns the local ones, which the worker folds
 // into their trackers after the batch's persist. Remote origins each
 // get ONE done-queue message — a bare pieceDone for a single report, a
 // doneBatch for several — so a drained batch costs one wire payload per
 // origin instead of one per piece. Reports ride the recoverable queue
 // (at-least-once) and the origin's tracker collapses duplicates.
-func (s *Site) flushReports(reports map[simnet.SiteID][]pieceDone) (local []pieceDone) {
-	if len(reports) == 0 {
-		return nil
-	}
-	buf := s.queues.Buffer()
+func (s *Site) flushReports(reports map[simnet.SiteID][]pieceDone, buf *queue.TxBuffer) (local []pieceDone) {
 	for origin, list := range reports {
 		if origin == s.ID {
 			local = append(local, list...)
@@ -1043,16 +993,14 @@ func (s *Site) flushReports(reports map[simnet.SiteID][]pieceDone) (local []piec
 			buf.Enqueue(origin, doneQueue, doneBatch{Reports: append([]pieceDone(nil), list...)})
 		}
 	}
-	if buf.Len() > 0 {
-		s.queues.CommitSend(buf)
-	}
 	return local
 }
 
 // preAckCrash consults the fault hook at PointPreAck — the piece is
-// committed and everything is staged; only the queue ack remains — and
-// fail-stops the site when it fires. True means the worker must exit
-// without acking, leaving the delivery to be redelivered after Recover.
+// committed and everything is staged in the worker's buffer; only the
+// step that commits it with the queue acks remains — and fail-stops the
+// site when it fires. True means the worker must exit without
+// completing, leaving the delivery to be redelivered after Recover.
 func (s *Site) preAckCrash(act activation) bool {
 	h := s.cluster.faultHook
 	if h == nil || !h.ShouldCrash(fault.PointPreAck, s.ID, act.Inst, act.Piece, act.Compensate) {

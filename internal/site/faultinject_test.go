@@ -55,8 +55,8 @@ func waitFired(t *testing.T, hook *fault.CrashOnce, what string) {
 // TestCompensationNotDoubledAfterPreAckCrash is the double-compensation
 // regression: NY crashes after its compensating piece committed and
 // staged everything but BEFORE the queue delivery was acked. The
-// redelivered compensation activation must hit the durable `__comp`
-// marker and be absorbed, not applied again — ny:X ends at exactly its
+// redelivered compensation activation must be recognized by its
+// apply-log entry and absorbed, not applied again — ny:X ends at exactly its
 // initial value, not over-refunded.
 func TestCompensationNotDoubledAfterPreAckCrash(t *testing.T) {
 	hook := &fault.CrashOnce{
@@ -92,7 +92,7 @@ func TestCompensationNotDoubledAfterPreAckCrash(t *testing.T) {
 		t.Fatal("compensated rollback never settled through the injected crash")
 	}
 	// Let the redelivered compensation activation drain through the
-	// dedup table before checking the books.
+	// apply log before checking the books.
 	deadline := time.Now().Add(5 * time.Second)
 	for hook.Hits() < 2 && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
@@ -112,7 +112,7 @@ func TestCompensationNotDoubledAfterPreAckCrash(t *testing.T) {
 // TestPreReportCrashResurrectsLostStaging crashes LA after its middle
 // chain piece committed but BEFORE the successor activation and report
 // were staged (fault.PointPreReport). Only the redelivered activation —
-// absorbed by the dedup table, which then re-stages the children — can
+// recognized by its apply-log entry, which then re-stages the children — can
 // get the chain to settlement, and it must do so without re-applying
 // LA's writes.
 func TestPreReportCrashResurrectsLostStaging(t *testing.T) {

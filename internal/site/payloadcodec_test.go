@@ -79,9 +79,9 @@ func TestPayloadsRoundTripThroughImage(t *testing.T) {
 }
 
 // goldenPayloads pins the three payload layouts and their tags (version
-// 1 of the image, DESIGN.md §9): the bytes after the queue header are
+// 2 of the image, DESIGN.md §9): the bytes after the queue header are
 // three messages, each six empty Msg fields and then the payload.
-const goldenPayloads = "4151535401" + "00" + "00" + "00" + // header; Version, NextSeq, Outbox empty
+const goldenPayloads = "4151535402" + "00" + "00" + "00" + "00" + // header; Version, NextSeq, Marks, Outbox empty
 	"01" + "06706965636573" + "03" + // one queue, "pieces", three messages
 	"000000000000" + "10" + "07" + "024e59" + "04" + "03" + "01" + // activation: Inst 7, Origin "NY", TxType 2, Piece -2, Compensate
 	"000000000000" + "11" + "09" + "02" + "00" + "05" + // pieceDone: Inst 9, Piece 1, not Comp, RolledAt -3
@@ -106,7 +106,7 @@ func TestPayloadGoldenBytes(t *testing.T) {
 		t.Fatalf("payload layout changed:\n got %s\nwant %s", got, goldenPayloads)
 	}
 	// A report count the remaining bytes cannot hold is refused.
-	bad, _ := hex.DecodeString("4151535401" + "000000" + "01" + "06706965636573" + "01" + "000000000000" + "12" + "ff7f" + "0000")
+	bad, _ := hex.DecodeString("4151535402" + "00000000" + "01" + "06706965636573" + "01" + "000000000000" + "12" + "ff7f" + "0000")
 	if _, err := queue.DecodeState(bad); !errors.Is(err, queue.ErrBadImage) {
 		t.Errorf("oversized report count: err = %v, want ErrBadImage", err)
 	}

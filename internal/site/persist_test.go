@@ -176,18 +176,19 @@ func TestWorkerPersistErrorFailStopsSite(t *testing.T) {
 }
 
 // originOnDisk reads a site's log as a restart would and reports
-// whether it holds piece 0 of inst (its marker, written by the piece's
-// batch) and an image whose outbox holds the piece's child activation.
-func originOnDisk(t *testing.T, dir string, inst uint64) (batch, image bool) {
+// whether it holds the batch of a chain's piece 0 that moved amount out
+// of ny:A (seeded at 10000) and an image whose outbox holds inst's child
+// activation. The witness is the piece's own write, not the site's
+// exactly-once bookkeeping.
+func originOnDisk(t *testing.T, dir string, inst uint64, amount metric.Value) (batch, image bool) {
 	t.Helper()
 	res, err := wal.Replay(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	marker := string(pieceKey{inst: inst, piece: 0}.marker())
 	for _, b := range res.Batches {
 		for _, kv := range b.Writes {
-			batch = batch || kv.Key == marker
+			batch = batch || kv.Key == "ny:A" && kv.Val == int64(10000-amount)
 		}
 	}
 	if rec, ok := res.Aux["queues"]; ok { // the disk driver's name for the image
@@ -247,7 +248,7 @@ func TestDiskCrashKeepsPieceBatchAndImageTogether(t *testing.T) {
 				t.Errorf("LA admitted %d messages from NY before NY's image was durable", got)
 			}
 
-			batch, image := originOnDisk(t, filepath.Join(dir, "NY"), inst)
+			batch, image := originOnDisk(t, filepath.Join(dir, "NY"), inst, amount)
 			if batch != image || batch != tc.committed {
 				t.Fatalf("NY's log holds the piece's batch: %v, its image's child activation: %v; want both %v",
 					batch, image, tc.committed)

@@ -110,9 +110,13 @@ type Site struct {
 	// prepared holds participant-side 2PC subtransactions awaiting the
 	// decision, held at their commit point.
 	prepared map[string]*core.Prepared
-	// applied dedups piece applications on (inst, pieceIdx): redelivered
-	// activations (at-least-once queues) must not double-apply.
-	applied *dedupTable
+	// recovered and origins are resume's (dedup.go); recovered is
+	// read-only while the workers run. A submission holds submitting
+	// shared while it uses origins; Recover and restageOrigins hold it
+	// exclusively, so they see every slot at rest.
+	recovered  map[delivery]struct{}
+	origins    *originPool
+	submitting sync.RWMutex
 	// crashed marks the site down; workers idle and messages drop.
 	crashed bool
 	// backend is the site's storage driver instance: the store it owns,
@@ -191,7 +195,7 @@ type Config struct {
 	// InstanceBase offsets the cluster's instance-ID sequence. A process
 	// restarting against an existing disk image must pick a base above
 	// every instance the previous incarnation could have minted, so new
-	// submissions never collide with recovered piece markers.
+	// submissions never collide with instances a recovery restages.
 	InstanceBase uint64
 	// Obs, when non-nil, attaches the observability plane: every site's
 	// executor, lock manager, divergence controller, queue endpoint, and
@@ -331,11 +335,14 @@ func NewCluster(cfg Config, opts ...Option) (*Cluster, error) {
 		// after a crash) carries the last fsynced queue state: restore it
 		// so unacked outbox messages retransmit and dedup watermarks
 		// survive the restart. Fresh backends report no image.
-		if qs, ok, qerr := be.LoadQueues(); qerr == nil && ok {
+		qs, ok, qerr := be.LoadQueues()
+		if qerr == nil && ok {
 			s.queues.Restore(qs)
 		}
+		if err := s.resume(qs); err != nil {
+			return nil, fmt.Errorf("site: resuming %s: %w", id, err)
+		}
 		cfg.Obs.WatchQueue(string(id), s.queues)
-		s.applied = newDedupTable(s.Store)
 		var nodeOpts []commit.Option
 		if cfg.CommitTimeouts.VoteWait > 0 {
 			nodeOpts = append(nodeOpts, commit.WithTimeouts(cfg.CommitTimeouts))
@@ -508,6 +515,8 @@ func (s *Site) Recover() {
 	// cannot wait for them; do so now, before rebuilding volatile state
 	// under their feet.
 	s.stopWorkersAndWait()
+	s.submitting.Lock()
+	defer s.submitting.Unlock()
 	s.mu.Lock()
 	if !s.crashed { // lost a race with a concurrent Recover
 		s.mu.Unlock()
@@ -528,10 +537,6 @@ func (s *Site) Recover() {
 	}
 	s.Store = st
 	s.recoverErr = nil
-	// The piece-dedup cache is volatile; wipe it. Durable `__applied` /
-	// `__comp` markers in the recovered store keep answering lookups,
-	// so redelivered activations stay exactly-once.
-	s.applied.reset(s.Store)
 	// Volatile state: a fresh engine (locks, DC accounts), no prepared
 	// txns.
 	s.engine = s.newEngine()
@@ -547,13 +552,17 @@ func (s *Site) Recover() {
 	if qerr == nil {
 		s.queues.Restore(queueSnap)
 	}
-	s.cluster.Net.SetDown(s.ID, false)
-	s.startWorkers()
-	// Re-stage the successors of locally committed origin pieces: piece 0
-	// never rides a queue, so a crash between its commit and its staging
-	// has no redelivery to resurrect the children — the durable marker is
-	// the only witness. Duplicates collapse downstream.
-	if err := s.restageOrigins(); err != nil {
+	// Before any worker runs: which redelivery is applied, and which
+	// first piece's staging the crash lost (see resume). Then stage
+	// those: piece 0 never rides a queue, so no redelivery would.
+	if err = s.resume(queueSnap); err != nil {
+		s.crashFromWorker()
+	} else {
+		s.cluster.Net.SetDown(s.ID, false)
+		s.startWorkers()
+		err = s.restageOrigins()
+	}
+	if err != nil {
 		s.mu.Lock()
 		s.recoverErr = err
 		s.mu.Unlock()
@@ -597,12 +606,15 @@ func (s *Site) newEngine() *core.Engine {
 	return eng
 }
 
-// registerPieces registers dp's pieces that run at s with eng, which
-// resolves their keys to cells of s's store once.
+// registerPieces registers dp's pieces that run at s and their
+// compensations with eng, which resolves their keys to cells once.
 func (s *Site) registerPieces(eng *core.Engine, dp *distProgram) {
 	for pi, id := range dp.pieceSite {
 		if id == s.ID {
 			eng.Register(dp.pieces[pi])
+			if dp.compensable {
+				eng.Register(dp.inverses[pi])
+			}
 		}
 	}
 }
@@ -635,8 +647,12 @@ func (c *Cluster) GroupOf() map[lock.Owner]history.Group {
 	return out
 }
 
-// recordGroup associates an owner with a distributed transaction.
+// recordGroup associates an owner with a distributed transaction for
+// GroupOf, whose check needs the history: without a recorder, nothing.
 func (c *Cluster) recordGroup(owner lock.Owner, inst uint64) {
+	if c.rec == nil {
+		return
+	}
 	c.groupMu.Lock()
 	defer c.groupMu.Unlock()
 	c.groupOf[owner] = history.Group(inst)

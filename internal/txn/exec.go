@@ -150,10 +150,23 @@ func findWrite(recs []writeRec, c *storage.Cell) int {
 // Plan holds a program's keys resolved once, in op order: Cells to
 // cells of the store, Rows to rows of the lock table. Either may be nil
 // or shorter than the program's ops; the ops past its end resolve their
-// keys as they run.
+// keys as they run. Stamps are written into the attempt's commit batch
+// after its own writes.
 type Plan struct {
-	Cells []*storage.Cell
-	Rows  []*lock.Row
+	Cells  []*storage.Cell
+	Rows   []*lock.Row
+	Stamps []Stamp
+}
+
+// Stamp is a write an attempt's commit batch carries that is no op of
+// its program: the caller's bookkeeping, committed atomically with the
+// program's writes. It takes no lock and is not observed, so its cell
+// must have one writer at a time (a site worker's apply log) and no
+// program may touch its key.
+type Stamp struct {
+	Cell  *storage.Cell
+	Key   storage.Key
+	Value metric.Value
 }
 
 // cellOf returns op i's cell: Cells[i] when the caller resolved it,
@@ -196,6 +209,7 @@ type Held struct {
 	p      *Program
 	l      *lock.Locker
 	writes []writeRec
+	stamps []Stamp
 }
 
 // Hold runs p as l's owner under strict two-phase locking up to its
@@ -262,7 +276,7 @@ func (e *Exec) Hold(ctx context.Context, l *lock.Locker, p *Program, plan Plan) 
 			}
 		}
 	}
-	return Held{Out: out, e: e, p: p, l: l, writes: writes}, nil
+	return Held{Out: out, e: e, p: p, l: l, writes: writes, stamps: plan.Stamps}, nil
 }
 
 // Commit commits the held writes as one store batch (their cells already
@@ -273,10 +287,14 @@ func (h *Held) Commit(durable func() error) (*Outcome, error) {
 	e, owner := h.e, h.Out.Owner
 	e.stepTo(owner, h.p, -1, StepCommit, "", false)
 	var batch []storage.Write
-	if len(h.writes) > 0 {
-		batch = make([]storage.Write, len(h.writes))
+	if n := len(h.writes) + len(h.stamps); n > 0 {
+		batch = make([]storage.Write, len(h.writes), n)
 		for i, w := range h.writes {
 			batch[i] = storage.Write{Key: w.key, Value: w.final}
+		}
+		for _, st := range h.stamps {
+			st.Cell.Set(st.Value)
+			batch = append(batch, storage.Write{Key: st.Key, Value: st.Value})
 		}
 	}
 	if err := e.store.ApplyWritten(batch); err != nil {
@@ -287,7 +305,7 @@ func (h *Held) Commit(durable func() error) (*Outcome, error) {
 	if durable != nil {
 		err = durable()
 	}
-	h.Out.Writes = batch
+	h.Out.Writes = batch[:len(h.writes)]
 	h.Out.Committed = true
 	h.l.ReleaseAll()
 	if e.obs != nil {
