@@ -97,21 +97,15 @@ func NewEngine(cfg Config, useDC bool, rec *history.Recorder) *Engine {
 	return e
 }
 
-// Register resolves p's keys, in op order, to cells of the engine's
-// store and, on the locking engine, to pinned rows of its lock table,
-// remembers them for Plan and returns them. Both stay valid for the
-// life of the store and the engine (see storage.Cell and lock.Row).
+// Register resolves p's keys (txn.Resolve) to cells of the engine's
+// store and, on the locking engine, to rows of its lock table,
+// remembers them for Plan and returns them.
 func (e *Engine) Register(p *txn.Program) txn.Plan {
-	plan := txn.Plan{Cells: make([]*storage.Cell, len(p.Ops))}
+	var locks *lock.Manager
 	if e.exec != nil {
-		plan.Rows = make([]*lock.Row, len(p.Ops))
+		locks = e.locks
 	}
-	for i, op := range p.Ops {
-		plan.Cells[i] = e.store.Cell(op.Key)
-		if plan.Rows != nil {
-			plan.Rows[i] = e.locks.Row(op.Key)
-		}
-	}
+	plan := txn.Resolve(p, e.store, locks)
 	e.planMu.Lock()
 	defer e.planMu.Unlock()
 	plans := map[*txn.Program]txn.Plan{}
@@ -171,9 +165,7 @@ func (e *Engine) close(l *lock.Locker) (imported, exported metric.Fuzz) {
 // holds nothing again when Attempt returns); with nil it takes one
 // from the lock table's pool. The rdc engines ignore l.
 //
-// plan is p's keys resolved by Register (or those of a program p
-// extends: a prefix of p's ops); the ops past its end, all of them for
-// the zero Plan, resolve their keys as they run.
+// plan is p's keys resolved by Register.
 func (e *Engine) Attempt(ctx context.Context, l *lock.Locker, owner lock.Owner, p *txn.Program, plan txn.Plan,
 	spec metric.Spec, class txn.Class) (out *txn.Outcome, imported, exported metric.Fuzz, err error) {
 	if e.rdc != nil {
@@ -209,11 +201,11 @@ type Prepared struct {
 	held  txn.Held
 }
 
-// Prepare runs p as owner up to its commit point, as Attempt does with
-// the zero Plan: a 2PC sub-transaction is built per prepare, so it is
-// never registered. On error the attempt is already undone and its
-// account closed.
-func (e *Engine) Prepare(ctx context.Context, owner lock.Owner, p *txn.Program, spec metric.Spec, class txn.Class) (*Prepared, error) {
+// Prepare runs p as owner up to its commit point, on the plan Register
+// resolved, as Attempt does. On error the attempt is already undone and
+// its account closed.
+func (e *Engine) Prepare(ctx context.Context, owner lock.Owner, p *txn.Program, plan txn.Plan,
+	spec metric.Spec, class txn.Class) (*Prepared, error) {
 	if e.exec == nil {
 		return nil, errors.New("core: only the locking engine can prepare")
 	}
@@ -222,7 +214,7 @@ func (e *Engine) Prepare(ctx context.Context, owner lock.Owner, p *txn.Program, 
 		l.Free()
 		return nil, err
 	}
-	held, err := e.exec.Hold(ctx, l, p, txn.Plan{})
+	held, err := e.exec.Hold(ctx, l, p, plan)
 	if err != nil {
 		e.close(l)
 		l.Free()

@@ -256,19 +256,6 @@ func (c *Controller) Unregister(owner lock.Owner) (imported, exported metric.Fuz
 	return a.close()
 }
 
-// Fuzz returns Register'ed owner's current (imported, exported) fuzz.
-func (c *Controller) Fuzz(owner lock.Owner) (imported, exported metric.Fuzz) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	a := c.owners[owner]
-	if a == nil {
-		return 0, 0
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.imported, a.exported
-}
-
 // account returns the open account of a conflict's party: its Locker's,
 // else the one Register opened for owner, else nil.
 func (c *Controller) account(l *lock.Locker, owner lock.Owner) *account {

@@ -36,7 +36,7 @@ func UpdateUpdateHazard() (*Report, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	for i, p := range []*txn.Program{p11, t2, p12} {
-		if _, err := exec.Run(ctx, locks.Locker(lock.Owner(i+1)), p, txn.Plan{}); err != nil {
+		if _, err := exec.Run(ctx, locks.Locker(lock.Owner(i+1)), p, txn.Resolve(p, store, locks)); err != nil {
 			return nil, fmt.Errorf("step %d: %w", i, err)
 		}
 	}

@@ -17,7 +17,7 @@ const (
 	// PointPreAck fires after a piece (or compensation) has committed
 	// locally and staged its successors/report, but before its queue
 	// delivery is acknowledged. A crash here forces the activation to be
-	// redelivered after recovery: the dedup table must absorb it.
+	// redelivered after recovery: the worker's apply log must absorb it.
 	PointPreAck Point = iota + 1
 	// PointPreReport fires after a piece has committed but before its
 	// settlement report and successor activations are staged. A crash

@@ -38,3 +38,18 @@ func (m *Manager) WaitGraph() map[Owner][]Owner {
 	}
 	return out
 }
+
+// HoldsLock reports whether owner currently holds key in at least mode.
+func (m *Manager) HoldsLock(owner Owner, key storage.Key, mode Mode) bool {
+	s := m.stripeFor(key)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if r := s.table[key]; r != nil {
+		for _, h := range r.holders {
+			if h.Owner == owner && h.Mode >= mode {
+				return true
+			}
+		}
+	}
+	return false
+}

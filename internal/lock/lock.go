@@ -16,13 +16,10 @@
 // The lock table is sharded by key hash into N stripes, each with its
 // own mutex, its share of the counters and its rows, on a cache line of
 // its own. A Row is one key's holders (in grant order) and wait queue.
-// Manager.Row resolves a key to its row once and pins it: a pinned row
-// stays in its stripe's table for the manager's life, so an attempt
-// that acquires it takes the stripe mutex and nothing else (no hash, no
-// map), and a request for the same key by key finds the same row.
-// Unpinned rows — keys only ever requested by key, such as per-instance
-// marker keys — are evicted once empty while the stripe caches more
-// than entryCacheCap of them.
+// Manager.Row resolves a key to its row once, and every row stays in its
+// stripe's table for the manager's life, so an attempt that acquires it
+// takes the stripe mutex and nothing else (no hash, no map), and a
+// request for the same key by key finds the same row.
 //
 // A Locker is one attempt's side of the table: the rows it holds, kept
 // in key order, and the arbiter's account for the attempt. ReleaseAll
@@ -163,7 +160,6 @@ type waiter struct {
 type Row struct {
 	s       *stripe
 	key     storage.Key
-	pinned  bool // resolved by Manager.Row: never evicted
 	holders []HolderInfo
 	queue   []*waiter
 }
@@ -197,14 +193,13 @@ const cacheLine = 64
 // to it and its share of the counters, under one mutex, on a cache line
 // of its own.
 type stripe struct {
-	mu     sync.Mutex
-	table  map[storage.Key]*Row
-	pinned int // rows of table that Manager.Row pinned
-	stats  Stats
-	_      [cacheLine - 56]byte
+	mu    sync.Mutex
+	table map[storage.Key]*Row
+	stats Stats
+	_     [cacheLine - 48]byte
 }
 
-// row returns key's row, adding an unpinned one if absent. s.mu is held.
+// row returns key's row, adding it if absent. s.mu is held.
 func (s *stripe) row(key storage.Key) *Row {
 	r := s.table[key]
 	if r == nil {
@@ -216,15 +211,6 @@ func (s *stripe) row(key storage.Key) *Row {
 
 // DefaultStripes is the default lock-table stripe count.
 const DefaultStripes = 16
-
-// entryCacheCap bounds how many unpinned rows a stripe keeps cached to
-// avoid re-allocating a row (and its holder slice) for hot keys.
-// Beyond the cap, unpinned rows with no holders and no waiters are
-// deleted at release, so key churn (a site's per-instance marker keys)
-// does not grow the table. Registered keys are pinned, so the cache
-// serves only unregistered programs; every cached row is work for the
-// garbage collector's mark phase (EXPERIMENTS.md P16).
-const entryCacheCap = 64
 
 // Manager is the lock manager.
 type Manager struct {
@@ -312,18 +298,13 @@ func (m *Manager) Stats() Stats {
 	return st
 }
 
-// Row resolves key to its row and pins it: the row stays in the table
-// for the manager's life, so Locker.Acquire can take it without a
-// lookup, and a request for key by key (Locker.AcquireKey, Acquire)
-// meets the same row.
+// Row resolves key to its row. The row stays in the table for the
+// manager's life, so Locker.Acquire can take it without a lookup, and a
+// request for key by key (Acquire) meets the same row.
 func (m *Manager) Row(key storage.Key) *Row {
 	s := m.stripeFor(key)
 	s.mu.Lock()
 	r := s.row(key)
-	if !r.pinned {
-		r.pinned = true
-		s.pinned++
-	}
 	s.mu.Unlock()
 	return r
 }
@@ -384,14 +365,6 @@ func (l *Locker) Free() {
 func (l *Locker) Acquire(ctx context.Context, r *Row, mode Mode) error {
 	r.s.mu.Lock()
 	return l.acquireLocked(ctx, r, mode)
-}
-
-// AcquireKey is Acquire for a key no row was resolved for: it finds the
-// key's row, or adds an unpinned one, under the stripe mutex.
-func (l *Locker) AcquireKey(ctx context.Context, key storage.Key, mode Mode) error {
-	s := l.m.stripeFor(key)
-	s.mu.Lock()
-	return l.acquireLocked(ctx, s.row(key), mode)
 }
 
 // acquireLocked is Acquire with r's stripe mutex held; it unlocks it.
@@ -514,9 +487,6 @@ func (l *Locker) ReleaseAll() {
 		r.holders[n] = HolderInfo{} // the slot may outlive l's next attempt
 		r.holders = r.holders[:n]
 		m.wakeLocked(r)
-		if !r.pinned && len(r.holders) == 0 && len(r.queue) == 0 && len(s.table)-s.pinned > entryCacheCap {
-			delete(s.table, r.key)
-		}
 		s.mu.Unlock()
 	}
 	clear(l.held) // drop the rows before the slice is reused
@@ -575,9 +545,9 @@ func (m *Manager) wakeLocked(r *Row) {
 	r.queue = remaining
 }
 
-// Acquire is the owner-keyed form of Locker.AcquireKey, for callers
-// that mint no Locker: owner's Locker lives in the manager from its
-// first Acquire to its ReleaseAll.
+// Acquire is Locker.Acquire by key, for callers that mint no Locker:
+// owner's Locker lives in the manager from its first Acquire to its
+// ReleaseAll, and key's row is found or added under its stripe mutex.
 func (m *Manager) Acquire(ctx context.Context, owner Owner, key storage.Key, mode Mode) error {
 	m.ownMu.Lock()
 	l := m.byOwner[owner]
@@ -586,7 +556,9 @@ func (m *Manager) Acquire(ctx context.Context, owner Owner, key storage.Key, mod
 		m.byOwner[owner] = l
 	}
 	m.ownMu.Unlock()
-	return l.AcquireKey(ctx, key, mode)
+	s := m.stripeFor(key)
+	s.mu.Lock()
+	return l.acquireLocked(ctx, s.row(key), mode)
 }
 
 // ReleaseAll releases every lock owner took through Acquire.
@@ -599,19 +571,4 @@ func (m *Manager) ReleaseAll(owner Owner) {
 		l.ReleaseAll()
 		l.Free()
 	}
-}
-
-// HoldsLock reports whether owner currently holds key in at least mode.
-func (m *Manager) HoldsLock(owner Owner, key storage.Key, mode Mode) bool {
-	s := m.stripeFor(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if r := s.table[key]; r != nil {
-		for _, h := range r.holders {
-			if h.Owner == owner && h.Mode >= mode {
-				return true
-			}
-		}
-	}
-	return false
 }

@@ -377,8 +377,8 @@ func TestStressNoLostGrantsOrLeaks(t *testing.T) {
 	for err := range errs {
 		t.Fatalf("stress acquire: %v", err)
 	}
-	// Empty entries may stay cached (entryCacheCap), but none may retain
-	// holders or waiters, and the owner-keyed lockers must be fully drained.
+	// Rows stay in the table, but none may retain holders or waiters,
+	// and the owner-keyed lockers must be fully drained.
 	for _, s := range m.stripes {
 		s.mu.Lock()
 		for k, e := range s.table {

@@ -34,14 +34,14 @@ func BenchmarkValidateDeepWindow(b *testing.B) {
 				hold := txn.MustProgram("hold", at.op)
 				go func() {
 					defer close(done)
-					_, _, _ = e.Run(context.Background(), 1, hold, nil, metric.SpecOf(100000), txn.Query)
+					_, _, _ = run(context.Background(), e, 1, hold, metric.SpecOf(100000), txn.Query)
 				}()
 				<-at.started
 
 				wSpec := metric.Spec{Import: metric.Zero, Export: metric.LimitOf(1000)}
 				for i := 0; i < depth; i++ {
 					p := txn.MustProgram("w", txn.AddOp(storage.Key(fmt.Sprintf("w%04d", i)), 1))
-					if _, _, err := e.Run(context.Background(), lock.Owner(100+i), p, nil, wSpec, txn.Update); err != nil {
+					if _, _, err := run(context.Background(), e, lock.Owner(100+i), p, wSpec, txn.Update); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -51,9 +51,10 @@ func BenchmarkValidateDeepWindow(b *testing.B) {
 
 				read := txn.MustProgram("r", txn.ReadOp("probe"))
 				rSpec := metric.Spec{Import: metric.LimitOf(100000), Export: metric.Zero}
+				cells := txn.Resolve(read, e.store, nil).Cells
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, _, err := e.Run(context.Background(), lock.Owner(1000000+i), read, nil, rSpec, txn.Query); err != nil {
+					if _, _, err := e.Run(context.Background(), lock.Owner(1000000+i), read, cells, rSpec, txn.Query); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -301,9 +301,8 @@ func (e *Engine) Stats() Stats {
 // repaired commits are fully serializable and import nothing).
 // ErrValidation aborts are retryable; rollback statements return
 // txn.ErrRollback. cells holds p's keys resolved to cells of the
-// engine's store, in op order; nil, or a slice shorter than p.Ops,
-// leaves the ops past its end to resolve their own keys. Every read,
-// validation, repair and install goes through the cells.
+// engine's store, in op order (txn.Resolve): every read, validation,
+// repair and install goes through them.
 func (e *Engine) Run(
 	ctx context.Context,
 	owner lock.Owner,
@@ -365,14 +364,8 @@ func (e *Engine) Run(
 		if e.opDelay > 0 {
 			txn.SimWork(e.opDelay)
 		}
-		var cell *storage.Cell
-		if i < len(cells) {
-			cell = cells[i]
-		} else {
-			cell = e.store.Cell(op.Key)
-		}
 		rec := &recs[i]
-		*rec = opRec{op: op, cell: cell, local: -1}
+		*rec = opRec{op: op, cell: cells[i], local: -1}
 		// A read of an own buffered write records a local dependency on
 		// the latest earlier write of the cell, not a version.
 		rec.local = lastWrite(recs[:i], rec.cell)

@@ -16,6 +16,11 @@ import (
 	"asynctp/internal/txn"
 )
 
+// run runs p once on e through its keys resolved to e's store cells.
+func run(ctx context.Context, e *Engine, owner lock.Owner, p *txn.Program, spec metric.Spec, class txn.Class) (*txn.Outcome, metric.Fuzz, error) {
+	return e.Run(ctx, owner, p, txn.Resolve(p, e.store, nil).Cells, spec, class)
+}
+
 func newEngineT(init map[storage.Key]metric.Value, policy Policy) *Engine {
 	return NewEngine(storage.NewFrom(init), nil, policy)
 }
@@ -73,7 +78,7 @@ type result struct {
 func interleave(e *Engine, owner lock.Owner, slow *txn.Program, spec metric.Spec, class txn.Class, at pause, during func()) result {
 	ch := make(chan result, 1)
 	go func() {
-		out, imported, err := e.Run(context.Background(), owner, slow, nil, spec, class)
+		out, imported, err := run(context.Background(), e, owner, slow, spec, class)
 		ch <- result{out, imported, err}
 	}()
 	<-at.started
@@ -85,7 +90,7 @@ func interleave(e *Engine, owner lock.Owner, slow *txn.Program, spec metric.Spec
 // commitUpdate runs an update that must commit on its first attempt.
 func commitUpdate(t *testing.T, e *Engine, owner lock.Owner, p *txn.Program, spec metric.Spec) {
 	t.Helper()
-	if _, _, err := e.Run(context.Background(), owner, p, nil, spec, txn.Update); err != nil {
+	if _, _, err := run(context.Background(), e, owner, p, spec, txn.Update); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -94,7 +99,7 @@ func TestCommitSimpleTransfer(t *testing.T) {
 	forEachPolicy(t, func(t *testing.T, policy Policy) {
 		e := newEngineT(map[storage.Key]metric.Value{"x": 1000, "y": 0}, policy)
 		p := txn.MustProgram("xfer", txn.AddOp("x", -100), txn.AddOp("y", 100))
-		out, imported, err := e.Run(context.Background(), 1, p, nil, metric.Strict, txn.Update)
+		out, imported, err := run(context.Background(), e, 1, p, metric.Strict, txn.Update)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,7 +119,7 @@ func TestReadsOwnWrites(t *testing.T) {
 	forEachPolicy(t, func(t *testing.T, policy Policy) {
 		e := newEngineT(map[storage.Key]metric.Value{"x": 10}, policy)
 		p := txn.MustProgram("t", txn.AddOp("x", 5), txn.ReadOp("x"))
-		out, _, err := e.Run(context.Background(), 1, p, nil, metric.Strict, txn.Update)
+		out, _, err := run(context.Background(), e, 1, p, metric.Strict, txn.Update)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -130,7 +135,7 @@ func TestInstallWritesEachKeyOnce(t *testing.T) {
 	forEachPolicy(t, func(t *testing.T, policy Policy) {
 		e := newEngineT(map[storage.Key]metric.Value{"x": 10, "y": 0}, policy)
 		p := txn.MustProgram("t", txn.AddOp("x", 5), txn.AddOp("y", 1), txn.ReadOp("x"), txn.AddOp("x", 7))
-		out, _, err := e.Run(context.Background(), 1, p, nil, metric.Strict, txn.Update)
+		out, _, err := run(context.Background(), e, 1, p, metric.Strict, txn.Update)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -154,7 +159,7 @@ func TestRollbackLeavesNoEffect(t *testing.T) {
 			txn.AddOp("staging", 1),
 			txn.WithAbortIf(txn.AddOp("x", -100), func(v metric.Value) bool { return v < 100 }),
 		)
-		_, _, err := e.Run(context.Background(), 1, p, nil, metric.Strict, txn.Update)
+		_, _, err := run(context.Background(), e, 1, p, metric.Strict, txn.Update)
 		if !errors.Is(err, txn.ErrRollback) {
 			t.Fatalf("err = %v", err)
 		}
@@ -169,7 +174,7 @@ func TestValidationWindowGC(t *testing.T) {
 		e := newEngineT(map[storage.Key]metric.Value{"x": 0}, policy)
 		p := txn.MustProgram("inc", txn.AddOp("x", 1))
 		for i := 0; i < 100; i++ {
-			if _, _, err := e.Run(context.Background(), lock.Owner(i+1), p, nil, metric.Strict, txn.Update); err != nil {
+			if _, _, err := run(context.Background(), e, lock.Owner(i+1), p, metric.Strict, txn.Update); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -208,7 +213,7 @@ func parkReader(e *Engine, owner lock.Owner) (pause, <-chan error) {
 	at := newPause("hold")
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := e.Run(context.Background(), owner, txn.MustProgram("hold", at.op), nil, metric.SpecOf(100000), txn.Query)
+		_, _, err := run(context.Background(), e, owner, txn.MustProgram("hold", at.op), metric.SpecOf(100000), txn.Query)
 		done <- err
 	}()
 	<-at.started
@@ -304,7 +309,7 @@ func TestContextCancellation(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
 		p := txn.MustProgram("t", txn.ReadOp("x"))
-		if _, _, err := e.Run(ctx, 1, p, nil, metric.Strict, txn.Query); !errors.Is(err, context.Canceled) {
+		if _, _, err := run(ctx, e, 1, p, metric.Strict, txn.Query); !errors.Is(err, context.Canceled) {
 			t.Errorf("err = %v, want context.Canceled", err)
 		}
 	})
@@ -313,7 +318,7 @@ func TestContextCancellation(t *testing.T) {
 func TestInvalidProgramRejected(t *testing.T) {
 	forEachPolicy(t, func(t *testing.T, policy Policy) {
 		e := newEngineT(nil, policy)
-		if _, _, err := e.Run(context.Background(), 1, &txn.Program{Name: "bad"}, nil, metric.Strict, txn.Query); err == nil {
+		if _, _, err := run(context.Background(), e, 1, &txn.Program{Name: "bad"}, metric.Strict, txn.Query); err == nil {
 			t.Error("invalid program accepted")
 		}
 	})
@@ -340,7 +345,7 @@ func TestStressMixedWorkloadConservedAndVerified(t *testing.T) {
 						p, class = audit, txn.Query
 					}
 					for {
-						out, imported, err := e.Run(context.Background(), owner, p, nil, spec, class)
+						out, imported, err := run(context.Background(), e, owner, p, spec, class)
 						if err == nil {
 							if class == txn.Query {
 								dev := metric.Distance(out.SumReads(), 200000)
@@ -444,7 +449,7 @@ func TestWriterExportBudgetEnforced(t *testing.T) {
 		at[i] = newPause("z")
 		slow := txn.MustProgram("q", txn.ReadOp("x"), at[i].op)
 		go func() {
-			_, _, err := e.Run(context.Background(), lock.Owner(20+i), slow, nil,
+			_, _, err := run(context.Background(), e, lock.Owner(20+i), slow,
 				metric.Spec{Import: metric.LimitOf(1000), Export: metric.Zero}, txn.Query)
 			errs <- err
 		}()
@@ -484,7 +489,7 @@ func incrementStorm(t *testing.T, e *Engine) {
 			for j := 0; j < 50; j++ {
 				owner := lock.Owner(i*1000 + j)
 				for {
-					_, _, err := e.Run(context.Background(), owner, p, nil, metric.Strict, txn.Update)
+					_, _, err := run(context.Background(), e, owner, p, metric.Strict, txn.Update)
 					if err == nil {
 						break
 					}
@@ -537,7 +542,7 @@ func TestReadOfOwnAddObservesBase(t *testing.T) {
 	fast := txn.MustProgram("fast", txn.AddOp("x", 3), txn.ReadOp("x"))
 	// fast commits x=13 while slow is paused after its add and read.
 	r := interleave(e, 1, slow, metric.SpecOf(1000), txn.Update, at, func() {
-		fastOut, _, err := e.Run(context.Background(), 2, fast, nil, metric.SpecOf(1000), txn.Update)
+		fastOut, _, err := run(context.Background(), e, 2, fast, metric.SpecOf(1000), txn.Update)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -552,7 +557,7 @@ func TestReadOfOwnAddObservesBase(t *testing.T) {
 		t.Fatalf("slow: err = %v, want retryable validation abort", r.err)
 	}
 	// The retry observes fast's committed increment.
-	out, _, err := e.Run(context.Background(), 3, fast, nil, metric.SpecOf(1000), txn.Update)
+	out, _, err := run(context.Background(), e, 3, fast, metric.SpecOf(1000), txn.Update)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -947,7 +952,7 @@ func onceAt(e *Engine, owner lock.Owner, k txn.StepKind, f func()) {
 func readXValidated(t *testing.T, e *Engine, between func()) result {
 	t.Helper()
 	onceAt(e, 1, txn.StepCommit, between)
-	out, imported, err := e.Run(context.Background(), 1, txn.MustProgram("r", txn.ReadOp("x")), nil, metric.Strict, txn.Update)
+	out, imported, err := run(context.Background(), e, 1, txn.MustProgram("r", txn.ReadOp("x")), metric.Strict, txn.Update)
 	return result{out, imported, err}
 }
 
@@ -1006,7 +1011,7 @@ func TestAbortSnapshotIsBegin(t *testing.T) {
 		onceAt(e, 1, txn.StepApply, func() {
 			commitUpdate(t, e, 2, txn.MustProgram("bump", txn.AddOp("x", 5)), metric.Strict)
 		})
-		out, _, err := e.Run(context.Background(), 1, txn.MustProgram("r", txn.ReadOp("x")), nil, metric.Strict, txn.Update)
+		out, _, err := run(context.Background(), e, 1, txn.MustProgram("r", txn.ReadOp("x")), metric.Strict, txn.Update)
 		if policy == Abort {
 			if !e.Retryable(err) {
 				t.Fatalf("err = %v, want a retryable abort (x committed since begin)", err)

@@ -49,3 +49,38 @@ func TestRunPieceAllocs(t *testing.T) {
 		t.Errorf("runPiece: %.1f allocs, pinned at %d", allocs, pin)
 	}
 }
+
+// TestPrepareAllocs pins the allocations of one 2PC prepare at a
+// participant: LA's registered sub-transaction of the transfer, held
+// at its commit point under divergence control, then aborted so that
+// the next prepare finds its locks free. No coordinator takes part.
+func TestPrepareAllocs(t *testing.T) {
+	c := twoBranches(t, TwoPhaseCommit, true, 0)
+	if err := c.RegisterPrograms(bankPrograms(1, metric.SpecOf(1000))); err != nil {
+		t.Fatal(err)
+	}
+	la := c.Site("LA")
+	payload := laSubTxn(c.dist.programs[0])
+	ctx := context.Background()
+	const pin = 7
+	allocs := testing.AllocsPerRun(500, func() {
+		if _, err := la.prepare2PC(ctx, "xfer-1", payload); err != nil {
+			t.Fatalf("prepare2PC: %v", err)
+		}
+		la.abort2PC("xfer-1")
+	})
+	t.Logf("prepare2PC: %.1f allocs", allocs)
+	if allocs > pin {
+		t.Errorf("prepare2PC: %.1f allocs, pinned at %d", allocs, pin)
+	}
+}
+
+// laSubTxn is the prepare payload of dp's sub-transaction at LA.
+func laSubTxn(dp *distProgram) subTxn {
+	for i, sub := range dp.subs {
+		if sub.site == "LA" {
+			return subTxn{Inst: 1, TxType: 0, Piece: i}
+		}
+	}
+	panic("no LA sub-transaction")
+}

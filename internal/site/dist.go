@@ -4,7 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -33,15 +33,12 @@ const (
 	doneQueue = "done"
 )
 
-// subTxn is the 2PC prepare payload: one site's slice of a distributed
-// transaction.
+// subTxn is the 2PC prepare payload: it names one site's registered
+// sub-transaction of a distributed transaction.
 type subTxn struct {
-	Ops   []txn.Op
-	Class txn.Class
-	Spec  metric.Spec // site share of the ε-spec (split evenly)
-	Name  string
-	Inst  uint64 // distributed transaction identity (history group)
-	Piece int    // stable per-site ordinal (trace piece index)
+	Inst   uint64 // distributed transaction identity (history group)
+	TxType int    // the program's index in the registered table
+	Piece  int    // the sub-transaction's index in distProgram.subs
 }
 
 // subResult is the 2PC prepare result.
@@ -134,6 +131,17 @@ type distProgram struct {
 	pieces, inverses []*txn.Program
 	// children lists dependent pieces per piece (dependency tree).
 	children [][]int
+	// subs is the 2PC split, in site order: each site's ops in program
+	// order, with an even share of the ε-spec. Its index is the stable
+	// per-site ordinal (trace piece index). Its site's engine registers
+	// it, and every prepare runs it as registered.
+	subs []subProgram
+}
+
+// subProgram is one site's 2PC sub-transaction of a program.
+type subProgram struct {
+	site simnet.SiteID
+	prog *txn.Program
 }
 
 // tracker follows one chopped instance to settlement at its origin.
@@ -280,6 +288,26 @@ func (c *Cluster) RegisterPrograms(programs []*txn.Program) error {
 		} else {
 			dp.children = chopped.DependencyChildren()
 		}
+		// The 2PC split (subs).
+		bySite := make(map[simnet.SiteID][]txn.Op)
+		var siteIDs []simnet.SiteID
+		for _, op := range p.Ops {
+			siteID := c.placement(op.Key)
+			if bySite[siteID] == nil {
+				siteIDs = append(siteIDs, siteID)
+			}
+			bySite[siteID] = append(bySite[siteID], op)
+		}
+		slices.Sort(siteIDs)
+		subSpec := metric.Spec{
+			Import: p.Spec.Import.Div(len(siteIDs)),
+			Export: p.Spec.Export.Div(len(siteIDs)),
+		}
+		for _, siteID := range siteIDs {
+			dp.subs = append(dp.subs, subProgram{site: siteID, prog: &txn.Program{
+				Name: p.Name + "@" + string(siteID), Ops: bySite[siteID], Spec: subSpec,
+			}})
+		}
 		c.dist.mu.Lock()
 		c.dist.programs = append(c.dist.programs, dp)
 		c.dist.mu.Unlock()
@@ -326,19 +354,27 @@ func inverseOps(ops []txn.Op) []txn.Op {
 // settlement (or ctx end). Under 2PC, initiation == settlement; under
 // chopped queues, initiation is the first piece's commit.
 func (c *Cluster) Submit(ctx context.Context, ti int) (*Result, error) {
-	c.dist.mu.Lock()
-	if ti < 0 || ti >= len(c.dist.programs) {
-		c.dist.mu.Unlock()
+	dp := c.program(ti)
+	if dp == nil {
 		return nil, fmt.Errorf("site: program index %d out of range", ti)
 	}
-	dp := c.dist.programs[ti]
-	c.dist.mu.Unlock()
 	switch c.Strategy {
 	case ChoppedQueues:
 		return c.submitChopped(ctx, ti, dp)
 	default:
-		return c.submit2PC(ctx, dp)
+		return c.submit2PC(ctx, ti, dp)
 	}
+}
+
+// program returns registered program ti, or nil if the table does not
+// hold it.
+func (c *Cluster) program(ti int) *distProgram {
+	c.dist.mu.Lock()
+	defer c.dist.mu.Unlock()
+	if ti < 0 || ti >= len(c.dist.programs) {
+		return nil
+	}
+	return c.dist.programs[ti]
 }
 
 // ---------------------------------------------------------------------
@@ -347,33 +383,12 @@ func (c *Cluster) Submit(ctx context.Context, ti int) (*Result, error) {
 
 // submit2PC runs the whole transaction as subtransactions under 2PC,
 // coordinated from the first op's site.
-func (c *Cluster) submit2PC(ctx context.Context, dp *distProgram) (*Result, error) {
+func (c *Cluster) submit2PC(ctx context.Context, ti int, dp *distProgram) (*Result, error) {
 	start := time.Now()
-	// Split ops by site, preserving op order within each site.
-	bySite := make(map[simnet.SiteID][]txn.Op)
-	for _, op := range dp.program.Ops {
-		siteID := c.placement(op.Key)
-		bySite[siteID] = append(bySite[siteID], op)
-	}
-	spec := metric.Spec{
-		Import: dp.program.Spec.Import.Div(len(bySite)),
-		Export: dp.program.Spec.Export.Div(len(bySite)),
-	}
-	// Stable per-site piece ordinals for trace identity.
-	siteIDs := make([]simnet.SiteID, 0, len(bySite))
-	for siteID := range bySite {
-		siteIDs = append(siteIDs, siteID)
-	}
-	sort.Slice(siteIDs, func(a, b int) bool { return siteIDs[a] < siteIDs[b] })
-	ordinal := make(map[simnet.SiteID]int, len(siteIDs))
-	for i, siteID := range siteIDs {
-		ordinal[siteID] = i
-	}
 	inst := c.nextInstID()
-	payloads := make(map[simnet.SiteID]any, len(bySite))
-	for siteID, ops := range bySite {
-		payloads[siteID] = subTxn{Ops: ops, Class: dp.program.Class(), Spec: spec,
-			Name: dp.program.Name, Inst: inst, Piece: ordinal[siteID]}
+	payloads := make(map[simnet.SiteID]any, len(dp.subs))
+	for i, sub := range dp.subs {
+		payloads[sub.site] = subTxn{Inst: inst, TxType: ti, Piece: i}
 	}
 	origin := c.sites[c.placement(dp.program.Ops[0].Key)]
 	if origin == nil {
@@ -421,7 +436,11 @@ func (c *Cluster) submit2PC(ctx context.Context, dp *distProgram) (*Result, erro
 // vote.
 func (s *Site) prepare2PC(ctx context.Context, txid string, payload any) (any, error) {
 	st, ok := payload.(subTxn)
-	if !ok {
+	var dp *distProgram
+	if ok {
+		dp = s.cluster.program(st.TxType)
+	}
+	if dp == nil {
 		return nil, errors.New("site: bad prepare payload")
 	}
 	// Bound lock waits: distributed deadlocks are invisible to per-site
@@ -430,10 +449,11 @@ func (s *Site) prepare2PC(ctx context.Context, txid string, payload any) (any, e
 	defer cancel()
 	owner := s.cluster.gen.Next()
 	s.cluster.recordGroup(owner, st.Inst)
-	prog := &txn.Program{Name: st.Name + "@" + string(s.ID), Ops: st.Ops, Spec: st.Spec}
+	prog := dp.subs[st.Piece].prog
 	s.cluster.obs.PieceBegin(int64(owner), int64(st.Inst), st.Piece, string(s.ID), prog.Name,
 		obs.PieceSpanID(st.Inst, st.Piece, false), obs.RootSpanID(st.Inst), "")
-	pt, err := s.currentEngine().Prepare(ctx, owner, prog, st.Spec, st.Class)
+	eng := s.currentEngine()
+	pt, err := eng.Prepare(ctx, owner, prog, eng.Plan(prog), prog.Spec, dp.program.Class())
 	if errors.Is(err, txn.ErrRollback) {
 		return nil, fmt.Errorf("site: rollback statement: %w", commit.ErrBusinessVote)
 	}
@@ -881,12 +901,7 @@ func (s *Site) workerLoop(stop <-chan struct{}, w int) {
 // the per-origin accumulator (flushed once per batch by flushReports).
 func (s *Site) processActivation(ctx context.Context, msg queue.Msg, act activation,
 	reports map[simnet.SiteID][]pieceDone, buf *queue.TxBuffer, log *applyLog) actStatus {
-	s.cluster.dist.mu.Lock()
-	var dp *distProgram
-	if act.TxType >= 0 && act.TxType < len(s.cluster.dist.programs) {
-		dp = s.cluster.dist.programs[act.TxType]
-	}
-	s.cluster.dist.mu.Unlock()
+	dp := s.cluster.program(act.TxType)
 	if dp == nil {
 		// A type the table does not hold, e.g. a process restarted with
 		// a shorter table than the one its queue image was written under.

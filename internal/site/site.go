@@ -606,8 +606,9 @@ func (s *Site) newEngine() *core.Engine {
 	return eng
 }
 
-// registerPieces registers dp's pieces that run at s and their
-// compensations with eng, which resolves their keys to cells once.
+// registerPieces registers dp's pieces that run at s, their
+// compensations and its 2PC sub-transaction at s with eng, which
+// resolves their keys once.
 func (s *Site) registerPieces(eng *core.Engine, dp *distProgram) {
 	for pi, id := range dp.pieceSite {
 		if id == s.ID {
@@ -615,6 +616,11 @@ func (s *Site) registerPieces(eng *core.Engine, dp *distProgram) {
 			if dp.compensable {
 				eng.Register(dp.inverses[pi])
 			}
+		}
+	}
+	for _, sub := range dp.subs {
+		if sub.site == s.ID {
+			eng.Register(sub.prog)
 		}
 	}
 }

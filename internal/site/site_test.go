@@ -71,6 +71,43 @@ func totals(c *Cluster) metric.Value {
 	return c.Site("NY").Store.Get("ny:X") + c.Site("LA").Store.Get("la:Y")
 }
 
+// TestTwoPCSubTransactionsAreRegistered: each site's 2PC
+// sub-transaction of a program is registered with the site's engine,
+// and with the engine a recovered site rebuilds: its plan covers every
+// op, its cells are the store's and its rows the lock table's.
+func TestTwoPCSubTransactionsAreRegistered(t *testing.T) {
+	c := twoBranches(t, TwoPhaseCommit, false, 0)
+	if err := c.RegisterPrograms(bankPrograms(5000, metric.Strict)); err != nil {
+		t.Fatal(err)
+	}
+	check := func(when string) {
+		t.Helper()
+		for _, dp := range c.dist.programs {
+			if len(dp.subs) != 2 {
+				t.Fatalf("%s: %q has %d sub-transactions, want one per branch", when, dp.program.Name, len(dp.subs))
+			}
+			for _, sub := range dp.subs {
+				s := c.Site(sub.site)
+				plan := s.currentEngine().Plan(sub.prog)
+				if len(plan.Cells) == 0 || len(plan.Cells) != len(sub.prog.Ops) || len(plan.Rows) != len(sub.prog.Ops) {
+					t.Fatalf("%s: %s has a plan of %d cells and %d rows for %d ops",
+						when, sub.prog.Name, len(plan.Cells), len(plan.Rows), len(sub.prog.Ops))
+				}
+				for i, op := range sub.prog.Ops {
+					if plan.Cells[i] != s.Store.Cell(op.Key) || plan.Rows[i] != s.Locks().Row(op.Key) {
+						t.Errorf("%s: %s op %d: plan is not %s's cell and row of %q", when, sub.prog.Name, i, s.ID, op.Key)
+					}
+				}
+			}
+		}
+	}
+	check("registered")
+	la := c.Site("LA")
+	la.Crash()
+	la.Recover()
+	check("recovered")
+}
+
 func TestTwoPCTransferCommits(t *testing.T) {
 	c := twoBranches(t, TwoPhaseCommit, false, 0)
 	if err := c.RegisterPrograms(bankPrograms(5000, metric.Strict)); err != nil {

@@ -28,8 +28,8 @@ func (g *IDGen) Next() lock.Owner {
 }
 
 // SetBase makes subsequent IDs mint from base+1 upward. A process
-// hosting several generators that feed one shared consumer (ledger,
-// trace, dedup table) gives each a disjoint base so their IDs never
+// hosting several generators that feed one shared consumer (the ε
+// ledger, trace spans) gives each a disjoint base so their IDs never
 // collide. Call before the generator is first used.
 func (g *IDGen) SetBase(base int64) {
 	g.next.Store(base)
@@ -147,15 +147,31 @@ func findWrite(recs []writeRec, c *storage.Cell) int {
 	return -1
 }
 
-// Plan holds a program's keys resolved once, in op order: Cells to
-// cells of the store, Rows to rows of the lock table. Either may be nil
-// or shorter than the program's ops; the ops past its end resolve their
-// keys as they run. Stamps are written into the attempt's commit batch
-// after its own writes.
+// Plan holds a program's keys resolved once (Resolve), in op order:
+// Cells[i] is op i's cell of the store, Rows[i] its row of the lock
+// table. Stamps are written into the attempt's commit batch after its
+// own writes.
 type Plan struct {
 	Cells  []*storage.Cell
 	Rows   []*lock.Row
 	Stamps []Stamp
+}
+
+// Resolve resolves p's keys, in op order, to cells of store and, when
+// locks is non-nil, to rows of its lock table. Both stay valid for the
+// life of the store and the manager (see storage.Cell and lock.Row).
+func Resolve(p *Program, store *storage.Store, locks *lock.Manager) Plan {
+	plan := Plan{Cells: make([]*storage.Cell, len(p.Ops))}
+	if locks != nil {
+		plan.Rows = make([]*lock.Row, len(p.Ops))
+	}
+	for i, op := range p.Ops {
+		plan.Cells[i] = store.Cell(op.Key)
+		if locks != nil {
+			plan.Rows[i] = locks.Row(op.Key)
+		}
+	}
+	return plan
 }
 
 // Stamp is a write an attempt's commit batch carries that is no op of
@@ -167,24 +183,6 @@ type Stamp struct {
 	Cell  *storage.Cell
 	Key   storage.Key
 	Value metric.Value
-}
-
-// cellOf returns op i's cell: Cells[i] when the caller resolved it,
-// else the store resolves the op's key k.
-func (e *Exec) cellOf(plan Plan, i int, k storage.Key) *storage.Cell {
-	if i < len(plan.Cells) {
-		return plan.Cells[i]
-	}
-	return e.store.Cell(k)
-}
-
-// acquire takes op i's lock for l: through its resolved row when plan
-// has one, else by key.
-func acquire(ctx context.Context, l *lock.Locker, plan Plan, i int, k storage.Key, mode lock.Mode) error {
-	if i < len(plan.Rows) {
-		return l.Acquire(ctx, plan.Rows[i], mode)
-	}
-	return l.AcquireKey(ctx, k, mode)
 }
 
 // Run executes p atomically as l's owner: Hold, then Commit. On failure
@@ -215,9 +213,10 @@ type Held struct {
 // Hold runs p as l's owner under strict two-phase locking up to its
 // commit point, taking its locks through l (a Locker of e's lock
 // manager, holding nothing). On error the attempt is already undone and
-// l's locks released, and the error classifies as for Run. plan holds
-// p's keys resolved once (see Plan); every lock request goes through its
-// rows and every read, write and undo through its cells.
+// l's locks released, and the error classifies as for Run. plan is p's
+// keys resolved by Resolve with e's lock manager: every lock request
+// goes through its rows and every read, write and undo through its
+// cells.
 func (e *Exec) Hold(ctx context.Context, l *lock.Locker, p *Program, plan Plan) (Held, error) {
 	if err := p.Validate(); err != nil {
 		return Held{}, err
@@ -234,7 +233,7 @@ func (e *Exec) Hold(ctx context.Context, l *lock.Locker, p *Program, plan Plan) 
 			mode = lock.Exclusive
 		}
 		e.stepTo(owner, p, i, StepAcquire, op.Key, op.Kind == OpWrite)
-		if err := acquire(ctx, l, plan, i, op.Key, mode); err != nil {
+		if err := l.Acquire(ctx, plan.Rows[i], mode); err != nil {
 			h := Held{Out: out, e: e, p: p, l: l, writes: writes}
 			h.Abort(err)
 			return h, fmt.Errorf("op %d on %q: %w", i, op.Key, err)
@@ -243,7 +242,7 @@ func (e *Exec) Hold(ctx context.Context, l *lock.Locker, p *Program, plan Plan) 
 		if e.opDelay > 0 {
 			SimWork(e.opDelay)
 		}
-		c := e.cellOf(plan, i, op.Key)
+		c := plan.Cells[i]
 		old, _ := c.Load()
 		if op.AbortIf != nil && op.AbortIf(old) {
 			h := Held{Out: out, e: e, p: p, l: l, writes: writes}

@@ -64,11 +64,27 @@ func newExecT(init map[storage.Key]metric.Value) (*Exec, *recorder) {
 	return NewExec(storage.NewFrom(init), lock.NewManager(), rec), rec
 }
 
-// heldKeys returns the keys of p's ops owner holds in m (any mode).
-func heldKeys(m *lock.Manager, owner lock.Owner, p *Program) []storage.Key {
+// planOf is p's plan on e's store and lock table.
+func planOf(e *Exec, p *Program) Plan { return Resolve(p, e.Store(), e.Locks()) }
+
+// blocks reports whether a request for key in mode must wait in m: a
+// probe whose context has already ended is refused only if it queues.
+func blocks(m *lock.Manager, key storage.Key, mode lock.Mode) bool {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	probe := m.Locker(1 << 40)
+	defer probe.Free()
+	err := probe.Acquire(ctx, m.Row(key), mode)
+	probe.ReleaseAll()
+	return err != nil
+}
+
+// heldKeys returns the keys of p's ops that some owner holds in m (any
+// mode).
+func heldKeys(m *lock.Manager, p *Program) []storage.Key {
 	var out []storage.Key
 	for _, op := range p.Ops {
-		if m.HoldsLock(owner, op.Key, lock.Shared) && !slices.Contains(out, op.Key) {
+		if blocks(m, op.Key, lock.Exclusive) && !slices.Contains(out, op.Key) {
 			out = append(out, op.Key)
 		}
 	}
@@ -78,7 +94,7 @@ func heldKeys(m *lock.Manager, owner lock.Owner, p *Program) []storage.Key {
 func TestRunCommitsTransfer(t *testing.T) {
 	e, rec := newExecT(map[storage.Key]metric.Value{"x": 1000, "y": 500})
 	xfer := MustProgram("xfer", AddOp("x", -100), AddOp("y", 100))
-	out, err := e.Run(context.Background(), e.Locks().Locker(1), xfer, Plan{})
+	out, err := e.Run(context.Background(), e.Locks().Locker(1), xfer, planOf(e, xfer))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +118,7 @@ func TestRunCommitsTransfer(t *testing.T) {
 		}
 	}
 	// Locks must be released at commit.
-	if len(heldKeys(e.Locks(), 1, xfer)) != 0 {
+	if len(heldKeys(e.Locks(), xfer)) != 0 {
 		t.Error("locks leaked after commit")
 	}
 }
@@ -110,7 +126,7 @@ func TestRunCommitsTransfer(t *testing.T) {
 func TestRunReadsObserveValues(t *testing.T) {
 	e, _ := newExecT(map[storage.Key]metric.Value{"x": 10, "y": 20})
 	audit := MustProgram("audit", ReadOp("x"), ReadOp("y"))
-	out, err := e.Run(context.Background(), e.Locks().Locker(2), audit, Plan{})
+	out, err := e.Run(context.Background(), e.Locks().Locker(2), audit, planOf(e, audit))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +149,7 @@ func TestBusinessRollbackUndoesWrites(t *testing.T) {
 		AddOp("staging", 1), // a write that must be undone
 		WithAbortIf(AddOp("x", -100), func(v metric.Value) bool { return v < 100 }),
 	)
-	out, err := e.Run(context.Background(), e.Locks().Locker(3), p, Plan{})
+	out, err := e.Run(context.Background(), e.Locks().Locker(3), p, planOf(e, p))
 	if !errors.Is(err, ErrRollback) {
 		t.Fatalf("err = %v, want ErrRollback", err)
 	}
@@ -159,7 +175,7 @@ func TestRollbackNotTriggeredWhenFundsSuffice(t *testing.T) {
 	e, _ := newExecT(map[storage.Key]metric.Value{"x": 500})
 	p := MustProgram("withdraw",
 		WithAbortIf(AddOp("x", -100), func(v metric.Value) bool { return v < 100 }))
-	out, err := e.Run(context.Background(), e.Locks().Locker(4), p, Plan{})
+	out, err := e.Run(context.Background(), e.Locks().Locker(4), p, planOf(e, p))
 	if err != nil || !out.Committed {
 		t.Fatalf("err = %v committed = %v", err, out.Committed)
 	}
@@ -189,7 +205,7 @@ func TestDeadlockAbortUndoesAndIsRetryable(t *testing.T) {
 		hold <- locks.Acquire(context.Background(), 9, "a", lock.Exclusive)
 	}()
 	p := MustProgram("t", AddOp("a", 10), AddOp("b", 10))
-	_, err := e.Run(context.Background(), e.Locks().Locker(10), p, Plan{})
+	_, err := e.Run(context.Background(), e.Locks().Locker(10), p, planOf(e, p))
 	if !errors.Is(err, lock.ErrDeadlock) {
 		t.Fatalf("err = %v, want deadlock", err)
 	}
@@ -215,31 +231,31 @@ func TestHoldThenCommitOrAbort(t *testing.T) {
 	ctx := context.Background()
 	xfer := MustProgram("xfer", AddOp("x", -3), AddOp("y", 3), ReadOp("y"))
 
-	h, err := e.Hold(ctx, locks.Locker(1), xfer, Plan{})
+	h, err := e.Hold(ctx, locks.Locker(1), xfer, planOf(e, xfer))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !locks.HoldsLock(1, "y", lock.Exclusive) || h.Out.Committed || len(h.Out.Reads) != 1 {
-		t.Fatalf("held: locks %v, outcome %+v", heldKeys(locks, 1, xfer), h.Out)
+	if !blocks(locks, "y", lock.Shared) || h.Out.Committed || len(h.Out.Reads) != 1 {
+		t.Fatalf("held: locks %v, outcome %+v", heldKeys(locks, xfer), h.Out)
 	}
 	durable := errors.New("sync failed")
 	out, err := h.Commit(func() error {
-		if !locks.HoldsLock(1, "x", lock.Exclusive) {
+		if !blocks(locks, "x", lock.Shared) {
 			t.Error("durable ran after the locks were released")
 		}
 		return durable
 	})
-	if !errors.Is(err, durable) || !out.Committed || len(heldKeys(locks, 1, xfer)) != 0 {
-		t.Fatalf("commit: err=%v committed=%v held=%v", err, out.Committed, heldKeys(locks, 1, xfer))
+	if !errors.Is(err, durable) || !out.Committed || len(heldKeys(locks, xfer)) != 0 {
+		t.Fatalf("commit: err=%v committed=%v held=%v", err, out.Committed, heldKeys(locks, xfer))
 	}
 
-	h, err = e.Hold(ctx, locks.Locker(2), xfer, Plan{})
+	h, err = e.Hold(ctx, locks.Locker(2), xfer, planOf(e, xfer))
 	if err != nil {
 		t.Fatal(err)
 	}
 	h.Abort(errors.New("no"))
-	if x, y := e.Store().Get("x"), e.Store().Get("y"); x != 7 || y != 3 || len(heldKeys(locks, 2, xfer)) != 0 {
-		t.Errorf("after abort: x=%d y=%d held=%v, want 7, 3 and no locks", x, y, heldKeys(locks, 2, xfer))
+	if x, y := e.Store().Get("x"), e.Store().Get("y"); x != 7 || y != 3 || len(heldKeys(locks, xfer)) != 0 {
+		t.Errorf("after abort: x=%d y=%d held=%v, want 7, 3 and no locks", x, y, heldKeys(locks, xfer))
 	}
 	want := []string{"begin", "write", "write", "read", "commit", "begin", "write", "write", "read", "abort"}
 	if got := rec.kinds(); !slices.Equal(got, want) {
@@ -250,7 +266,7 @@ func TestHoldThenCommitOrAbort(t *testing.T) {
 func TestRunInvalidProgram(t *testing.T) {
 	e, _ := newExecT(nil)
 	bad := &Program{Name: "bad"}
-	if _, err := e.Run(context.Background(), e.Locks().Locker(1), bad, Plan{}); err == nil {
+	if _, err := e.Run(context.Background(), e.Locks().Locker(1), bad, planOf(e, bad)); err == nil {
 		t.Error("invalid program accepted")
 	}
 }
@@ -292,7 +308,7 @@ func TestCommitJournalsBatch(t *testing.T) {
 	sink := &batchSink{}
 	e.Store().SetSink(sink)
 	p := MustProgram("t", AddOp("x", 5), AddOp("x", 2), AddOp("y", -1))
-	if _, err := e.Run(context.Background(), e.Locks().Locker(1), p, Plan{}); err != nil {
+	if _, err := e.Run(context.Background(), e.Locks().Locker(1), p, planOf(e, p)); err != nil {
 		t.Fatal(err)
 	}
 	want := []storage.Batch{{LSN: 1, Writes: []storage.Write{{Key: "x", Value: 7}, {Key: "y", Value: -1}}}}
@@ -300,7 +316,7 @@ func TestCommitJournalsBatch(t *testing.T) {
 		t.Errorf("committed batches = %+v, want %+v", sink.batches, want)
 	}
 	bad := MustProgram("rollback", AddOp("x", 1), WithAbortIf(AddOp("y", 1), func(v metric.Value) bool { return v < 0 }))
-	if _, err := e.Run(context.Background(), e.Locks().Locker(2), bad, Plan{}); !errors.Is(err, ErrRollback) {
+	if _, err := e.Run(context.Background(), e.Locks().Locker(2), bad, planOf(e, bad)); !errors.Is(err, ErrRollback) {
 		t.Fatalf("err = %v, want ErrRollback", err)
 	}
 	if len(sink.batches) != 1 || e.Store().Get("x") != 7 {

@@ -75,7 +75,7 @@ func TestExecutorMatchesModel(t *testing.T) {
 		for i := 0; i < int(steps%25)+1; i++ {
 			p := randomProgram(rng, "p")
 			wantState, wantReads, wantCommit := modelRun(model, p)
-			out, err := exec.Run(context.Background(), exec.Locks().Locker(lock.Owner(i+1)), p, Plan{})
+			out, err := exec.Run(context.Background(), exec.Locks().Locker(lock.Owner(i+1)), p, Resolve(p, store, exec.Locks()))
 			if wantCommit {
 				if err != nil {
 					t.Logf("seed %d step %d: unexpected err %v", seed, i, err)
